@@ -27,7 +27,6 @@ from .complexity import (
 from .distributions import (
     BernoulliPatterns,
     ExplicitPatterns,
-    HeterogeneousBernoulli,
     HomogeneousBernoulli,
     MergeModel,
     PatternDistribution,
@@ -35,8 +34,6 @@ from .distributions import (
     distribution_from_json,
     explicit_from_json,
     explicit_to_json,
-    pattern_probability,
-    sample_pattern,
 )
 from .estimators import (
     ConstantImputeRegression,
@@ -47,7 +44,6 @@ from .estimators import (
     fit_constant_impute,
     fit_iterative_impute,
     fit_pbp,
-    predict_pbp,
     theory_config,
 )
 from .harness import (
@@ -64,6 +60,7 @@ from .patterns import (
     MaskedDataset,
     MaskedReadError,
     MissingPattern,
+    PatternBank,
     PatternIndex,
     build_pattern_index,
 )

@@ -95,7 +95,7 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_fit(args) -> None:
-    from .datafiles import dataset_from_json, model_to_json
+    from .datafiles import dataset_from_json
     from .harness import EstimatorSpec
 
     dataset = dataset_from_json(_load_json(args.data))
@@ -111,7 +111,7 @@ def _cmd_fit(args) -> None:
     )
     model = spec.fit(dataset)
     with open(args.out, "w") as handle:
-        json.dump(model_to_json(model), handle)
+        json.dump(model.to_json(), handle)
     print(f"wrote {args.out}")
 
 

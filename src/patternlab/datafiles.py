@@ -40,10 +40,6 @@ def dataset_from_json(obj: dict) -> MaskedDataset:
     return MaskedDataset(values, mask, np.asarray(obj["responses"], dtype=float))
 
 
-def model_to_json(model) -> dict:
-    return model.to_json()
-
-
 def model_from_json(obj: dict):
     """Detect the estimator family from the payload and rebuild it."""
     kind = obj.get("kind")

@@ -157,10 +157,6 @@ class BernoulliPatterns(PatternDistribution):
         return pack_mask_rows(bits)
 
 
-class HeterogeneousBernoulli(BernoulliPatterns):
-    """Bernoulli masking with per-coordinate rates."""
-
-
 class HomogeneousBernoulli(BernoulliPatterns):
     """Bernoulli masking with one shared rate for every coordinate."""
 
@@ -251,16 +247,6 @@ class UniformPatterns(PatternDistribution):
         return rng.integers(0, high, size=size, dtype=np.uint64).astype(np.int64)
 
 
-def pattern_probability(dist: PatternDistribution, m: MissingPattern) -> float:
-    """P(M = m) under ``dist``; raises on a dimension mismatch."""
-    return dist.probability(m)
-
-
-def sample_pattern(dist: PatternDistribution, rng: np.random.Generator) -> MissingPattern:
-    """Draw one pattern; deterministic given the generator state."""
-    return dist.sample(rng)
-
-
 def explicit_from_json(obj: dict) -> ExplicitPatterns:
     """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}."""
     d = int(obj["d"])
@@ -292,7 +278,7 @@ def distribution_from_json(obj: dict) -> PatternDistribution:
     if kind == "homogeneous_bernoulli":
         return HomogeneousBernoulli(int(obj["d"]), float(obj["epsilon"]))
     if kind == "heterogeneous_bernoulli":
-        return HeterogeneousBernoulli(obj["epsilons"])
+        return BernoulliPatterns(obj["epsilons"])
     if kind == "merge":
         protocols = [MissingPattern.from_string(s) for s in obj["protocols"]]
         return MergeModel(protocols, obj["weights"], float(obj["eta"]))

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .patterns import (
-    MaskedDataset,
-    MissingPattern,
-    build_pattern_index,
-    group_rows_by_key,
-    pack_mask_rows,
-)
+from .patterns import MaskedDataset, MissingPattern, PatternBank, build_pattern_index, one_row
 from .solver import AffineModel, clip, least_squares
 
 
@@ -100,72 +94,42 @@ def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> 
 
 @dataclass(frozen=True)
 class PbpRegression:
-    """One affine model per sufficiently frequent pattern; 0 elsewhere."""
+    """One affine model per sufficiently frequent pattern; 0 elsewhere.
 
-    dimension: int
-    models: dict
+    ``models`` is the bank of kept patterns; read as a Mapping it gives each
+    kept pattern's affine model over its observed coordinates.
+    """
+
+    models: PatternBank
     config: EstimatorConfig
     train_frequencies: dict = field(default_factory=dict)
 
+    @property
+    def dimension(self) -> int:
+        return self.models.d
+
     def predict_one(self, x_obs, m: MissingPattern) -> float:
-        if m.dimension != self.dimension:
-            raise ValueError(f"pattern dimension {m.dimension} does not match model dimension {self.dimension}")
-        x_obs = np.asarray(x_obs, dtype=float)
-        if x_obs.shape != (m.n_observed,):
-            raise ValueError(f"x_obs shape {x_obs.shape} does not match {m.n_observed} observed coordinates")
-        model = self.models.get(m)
-        if model is None:
-            return 0.0
-        value = float(model.predict(x_obs))
-        if self.config.clip_level is not None:
-            value = clip(value, self.config.clip_level)
-        return value
+        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Predictions for a batch of rows; masked cells of ``values`` are never read."""
-        values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        out = np.zeros(values.shape[0])
-        for key, rows in group_rows_by_key(pack_mask_rows(mask)):
-            pattern = MissingPattern(key, self.dimension)
-            model = self.models.get(pattern)
-            if model is None:
-                continue
-            block = values[np.ix_(rows, np.array(pattern.observed_indices, dtype=int))]
-            out[rows] = model.predict(block) if pattern.n_observed else model.intercept
-        if self.config.clip_level is not None:
-            out = clip(out, self.config.clip_level)
-        return out
+        out = self.models.predict(values, mask)
+        return out if self.config.clip_level is None else clip(out, self.config.clip_level)
 
     def to_json(self) -> dict:
-        entries = sorted(self.models.items(), key=lambda item: item[0].bits)
         return {
             "tau": self.config.tau,
             "clip": self.config.clip_level,
-            "models": [
-                {
-                    "mask": pattern.to_string(),
-                    "intercept": model.intercept,
-                    "coef": [float(c) for c in model.coefficients],
-                }
-                for pattern, model in entries
-            ],
+            "d": self.dimension,
+            "models": self.models.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PbpRegression":
-        entries = obj["models"]
-        if not entries:
-            raise ValueError("serialized model list is empty; the dimension is unrecoverable")
-        models = {}
-        for entry in entries:
-            pattern = MissingPattern.from_string(entry["mask"])
-            models[pattern] = AffineModel(float(entry["intercept"]), np.array(entry["coef"], dtype=float))
-        dims = {p.dimension for p in models}
-        if len(dims) != 1:
-            raise ValueError("serialized masks disagree on the dimension")
+        if "d" not in obj:
+            raise ValueError("per-pattern model payload lacks the field 'd' (the covariate dimension)")
         config = EstimatorConfig(tau=float(obj["tau"]), clip_level=obj.get("clip"))
-        return cls(dimension=dims.pop(), models=models, config=config)
+        return cls(models=PatternBank.from_json(int(obj["d"]), obj["models"]), config=config)
 
 
 def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
@@ -176,10 +140,10 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     whose filtered subsample is empty keeps an all-zero model.
     """
     index = build_pattern_index(data)
-    models = {}
-    for pattern in sorted(index.groups, key=lambda p: p.bits):
-        if not index.frequencies[pattern] > config.tau:
-            continue
+    kept = [pattern for pattern, freq in index.frequencies.items() if freq > config.tau]
+    coef = np.zeros((len(kept), data.d))
+    intercepts = np.zeros(len(kept))
+    for i, pattern in enumerate(kept):
         rows = index.groups[pattern]
         obs = np.array(pattern.observed_indices, dtype=int)
         block = data.values[np.ix_(rows, obs)]
@@ -187,20 +151,13 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
             inside = np.abs(block).max(axis=1) <= config.ball_radius
             rows = rows[inside]
             block = block[inside]
-        if rows.size == 0:
-            models[pattern] = AffineModel(0.0, np.zeros(obs.size))
-            continue
-        models[pattern] = least_squares(block, data.responses[rows])
-    return PbpRegression(
-        dimension=data.d,
-        models=models,
-        config=config,
-        train_frequencies=dict(index.frequencies),
-    )
-
-
-def predict_pbp(model: PbpRegression, x_obs, m: MissingPattern) -> float:
-    return model.predict_one(x_obs, m)
+        if rows.size:
+            model = least_squares(block, data.responses[rows])
+            intercepts[i] = model.intercept
+            coef[i, obs] = model.coefficients
+    bank = PatternBank(data.d)
+    bank.add([pattern.bits for pattern in kept], coef, intercepts)
+    return PbpRegression(models=bank, config=config, train_frequencies=dict(index.frequencies))
 
 
 def _zero_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -219,13 +176,7 @@ class ConstantImputeRegression:
     regression: AffineModel
 
     def predict_one(self, x_obs, m: MissingPattern) -> float:
-        x_obs = np.asarray(x_obs, dtype=float)
-        if x_obs.shape != (m.n_observed,):
-            raise ValueError("x_obs does not match the pattern's observed coordinates")
-        filled = np.zeros(self.dimension)
-        filled[np.array(m.observed_indices, dtype=int)] = x_obs
-        bits = np.array([m.is_missing(j) for j in range(self.dimension)], dtype=float)
-        return float(self.regression.predict(np.concatenate([filled, bits])))
+        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         mask = np.asarray(mask, dtype=bool)
@@ -325,13 +276,7 @@ class IterativeImputeRegression:
         return completed
 
     def predict_one(self, x_obs, m: MissingPattern) -> float:
-        x_obs = np.asarray(x_obs, dtype=float)
-        if x_obs.shape != (m.n_observed,):
-            raise ValueError("x_obs does not match the pattern's observed coordinates")
-        row = np.zeros((1, self.dimension))
-        row[0, np.array(m.observed_indices, dtype=int)] = x_obs
-        mask = np.array([[m.is_missing(j) for j in range(self.dimension)]])
-        return float(self.predict_masked(row, mask)[0])
+        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return self.regression.predict(self.complete(values, mask))

@@ -3,8 +3,9 @@
 Every (estimator, training size, repetition) cell derives its own seeds
 from the root seed by hashing, trains on a fresh draw, and scores the mean
 squared gap to the exact optimum predictor on a fresh test draw. Results
-are therefore independent of execution order and of the thread count; the
-PATTERNLAB_THREADS environment variable only caps the worker pool.
+are therefore independent of execution order. Cells run one after another
+in the calling thread, so their recorded timings are not shared with other
+cells.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ class BayesPredictor:
         return self.scenario.bayes_predict(x_obs, m)
 
     def predict_masked(self, values, mask) -> np.ndarray:
-        return self.scenario._bayes_for(np.asarray(values, dtype=float), np.asarray(mask, dtype=bool))
+        return self.scenario._bayes_for(values, mask)
 
 
 def excess_risk(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> float:
@@ -185,7 +184,7 @@ def derive_seed(root: int, *parts) -> int:
 def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition: int) -> RunRecord:
     train_seed = derive_seed(config.seed, spec.name, n, repetition, "train")
     test_seed = derive_seed(config.seed, spec.name, n, repetition, "test")
-    train = config.scenario.generate(n, np.random.default_rng(train_seed))
+    train = config.scenario.generate(n, np.random.default_rng(train_seed), with_bayes=False)
     t0 = time.perf_counter()
     predictor = spec.fit(train.dataset)
     fit_seconds = time.perf_counter() - t0
@@ -206,38 +205,16 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PATTERNLAB_THREADS")
-    if raw is not None:
-        count = int(raw)
-        if count < 1:
-            raise ValueError(f"PATTERNLAB_THREADS must be >= 1, got {raw!r}")
-        return count
-    return min(4, os.cpu_count() or 1)
-
-
 def run_experiment(config: ExperimentConfig, out_path=None) -> list:
-    """All (estimator, n, repetition) records, in deterministic order.
-
-    Cells may run on a worker pool; rows are sorted before any output, so
-    the record list and the CSV do not depend on the thread count.
-    """
+    """All (estimator, n, repetition) records, in that nested order."""
     if not config.scenario.has_closed_form:
         raise NoClosedFormError(f"{config.scenario.name}: benchmark scenarios need the exact optimum")
-    cells = [
-        (spec, n, repetition)
+    records = [
+        _run_cell(config, spec, n, repetition)
         for spec in config.estimators
         for n in config.n_grid
         for repetition in range(config.repetitions)
     ]
-    workers = _worker_count()
-    if workers == 1 or len(cells) == 1:
-        records = [_run_cell(config, *cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
-    order = {spec.name: i for i, spec in enumerate(config.estimators)}
-    records.sort(key=lambda r: (order[r.estimator], r.n, r.repetition))
     if out_path is not None:
         text = records_to_csv(records, record_timings=config.record_timings)
         with open(out_path, "w", newline="") as handle:
@@ -265,15 +242,6 @@ def complexity_curves(named_distributions: dict, taus) -> list:
         for tau in taus:
             rows.append((name, float(tau), pattern_complexity(dist, tau)))
     return rows
-
-
-def complexity_curves_csv(named_distributions: dict, taus) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["dist", "tau", "cp"])
-    for name, tau, value in complexity_curves(named_distributions, taus):
-        writer.writerow([name, repr(tau), repr(value)])
-    return buffer.getvalue()
 
 
 def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str:

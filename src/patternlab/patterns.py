@@ -1,10 +1,14 @@
-"""Missingness patterns, masked datasets, and per-pattern row indexing."""
+"""Missingness patterns, masked datasets, per-pattern row indexing, and the
+bank of per-pattern affine predictors."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+
+from .solver import AffineModel
 
 MAX_DIMENSION = 63
 
@@ -45,10 +49,6 @@ class MissingPattern:
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"mask string must be a nonempty run of 0/1, got {text!r}")
         return cls.from_bools(c == "1" for c in text)
-
-    @classmethod
-    def all_observed(cls, dimension: int) -> "MissingPattern":
-        return cls(0, dimension)
 
     @classmethod
     def all_missing(cls, dimension: int) -> "MissingPattern":
@@ -97,13 +97,25 @@ def unpack_masks(keys: np.ndarray, dimension: int) -> np.ndarray:
     return ((keys[:, None] >> shifts) & 1).astype(bool)
 
 
+def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mask) of a single row holding ``x_obs`` at m's observed
+    coordinates (ascending order) and 0 at its missing ones."""
+    x_obs = np.asarray(x_obs, dtype=float)
+    if x_obs.shape != (m.n_observed,):
+        raise ValueError(f"x_obs shape {x_obs.shape} does not match {m.n_observed} observed coordinates")
+    mask = unpack_masks(np.array([m.bits]), m.dimension)
+    values = np.zeros(mask.shape)
+    values[~mask] = x_obs
+    return values, mask
+
+
 def group_rows_by_key(keys: np.ndarray) -> list:
     """(key, ascending row indices) pairs, keys ascending; one sort, no scans."""
     keys = np.asarray(keys)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    return [(int(keys[chunk[0]]), np.sort(chunk)) for chunk in np.split(order, boundaries)]
+    return [(int(keys[chunk[0]]), chunk) for chunk in np.split(order, boundaries)]
 
 
 class MaskedDataset:
@@ -201,3 +213,111 @@ def build_pattern_index(data: MaskedDataset) -> PatternIndex:
         groups[pattern] = rows
         frequencies[pattern] = rows.size / data.n
     return PatternIndex(groups=groups, frequencies=frequencies, n=data.n)
+
+
+class PatternBank(Mapping):
+    """One affine predictor per missing pattern: the "expanded" linear model.
+
+    The bank holds the patterns' packed keys in ascending order, a dense
+    coefficient table with one row of d entries per pattern (zero at the
+    pattern's missing coordinates) and one intercept per pattern. Table rows
+    stay in the order they were added and each sorted key points to its row,
+    so adding a pattern moves only the key index; the table's capacity
+    doubles when full.
+
+    Read as a Mapping, the bank sends each stored MissingPattern to an
+    AffineModel over its observed coordinates (ascending order). A pattern
+    not in the bank predicts 0.
+    """
+
+    def __init__(self, d: int):
+        if not 1 <= d <= MAX_DIMENSION:
+            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
+        self.d = int(d)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._rows = np.empty(0, dtype=np.intp)
+        self._coef = np.zeros((0, self.d))
+        self._intercepts = np.zeros(0)
+
+    def add(self, keys, coef: np.ndarray, intercepts: np.ndarray) -> None:
+        """Store new patterns: k packed keys, their (k, d) coefficient rows
+        with zeros at the missing coordinates, and k intercepts."""
+        keys = np.asarray(keys, dtype=np.int64)
+        k = keys.size
+        if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
+            raise ValueError("affine model entries must be finite")
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if (np.diff(keys) == 0).any() or (self.find(keys) >= 0).any():
+            raise ValueError("each pattern may enter the bank once")
+        n = self._keys.size
+        if n + k > self._coef.shape[0]:
+            capacity = max(n + k, 2 * n)
+            grown_coef, grown_intercepts = np.zeros((capacity, self.d)), np.zeros(capacity)
+            grown_coef[:n], grown_intercepts[:n] = self._coef[:n], self._intercepts[:n]
+            self._coef, self._intercepts = grown_coef, grown_intercepts
+        self._coef[n : n + k] = coef[order]
+        self._intercepts[n : n + k] = intercepts[order]
+        positions = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, positions, keys)
+        self._rows = np.insert(self._rows, positions, np.arange(n, n + k))
+
+    def find(self, keys) -> np.ndarray:
+        """Table row of each packed key; -1 where the bank lacks the pattern."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if self._keys.size == 0:
+            return np.full(keys.shape, -1, dtype=np.intp)
+        positions = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[positions] == keys, self._rows[positions], -1)
+
+    def predict(self, values, mask) -> np.ndarray:
+        """Predictions for a batch of rows; masked cells of ``values`` are never read."""
+        mask = np.asarray(mask, dtype=bool)
+        filled = np.where(mask, 0.0, np.asarray(values, dtype=float))
+        if mask.ndim != 2 or mask.shape[1] != self.d or filled.shape != mask.shape:
+            raise ValueError(f"values and mask must both be (n, {self.d}) matrices")
+        rows = self.find(pack_mask_rows(mask))
+        hit = np.flatnonzero(rows >= 0)
+        rows = rows[hit]
+        out = np.zeros(mask.shape[0])
+        out[hit] = self._intercepts[rows] + np.einsum("ij,ij->i", filled[hit], self._coef[rows])
+        return out
+
+    def __getitem__(self, m: MissingPattern) -> AffineModel:
+        row = self.find(m.bits) if isinstance(m, MissingPattern) and m.dimension == self.d else -1
+        if row < 0:
+            raise KeyError(m)
+        return AffineModel(self._intercepts[row], self._coef[row, list(m.observed_indices)])
+
+    def __iter__(self):
+        return (MissingPattern(int(key), self.d) for key in self._keys)
+
+    def __len__(self) -> int:
+        return self._keys.size
+
+    def to_json(self) -> list:
+        """[{"mask", "intercept", "coef"}] by ascending key, coefficients over
+        the observed coordinates in ascending order."""
+        return [
+            {"mask": m.to_string(), "intercept": model.intercept, "coef": [float(c) for c in model.coefficients]}
+            for m, model in self.items()
+        ]
+
+    @classmethod
+    def from_json(cls, d: int, entries) -> "PatternBank":
+        bank = cls(d)
+        keys = []
+        coef = np.zeros((len(entries), bank.d))
+        intercepts = np.zeros(len(entries))
+        for i, entry in enumerate(entries):
+            m = MissingPattern.from_string(entry["mask"])
+            if m.dimension != bank.d:
+                raise ValueError(f"mask {entry['mask']!r} does not have {bank.d} characters")
+            row = np.asarray(entry["coef"], dtype=float)
+            if row.shape != (m.n_observed,):
+                raise ValueError(f"mask {entry['mask']!r} needs {m.n_observed} coefficients, got {row.size}")
+            keys.append(m.bits)
+            coef[i, list(m.observed_indices)] = row
+            intercepts[i] = float(entry["intercept"])
+        bank.add(keys, coef, intercepts)
+        return bank

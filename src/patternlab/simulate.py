@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MergeModel, PatternDistribution
-from .patterns import (
-    MaskedDataset,
-    MissingPattern,
-    group_rows_by_key,
-    pack_mask_rows,
-    unpack_masks,
-)
+from .patterns import MaskedDataset, MissingPattern, PatternBank, one_row, pack_mask_rows, unpack_masks
 from .solver import AffineModel, GaussianParams, conditional_mean_map
 
 
@@ -74,7 +68,7 @@ class Scenario:
         self.beta = beta
         self.noise_sd = noise_sd
         self.name = name
-        self._pattern_models: dict[MissingPattern, AffineModel] = {}
+        self._optimum = PatternBank(self.d)
 
     @property
     def d(self) -> int:
@@ -103,39 +97,38 @@ class Scenario:
         full.setflags(write=False)
         return LabeledSample(dataset=dataset, full_values=full, bayes_values=bayes)
 
-    def pattern_model(self, m: MissingPattern) -> AffineModel:
-        """The optimum predictor for pattern m as an affine model over the
-        observed coordinates (ascending order)."""
-        if not self.has_closed_form:
-            raise NoClosedFormError(f"{self.name}: no exact per-pattern predictor; use bayes_oracle_mc")
-        if m.dimension != self.d:
-            raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
-        model = self._pattern_models.get(m)
-        if model is None:
+    def _learn(self, keys: np.ndarray) -> None:
+        """Add to the optimum bank, in one batch, every pattern among the
+        packed ``keys`` that it lacks."""
+        new = np.unique(keys[self._optimum.find(keys) < 0])
+        if new.size == 0:
+            return
+        coef = np.zeros((new.size, self.d))
+        intercepts = np.empty(new.size)
+        for i, key in enumerate(new):
+            m = MissingPattern(int(key), self.d)
             offset, gain = self._conditional_map(m)
             obs = np.array(m.observed_indices, dtype=int)
             mis = np.array(m.missing_indices, dtype=int)
-            intercept = self.beta0 + float(self.beta[mis] @ offset)
-            coefficients = self.beta[obs] + gain.T @ self.beta[mis]
-            model = AffineModel(intercept, coefficients)
-            self._pattern_models[m] = model
-        return model
+            intercepts[i] = self.beta0 + float(self.beta[mis] @ offset)
+            coef[i, obs] = self.beta[obs] + gain.T @ self.beta[mis]
+        self._optimum.add(new, coef, intercepts)
+
+    def pattern_model(self, m: MissingPattern) -> AffineModel:
+        """The optimum predictor for pattern m as an affine model over the
+        observed coordinates (ascending order)."""
+        if m.dimension != self.d:
+            raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
+        self._learn(np.array([m.bits], dtype=np.int64))
+        return self._optimum[m]
 
     def bayes_predict(self, x_obs, m: MissingPattern) -> float:
         """Exact E[Y | observed values, pattern m]."""
-        x_obs = np.asarray(x_obs, dtype=float)
-        if x_obs.shape != (m.n_observed,):
-            raise ValueError(f"x_obs shape {x_obs.shape} does not match {m.n_observed} observed coordinates")
-        return float(self.pattern_model(m).predict(x_obs))
+        return float(self._bayes_for(*one_row(x_obs, m))[0])
 
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        out = np.empty(values.shape[0])
-        for key, rows in group_rows_by_key(pack_mask_rows(mask)):
-            pattern = MissingPattern(key, self.d)
-            model = self.pattern_model(pattern)
-            obs = np.array(pattern.observed_indices, dtype=int)
-            block = values[np.ix_(rows, obs)]
-            out[rows] = model.predict(block) if obs.size else model.intercept
+        self._learn(pack_mask_rows(mask))
+        out = self._optimum.predict(values, mask)
         out.setflags(write=False)
         return out
 
@@ -431,7 +424,7 @@ PRESET_NAMES = ("mcar_a", "mar_b", "gpmm_c", "bern_pA", "bern_pB", "bern_pC", "b
 def preset(name: str):
     """Built-in scenarios (mcar_a, mar_b, gpmm_c) and d=4 Bernoulli pattern
     laws (bern_pA, bern_pB, bern_pC, bern_pD)."""
-    from .distributions import HeterogeneousBernoulli, HomogeneousBernoulli
+    from .distributions import BernoulliPatterns, HomogeneousBernoulli
 
     if name == "mcar_a":
         return McarGaussianScenario(
@@ -463,7 +456,7 @@ def preset(name: str):
     if name == "bern_pB":
         return HomogeneousBernoulli(4, 0.15)
     if name == "bern_pC":
-        return HeterogeneousBernoulli((0.3, 0.2, 0.05, 0.05))
+        return BernoulliPatterns((0.3, 0.2, 0.05, 0.05))
     if name == "bern_pD":
         return HomogeneousBernoulli(4, 0.10)
     raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")

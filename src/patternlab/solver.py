@@ -25,16 +25,10 @@ class AffineModel:
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "intercept", float(self.intercept))
 
-    @property
-    def n_features(self) -> int:
-        return self.coefficients.size
-
     def predict(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         out = self.intercept + x @ self.coefficients
         return float(out) if out.ndim == 0 else out
-
-    __call__ = predict
 
 
 def least_squares(features, targets) -> AffineModel:

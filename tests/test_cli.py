@@ -64,7 +64,7 @@ class TestPipeline:
 
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", "d_over_n", "--out", str(model)]) == 0
         stored = json.loads(model.read_text())
-        assert set(stored) == {"tau", "clip", "models"}
+        assert set(stored) == {"tau", "clip", "d", "models"}
         assert stored["tau"] == pytest.approx(2 / 400)
 
         code = main(["eval", "--model", str(model), "--scenario", str(tiny_scenario_file), "--n-test", "2000", "--seed", "9"])
@@ -90,6 +90,22 @@ class TestPipeline:
         main(["gen", "--scenario", str(tiny_scenario_file), "--n", "200", "--seed", "5", "--out", str(data)])
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", "0.25", "--out", str(model)]) == 0
         assert json.loads(model.read_text())["tau"] == 0.25
+
+    def test_fit_keeping_no_pattern_round_trips(self, tmp_path, tiny_scenario_file, capsys):
+        data = tmp_path / "data.json"
+        model = tmp_path / "model.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "200", "--seed", "5", "--out", str(data)])
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", "1.0", "--out", str(model)]) == 0
+        stored = json.loads(model.read_text())
+        assert stored["models"] == [] and stored["d"] == 2
+        assert main(["eval", "--model", str(model), "--scenario", str(tiny_scenario_file), "--n-test", "500", "--seed", "4"]) == 0
+        result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert result["excess_risk"] > 0.0
+
+        del stored["d"]
+        model.write_text(json.dumps(stored))
+        assert main(["eval", "--model", str(model), "--scenario", str(tiny_scenario_file), "--seed", "4"]) == 2
+        assert "'d'" in capsys.readouterr().err
 
 
 class TestComplexityCommand:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternlab import (
+    BernoulliPatterns,
     BoundKind,
     ExplicitPatterns,
-    HeterogeneousBernoulli,
     HomogeneousBernoulli,
     MergeModel,
     MissingPattern,
@@ -65,7 +65,7 @@ class TestPatternComplexity:
         )
 
     def test_heterogeneous_matches_brute_force(self):
-        dist = HeterogeneousBernoulli([0.3, 0.1, 0.05, 0.6])
+        dist = BernoulliPatterns([0.3, 0.1, 0.05, 0.6])
         for tau in (0.001, 0.05, 0.4):
             assert pattern_complexity(dist, tau) == pytest.approx(
                 brute_force_complexity(dist, tau), abs=1e-12
@@ -79,7 +79,7 @@ class TestPatternComplexity:
 
     def test_large_dimension_needs_monte_carlo(self):
         with pytest.raises(ValueError, match="Monte Carlo"):
-            pattern_complexity(HeterogeneousBernoulli(np.full(25, 0.3)), 0.1)
+            pattern_complexity(BernoulliPatterns(np.full(25, 0.3)), 0.1)
 
     def test_explicit_large_dimension_still_exact(self):
         dist = ExplicitPatterns(40, {MissingPattern(0, 40): 0.5, MissingPattern(1, 40): 0.5})
@@ -118,7 +118,7 @@ class TestMonteCarlo:
     def test_matches_exact_enumeration_at_d16(self):
         rng = np.random.default_rng(123)
         eps = np.linspace(0.02, 0.6, 16)
-        dist = HeterogeneousBernoulli(eps)
+        dist = BernoulliPatterns(eps)
         tau = 1e-3
         exact = pattern_complexity(dist, tau)
         out = pattern_complexity_mc(dist, tau, 300_000, rng)
@@ -246,7 +246,7 @@ class TestHeterogeneousBound:
         d, n = 4, 4000
         out = heterogeneous_complexity_bound(d, n, eps)
         assert out.condition_ok
-        assert out.plug_in >= pattern_complexity(HeterogeneousBernoulli(eps), d / n)
+        assert out.plug_in >= pattern_complexity(BernoulliPatterns(eps), d / n)
 
 
 class TestBinomialInverseBounds:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from patternlab import (
+    BernoulliPatterns,
     ExplicitPatterns,
-    HeterogeneousBernoulli,
     HomogeneousBernoulli,
     MergeModel,
     MissingPattern,
@@ -13,8 +13,6 @@ from patternlab import (
     distribution_from_json,
     explicit_from_json,
     explicit_to_json,
-    pattern_probability,
-    sample_pattern,
 )
 
 
@@ -37,17 +35,17 @@ def merge_probability_oracle(model: MergeModel, m: MissingPattern) -> float:
 class TestBernoulli:
     def test_zero_rate_is_fully_observed(self):
         dist = HomogeneousBernoulli(4, 0.0)
-        assert pattern_probability(dist, MissingPattern(0, 4)) == 1.0
+        assert dist.probability(MissingPattern(0, 4)) == 1.0
         rng = np.random.default_rng(0)
-        assert all(sample_pattern(dist, rng).bits == 0 for _ in range(20))
+        assert all(dist.sample(rng).bits == 0 for _ in range(20))
 
     def test_unit_rate_is_fully_missing(self):
         dist = HomogeneousBernoulli(3, 1.0)
         rng = np.random.default_rng(0)
-        assert all(sample_pattern(dist, rng) == MissingPattern.all_missing(3) for _ in range(20))
+        assert all(dist.sample(rng) == MissingPattern.all_missing(3) for _ in range(20))
 
     def test_probability_formula(self):
-        dist = HeterogeneousBernoulli([0.3, 0.1, 0.05, 0.05])
+        dist = BernoulliPatterns([0.3, 0.1, 0.05, 0.05])
         m = MissingPattern.from_string("1010")
         assert dist.probability(m) == pytest.approx(0.3 * 0.9 * 0.05 * 0.95, abs=1e-15)
 
@@ -55,7 +53,7 @@ class TestBernoulli:
         "dist",
         [
             HomogeneousBernoulli(9, 0.23),
-            HeterogeneousBernoulli(np.linspace(0.05, 0.9, 12)),
+            BernoulliPatterns(np.linspace(0.05, 0.9, 12)),
             UniformPatterns(11),
         ],
     )
@@ -67,7 +65,7 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             HomogeneousBernoulli(3, 1.5)
         with pytest.raises(ValueError):
-            HeterogeneousBernoulli([0.1, -0.2])
+            BernoulliPatterns([0.1, -0.2])
 
 
 class TestMergeModel:
@@ -145,7 +143,7 @@ class TestExplicit:
     def test_dimension_mismatch(self):
         dist = self._uniform4()
         with pytest.raises(ValueError):
-            pattern_probability(dist, MissingPattern(0, 3))
+            dist.probability(MissingPattern(0, 3))
 
     def test_law_of_large_numbers(self):
         dist = self._uniform4()
@@ -158,7 +156,7 @@ class TestExplicit:
         rng = np.random.default_rng(11)
         for dist in (
             HomogeneousBernoulli(5, 0.3),
-            HeterogeneousBernoulli([0.5, 0.1, 0.9, 0.2, 0.4, 0.05]),
+            BernoulliPatterns([0.5, 0.1, 0.9, 0.2, 0.4, 0.05]),
             MergeModel([MissingPattern.from_string("1000"), MissingPattern.from_string("0011")], [0.5, 0.5], 0.1),
             UniformPatterns(6),
         ):

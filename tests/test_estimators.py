@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patternlab import (
     EstimatorConfig,
@@ -16,7 +18,6 @@ from patternlab import (
     fit_iterative_impute,
     fit_pbp,
     least_squares,
-    predict_pbp,
     preset,
     theory_config,
 )
@@ -139,26 +140,24 @@ class TestFitPbp:
 
 class TestPredictPbp:
     def _fixed(self, clip_level=None):
-        pattern = MissingPattern.from_string("01")
-        from patternlab import AffineModel
+        from patternlab import PatternBank
 
         return PbpRegression(
-            dimension=2,
-            models={pattern: AffineModel(1.0, np.array([2.0]))},
+            models=PatternBank.from_json(2, [{"mask": "01", "intercept": 1.0, "coef": [2.0]}]),
             config=EstimatorConfig(tau=0.0, clip_level=clip_level),
         )
 
     def test_unseen_pattern_predicts_zero(self):
         fit = self._fixed()
-        assert predict_pbp(fit, np.array([1.0, 2.0]), MissingPattern.from_string("00")) == 0.0
+        assert fit.predict_one(np.array([1.0, 2.0]), MissingPattern.from_string("00")) == 0.0
 
     def test_affine_evaluation(self):
         fit = self._fixed()
-        assert predict_pbp(fit, np.array([3.0]), MissingPattern.from_string("01")) == 7.0
+        assert fit.predict_one(np.array([3.0]), MissingPattern.from_string("01")) == 7.0
 
     def test_clip_saturation(self):
         fit = self._fixed(clip_level=5.0)
-        assert predict_pbp(fit, np.array([3.0]), MissingPattern.from_string("01")) == 5.0
+        assert fit.predict_one(np.array([3.0]), MissingPattern.from_string("01")) == 5.0
 
     def test_prediction_magnitude_bounded_by_clip(self):
         rng = np.random.default_rng(3)
@@ -181,7 +180,7 @@ class TestPbpSerialization:
         data, _ = linear_dataset(rng, 120, 3, 0.5, np.ones(3), 0.3, 0.25)
         fit = fit_pbp(data, EstimatorConfig(tau=0.02, clip_level=9.0))
         payload = fit.to_json()
-        assert set(payload) == {"tau", "clip", "models"}
+        assert set(payload) == {"tau", "clip", "d", "models"}
         assert payload["tau"] == 0.02 and payload["clip"] == 9.0
         for entry in payload["models"]:
             assert set(entry) == {"mask", "intercept", "coef"}
@@ -193,6 +192,58 @@ class TestPbpSerialization:
             fit.predict_masked(probe_values, probe_mask),
             again.predict_masked(probe_values, probe_mask),
         )
+
+
+def _pbp_case(d, n, seed, tau, clip_level, never_observed):
+    """A fit on n random rows (column 0 masked throughout when
+    ``never_observed``) and 40 probe rows whose masks cover unseen patterns."""
+    rng = np.random.default_rng(seed)
+    data, _ = linear_dataset(rng, n, d, 0.3, rng.normal(size=d), 0.5, 0.4)
+    if never_observed:
+        mask = data.mask.copy()
+        mask[:, 0] = True
+        data = MaskedDataset(np.where(mask, 0.0, data.values), mask, data.responses)
+    fit = fit_pbp(data, EstimatorConfig(tau=tau, clip_level=clip_level))
+    return fit, rng.normal(size=(40, d)) * 3.0, rng.random((40, d)) < 0.5
+
+
+pbp_cases = st.tuples(
+    st.integers(1, 5),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.05, 1.0]),
+    st.sampled_from([None, 0.5, 3.0]),
+    st.booleans(),
+)
+
+
+class TestPbpProperties:
+    @given(pbp_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_single_rows(self, case):
+        fit, values, mask = _pbp_case(*case)
+        batch = fit.predict_masked(values, mask)
+        for i in range(values.shape[0]):
+            m = MissingPattern.from_bools(mask[i])
+            x_obs = values[i][~mask[i]]
+            assert batch[i] == fit.predict_one(x_obs, m)
+            # reference: the pattern's own affine model, clipped
+            model = fit.models.get(m)
+            expected = 0.0 if model is None else model.predict(x_obs)
+            scale = 1.0 if model is None else 1.0 + abs(model.intercept) + np.abs(x_obs) @ np.abs(model.coefficients)
+            if fit.config.clip_level is not None:
+                expected = float(np.clip(expected, -fit.config.clip_level, fit.config.clip_level))
+            assert abs(batch[i] - expected) <= 1e-12 * scale
+
+    @given(pbp_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_is_identity(self, case):
+        fit, values, mask = _pbp_case(*case)
+        payload = fit.to_json()
+        again = PbpRegression.from_json(json.loads(json.dumps(payload)))
+        assert again.to_json() == payload
+        assert again.dimension == fit.dimension
+        assert np.array_equal(again.predict_masked(values, mask), fit.predict_masked(values, mask))
 
 
 class TestConstantImpute:

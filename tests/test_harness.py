@@ -160,16 +160,6 @@ class TestRunExperiment:
         run_experiment(config, out_path=b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_records(self, monkeypatch):
-        config = self._config()
-        monkeypatch.setenv("PATTERNLAB_THREADS", "1")
-        serial = run_experiment(config)
-        monkeypatch.setenv("PATTERNLAB_THREADS", "4")
-        threaded = run_experiment(config)
-        assert [
-            (r.scenario, r.estimator, r.n, r.repetition, r.seed, r.excess_risk) for r in serial
-        ] == [(r.scenario, r.estimator, r.n, r.repetition, r.seed, r.excess_risk) for r in threaded]
-
     def test_timing_columns_populated_when_requested(self):
         config = self._config(record_timings=True, n_grid=(60,), repetitions=1)
         records = run_experiment(config)

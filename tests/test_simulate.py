@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patternlab import (
+    BayesPredictor,
     GaussianParams,
     GpmmScenario,
     HomogeneousBernoulli,
@@ -191,6 +194,24 @@ class TestBayesPredict:
         )
         with pytest.raises(NoClosedFormError):
             scenario.bayes_predict(np.array([1.0]), MissingPattern.from_string("01"))
+
+
+class TestBayesColumn:
+    @given(st.sampled_from(["mcar_a", "mar_b", "gpmm_c"]), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_single_rows(self, name, n, seed):
+        scenario = preset(name)
+        sample = scenario.generate(n, np.random.default_rng(seed), with_bayes=False)
+        data = sample.dataset
+        batch = BayesPredictor(scenario).predict_masked(data.values, data.mask)
+        # a second scenario learns its optima one row at a time
+        fresh = preset(name)
+        for i in range(n):
+            m, x_obs = data.pattern(i), data.observed_values(i)
+            assert batch[i] == fresh.bayes_predict(x_obs, m)
+            model = fresh.pattern_model(m)
+            scale = 1.0 + abs(model.intercept) + np.abs(x_obs) @ np.abs(model.coefficients)
+            assert abs(batch[i] - model.predict(x_obs)) <= 1e-12 * scale
 
 
 class TestOracle:
