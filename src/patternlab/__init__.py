@@ -87,6 +87,7 @@ from .solver import (
     conditional_gaussian,
     conditional_mean_map,
     least_squares,
+    optimum_rows,
 )
 
 __version__ = "0.1.0"

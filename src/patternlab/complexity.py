@@ -8,8 +8,8 @@ It is computed exactly (an O(d) grouped sum for homogeneous Bernoulli
 masking, a sparse sum for explicit laws, full enumeration up to d = 20
 otherwise), estimated by Monte Carlo as the mean of min(1, tau / p_M), and
 rewritten through its best-subset form. Upper bounds come from entropy
-functionals of the pattern law and from closed forms for the Bernoulli and
-merge families.
+functionals of the pattern law (summed over the same grouped atoms as the
+exact value) and from closed forms for the Bernoulli and merge families.
 """
 
 from __future__ import annotations
@@ -42,6 +42,33 @@ def _enumerable(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
     return dist.enumerate_probabilities()
 
 
+def _atoms(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, multiplicities) of the law's positive atoms.
+
+    Homogeneous Bernoulli masking has d + 1 distinct atoms
+    eps**k (1 - eps)**(d - k), each shared by C(d, k) patterns, and the
+    uniform law has one atom 2**-d shared by all 2**d patterns; both are
+    O(d) at any dimension. Other laws list every pattern once, which for
+    parametric families means enumerating all 2**d patterns (d <= 20).
+    """
+    d = dist.dimension
+    if isinstance(dist, UniformPatterns):
+        probs, counts = np.array([0.5**d]), np.array([2.0**d])
+    elif isinstance(dist, HomogeneousBernoulli):
+        eps = dist.epsilon
+        probs = np.array([eps**k * (1.0 - eps) ** (d - k) for k in range(d + 1)])
+        counts = np.array([float(math.comb(d, k)) for k in range(d + 1)])
+    else:
+        _, probs = _enumerable(dist)
+        counts = np.ones(probs.size)
+    positive = probs > 0.0
+    return probs[positive], counts[positive]
+
+
+def _complexity(probs: np.ndarray, counts: np.ndarray, tau: float) -> float:
+    return float((counts * np.minimum(probs, tau)).sum())
+
+
 def pattern_complexity(dist: PatternDistribution, tau: float) -> float:
     """Exact sum of min(p_m, tau) over all patterns.
 
@@ -50,18 +77,7 @@ def pattern_complexity(dist: PatternDistribution, tau: float) -> float:
     other parametric families are enumerated and require d <= 20.
     """
     tau = _validate_tau(tau)
-    if isinstance(dist, UniformPatterns):
-        return (2.0**dist.dimension) * min(0.5**dist.dimension, tau)
-    if isinstance(dist, HomogeneousBernoulli):
-        d, eps = dist.dimension, dist.epsilon
-        return float(
-            sum(
-                math.comb(d, k) * min(eps**k * (1.0 - eps) ** (d - k), tau)
-                for k in range(d + 1)
-            )
-        )
-    keys, probs = _enumerable(dist)
-    return float(np.minimum(probs, tau).sum())
+    return _complexity(*_atoms(dist), tau)
 
 
 def pattern_complexity_subset_form(dist: PatternDistribution, tau: float) -> float:
@@ -150,7 +166,7 @@ class BoundReport:
     """All bound values for one law at one threshold, plus the exact value."""
 
     tau: float
-    cp_exact: float | None
+    cp_exact: float
     bounds: dict
 
 
@@ -167,39 +183,43 @@ def entropy_bound(dist: PatternDistribution, tau: float, kind: BoundKind) -> Bou
     ``valid`` flag records.
     """
     tau = _validate_tau(tau)
-    _, probs = _enumerable(dist)
-    probs = probs[probs > 0.0]
+    return _entropy_bound(*_atoms(dist), tau, kind)
+
+
+def _entropy_bound(probs: np.ndarray, counts: np.ndarray, tau: float, kind: BoundKind) -> BoundValue:
+    """entropy_bound over the law's atoms, each sum weighted by multiplicity."""
     if kind.name == "hartley":
-        return BoundValue(value=probs.size * tau, valid=True)
+        return BoundValue(value=float(counts.sum()) * tau, valid=True)
     if kind.name == "renyi":
-        return BoundValue(value=tau ** (1.0 - kind.alpha) * float((probs**kind.alpha).sum()), valid=True)
+        power_sum = float((counts * probs**kind.alpha).sum())
+        return BoundValue(value=tau ** (1.0 - kind.alpha) * power_sum, valid=True)
     small_atoms = bool(probs.max(initial=0.0) <= 1.0 / math.e) and tau < 1.0 / math.e
     if tau >= 1.0:
         return BoundValue(value=math.inf, valid=False)
     log_inv_tau = math.log(1.0 / tau)
     if kind.name == "shannon":
-        ent = float((probs * np.log(1.0 / probs)).sum())
+        ent = float((counts * probs * np.log(1.0 / probs)).sum())
         return BoundValue(value=ent / log_inv_tau, valid=small_atoms)
-    terms = (probs * np.log(1.0 / probs)) ** kind.alpha
+    terms = counts * (probs * np.log(1.0 / probs)) ** kind.alpha
     value = tau ** (1.0 - kind.alpha) / log_inv_tau**kind.alpha * float(terms.sum())
     return BoundValue(value=value, valid=small_atoms)
 
 
 def bound_report(dist: PatternDistribution, tau: float, alpha: float = 0.5) -> BoundReport:
+    """The exact complexity and the four entropy bounds, from one pass over
+    the law's atoms."""
+    tau = _validate_tau(tau)
     kinds = (
         BoundKind.hartley(),
         BoundKind.shannon(),
         BoundKind.renyi(alpha),
         BoundKind.bertrand(alpha),
     )
-    try:
-        exact = pattern_complexity(dist, tau)
-    except ValueError:
-        exact = None
+    probs, counts = _atoms(dist)
     return BoundReport(
-        tau=float(tau),
-        cp_exact=exact,
-        bounds={kind: entropy_bound(dist, tau, kind) for kind in kinds},
+        tau=tau,
+        cp_exact=_complexity(probs, counts, tau),
+        bounds={kind: _entropy_bound(probs, counts, tau, kind) for kind in kinds},
     )
 
 

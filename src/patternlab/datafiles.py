@@ -30,13 +30,20 @@ def labeled_sample_to_json(sample: LabeledSample) -> dict:
 
 
 def dataset_from_json(obj: dict) -> MaskedDataset:
+    """Rebuild a dataset; ``null`` is allowed only at masked cells."""
     n, d = int(obj["n"]), int(obj["d"])
     mask = np.array([[c == "1" for c in row] for row in obj["mask"]])
     if mask.shape != (n, d):
         raise ValueError(f"mask shape {mask.shape} does not match n={n}, d={d}")
-    values = np.array(
-        [[0.0 if cell is None else float(cell) for cell in row] for row in obj["values"]]
-    )
+    cells = obj["values"]
+    values = np.array([[0.0 if cell is None else float(cell) for cell in row] for row in cells])
+    if values.shape != (n, d):
+        raise ValueError(f"values shape {values.shape} does not match n={n}, d={d}")
+    for i, j in np.argwhere(~mask):
+        if cells[i][j] is None:
+            raise ValueError(
+                f"value at row {i}, column {j} (counting from 0) is null but its mask marks it observed"
+            )
     return MaskedDataset(values, mask, np.asarray(obj["responses"], dtype=float))
 
 

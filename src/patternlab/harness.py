@@ -78,7 +78,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.kind == "pbp":
             rule = self.tau_rule
-            if not (rule in ("d_over_n", "one_over_n") or isinstance(rule, (int, float))):
+            numeric = isinstance(rule, (int, float)) and not isinstance(rule, bool)
+            if not (rule in ("d_over_n", "one_over_n") or numeric):
                 raise ValueError(f"invalid tau rule {rule!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -274,7 +275,7 @@ def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str
                 [
                     name,
                     repr(float(tau)),
-                    "" if report.cp_exact is None else repr(report.cp_exact),
+                    repr(report.cp_exact),
                     repr(bounds[BoundKind.hartley()].value),
                     repr(shannon.value),
                     str(shannon.valid).lower(),

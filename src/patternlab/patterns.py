@@ -121,13 +121,14 @@ def group_rows_by_key(keys: np.ndarray) -> list:
 class MaskedDataset:
     """n rows of covariates with a missingness mask and a response.
 
-    Masked cells of ``values`` hold NaN as a sentinel and must never be read;
-    ``value_at`` raises on such reads and per-row access goes through
-    ``observed_values``. All arrays are frozen after construction.
+    Observed cells and responses must be finite. Masked cells of ``values``
+    hold NaN as a sentinel and must never be read; ``value_at`` raises on
+    such reads and per-row access goes through ``observed_values``. All
+    arrays are frozen after construction.
     """
 
     def __init__(self, values, mask, responses):
-        values = np.array(values, dtype=float)
+        values = np.asarray(values, dtype=float)
         mask = np.asarray(mask)
         responses = np.array(responses, dtype=float)
         if values.ndim != 2:
@@ -142,7 +143,11 @@ class MaskedDataset:
         if mask.dtype != np.bool_ and not ((mask == 0) | (mask == 1)).all():
             raise ValueError("mask entries must be 0/1")
         mask = mask.astype(bool)
-        values[mask] = np.nan
+        if not (np.isfinite(values) | mask).all():
+            raise ValueError("observed values must be finite (no NaN or infinity)")
+        if not np.isfinite(responses).all():
+            raise ValueError("responses must be finite (no NaN or infinity)")
+        values = np.where(mask, np.nan, values)
         for arr in (values, mask, responses):
             arr.setflags(write=False)
         self._values = values

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import MergeModel, PatternDistribution
 from .patterns import MaskedDataset, MissingPattern, PatternBank, one_row, pack_mask_rows, unpack_masks
-from .solver import AffineModel, GaussianParams, conditional_mean_map
+from .solver import AffineModel, GaussianParams, optimum_rows
 
 
 class NoClosedFormError(RuntimeError):
@@ -77,8 +77,12 @@ class Scenario:
     def _draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _conditional_map(self, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
-        """(offset, gain) of E[X_mis | X_obs, M = m] for the pattern's split."""
+    def _optimum_rows(self, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Optimum predictors of the patterns in the (P, d) boolean matrix
+        ``missing``: a (P, d) coefficient table with zeros at the missing
+        coordinates and P intercepts. Subclasses group the patterns by the
+        Gaussian they condition on and call ``solver.optimum_rows`` once per
+        group."""
         raise NotImplementedError
 
     def generate(self, n: int, rng: np.random.Generator, with_bayes: bool = True) -> LabeledSample:
@@ -103,15 +107,7 @@ class Scenario:
         new = np.unique(keys[self._optimum.find(keys) < 0])
         if new.size == 0:
             return
-        coef = np.zeros((new.size, self.d))
-        intercepts = np.empty(new.size)
-        for i, key in enumerate(new):
-            m = MissingPattern(int(key), self.d)
-            offset, gain = self._conditional_map(m)
-            obs = np.array(m.observed_indices, dtype=int)
-            mis = np.array(m.missing_indices, dtype=int)
-            intercepts[i] = self.beta0 + float(self.beta[mis] @ offset)
-            coef[i, obs] = self.beta[obs] + gain.T @ self.beta[mis]
+        coef, intercepts = self._optimum_rows(unpack_masks(new, self.d))
         self._optimum.add(new, coef, intercepts)
 
     def pattern_model(self, m: MissingPattern) -> AffineModel:
@@ -158,8 +154,8 @@ class McarGaussianScenario(Scenario):
         mask = unpack_masks(self.missingness.sample_masks(rng, n), self.d)
         return values, mask
 
-    def _conditional_map(self, m):
-        return conditional_mean_map(self.covariates, m.observed_indices)
+    def _optimum_rows(self, missing):
+        return optimum_rows(self.covariates, self.beta0, self.beta, missing)
 
 
 def merge_scenario(
@@ -206,23 +202,21 @@ class MarBlockScenario(Scenario):
         mask = np.hstack([np.zeros((n, k), dtype=bool), mask2])
         return values, mask
 
-    def _conditional_map(self, m):
+    def _optimum_rows(self, missing):
         k = self.block_size
-        if any(m.is_missing(j) for j in range(k)):
+        if missing[:, :k].any():
             raise ValueError("block-1 coordinates are always observed in this scenario")
-        mask2 = np.array([m.is_missing(k + j) for j in range(k)])
-        params = GaussianParams(mask2.astype(float), self.block_cov)
-        obs_within = np.flatnonzero(~mask2)
-        offset, gain = conditional_mean_map(params, obs_within)
-        # Missing coordinates all sit in block 2; observed ones are block 1
-        # (which carries no information on block 2 beyond the mask) plus the
-        # observed part of block 2.
-        full_gain = np.zeros((offset.size, m.n_observed))
-        obs_full = np.array(m.observed_indices, dtype=int)
-        for col, j in enumerate(obs_within):
-            position = int(np.flatnonzero(obs_full == k + j)[0])
-            full_gain[:, position] = gain[:, col]
-        return offset, full_gain
+        # Block 1 carries no information on block 2 beyond the mask, so its
+        # coefficients are beta's; block 2 is Gaussian around its own mask,
+        # one Gaussian (and one group) per block-2 mask.
+        coef = np.empty(missing.shape)
+        coef[:, :k] = self.beta[:k]
+        intercepts = np.empty(missing.shape[0])
+        for i, mask2 in enumerate(missing[:, k:]):
+            params = GaussianParams(mask2.astype(float), self.block_cov)
+            row, intercept = optimum_rows(params, self.beta0, self.beta[k:], mask2[None])
+            coef[i, k:], intercepts[i] = row[0], intercept[0]
+        return coef, intercepts
 
 
 class GpmmScenario(Scenario):
@@ -247,7 +241,6 @@ class GpmmScenario(Scenario):
         if len({pattern for _, pattern, _ in comps}) != len(comps):
             raise ValueError("component patterns must be distinct")
         self.components = tuple(comps)
-        self._by_pattern = {pattern: params for _, pattern, params in comps}
         self._cumulative = np.cumsum([p for p, _, _ in comps])
 
     def pattern_probabilities(self) -> dict:
@@ -267,11 +260,18 @@ class GpmmScenario(Scenario):
             keys[rows] = pattern.bits
         return values, unpack_masks(keys, self.d)
 
-    def _conditional_map(self, m):
-        params = self._by_pattern.get(m)
-        if params is None:
+    def _optimum_rows(self, missing):
+        keys = pack_mask_rows(missing)
+        known = np.isin(keys, [pattern.bits for _, pattern, _ in self.components])
+        if not known.all():
+            m = MissingPattern(int(keys[~known][0]), self.d)
             raise ValueError(f"pattern {m} has probability zero in this mixture")
-        return conditional_mean_map(params, m.observed_indices)
+        coef = np.empty(missing.shape)
+        intercepts = np.empty(keys.size)
+        for _, pattern, params in self.components:
+            rows = np.flatnonzero(keys == pattern.bits)
+            coef[rows], intercepts[rows] = optimum_rows(params, self.beta0, self.beta, missing[rows])
+        return coef, intercepts
 
 
 class SelfMaskingScenario(Scenario):
@@ -318,7 +318,7 @@ class SelfMaskingScenario(Scenario):
         mask = rng.random((n, self.d)) < probs
         return values, mask
 
-    def _conditional_map(self, m):
+    def _optimum_rows(self, missing):
         raise NoClosedFormError(f"{self.name}: no exact per-pattern predictor; use bayes_oracle_mc")
 
 

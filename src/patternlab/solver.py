@@ -126,6 +126,26 @@ def _validated_observed(observed, dimension: int) -> np.ndarray:
     return np.sort(obs)
 
 
+# Patterns conditioned together in one stacked eigendecomposition; bounds
+# the (chunk, k, k) stacks so that memory stays flat in the pattern count.
+CONDITIONING_CHUNK = 1024
+
+
+def _pinv_apply(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """pinv(block) @ rhs for each symmetric (k, k) block of a stack.
+
+    Uses the hermitian cutoff of ``np.linalg.pinv(block, rcond=eps * k,
+    hermitian=True)``: eigenvalues of magnitude at most eps * k times the
+    block's largest magnitude are dropped, so singular blocks resolve with
+    the same rank cutoff as the least-squares solver.
+    """
+    eigvals, eigvecs = np.linalg.eigh(blocks)
+    magnitude = np.abs(eigvals)
+    cutoff = np.finfo(float).eps * blocks.shape[-1] * magnitude.max(axis=-1, keepdims=True)
+    inverse = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=magnitude > cutoff)
+    return eigvecs @ (inverse[..., None] * (eigvecs.swapaxes(-1, -2) @ rhs))
+
+
 def conditional_mean_map(params: GaussianParams, observed) -> tuple[np.ndarray, np.ndarray]:
     """Affine map (offset, gain) with E[X_mis | X_obs = x] = offset + gain @ x.
 
@@ -141,10 +161,7 @@ def conditional_mean_map(params: GaussianParams, observed) -> tuple[np.ndarray, 
     if obs.size == 0:
         return params.mean[mis].copy(), np.empty((mis.size, 0))
     cov = params.covariance
-    block_oo = cov[np.ix_(obs, obs)]
-    block_mo = cov[np.ix_(mis, obs)]
-    cutoff = np.finfo(float).eps * max(block_oo.shape)
-    gain = block_mo @ np.linalg.pinv(block_oo, rcond=cutoff, hermitian=True)
+    gain = _pinv_apply(cov[np.ix_(obs, obs)], cov[np.ix_(obs, mis)]).T
     offset = params.mean[mis] - gain @ params.mean[obs]
     return offset, gain
 
@@ -160,3 +177,40 @@ def conditional_gaussian(params: GaussianParams, observed, x_obs) -> np.ndarray:
     if x_obs.shape != (gain.shape[1],):
         raise ValueError(f"x_obs shape {x_obs.shape} does not match {gain.shape[1]} observed indices")
     return offset + gain @ x_obs
+
+
+def optimum_rows(params: GaussianParams, beta0: float, beta, missing) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pattern optimum of a linear response on Gaussian covariates.
+
+    For each row of the (P, d) boolean ``missing`` matrix, the affine map
+    x_obs -> beta0 + beta . E[X | X_obs = x_obs], returned as a (P, d)
+    coefficient table with zeros at the missing coordinates and P
+    intercepts. With w = pinv(S_oo) S_om beta_mis, the observed
+    coefficients are beta_obs + w and the intercept is
+    beta0 + beta_mis . mu_mis - w . mu_obs. Patterns are grouped by their
+    observed count k and conditioned in stacks of at most
+    ``CONDITIONING_CHUNK``, one eigendecomposition call per stack, with the
+    cutoff of ``conditional_mean_map``; no k x (d - k) gain is formed.
+    """
+    d = params.dimension
+    beta = np.asarray(beta, dtype=float)
+    missing = np.asarray(missing, dtype=bool)
+    if beta.shape != (d,) or missing.ndim != 2 or missing.shape[1] != d:
+        raise ValueError(f"beta must have {d} entries and missing must be a (P, {d}) matrix")
+    beta_mis = np.where(missing, beta, 0.0)
+    coef = np.where(missing, 0.0, beta)
+    intercepts = float(beta0) + beta_mis @ params.mean
+    # row p holds S[:, mis_p] @ beta[mis_p]; the covariance is symmetric
+    pull = beta_mis @ params.covariance
+    n_observed = d - missing.sum(axis=1)
+    for k in np.unique(n_observed[n_observed > 0]):
+        group = np.flatnonzero(n_observed == k)
+        for start in range(0, group.size, CONDITIONING_CHUNK):
+            rows = group[start : start + CONDITIONING_CHUNK]
+            obs = np.nonzero(~missing[rows])[1].reshape(rows.size, k)
+            blocks = params.covariance[obs[:, :, None], obs[:, None, :]]
+            rhs = np.take_along_axis(pull[rows], obs, axis=1)
+            w = _pinv_apply(blocks, rhs[..., None])[..., 0]
+            coef[rows[:, None], obs] += w
+            intercepts[rows] -= np.einsum("ij,ij->i", w, params.mean[obs])
+    return coef, intercepts

@@ -108,6 +108,26 @@ class TestPipeline:
         assert "'d'" in capsys.readouterr().err
 
 
+    def test_null_at_observed_cell_is_config_error(self, tmp_path, tiny_scenario_file, capsys):
+        data = tmp_path / "data.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "50", "--seed", "5", "--out", str(data)])
+        payload = json.loads(data.read_text())
+        i, j = next((i, j) for i, row in enumerate(payload["mask"]) for j, c in enumerate(row) if c == "0")
+        payload["values"][i][j] = None
+        data.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(tmp_path / "m.json")]) == 2
+        assert f"row {i}, column {j}" in capsys.readouterr().err
+
+    def test_nonfinite_observed_value_is_config_error(self, tmp_path, tiny_scenario_file):
+        data = tmp_path / "data.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "50", "--seed", "5", "--out", str(data)])
+        payload = json.loads(data.read_text())
+        payload["responses"][3] = float("inf")
+        data.write_text(json.dumps(payload))
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(tmp_path / "m.json")]) == 2
+
+
 class TestComplexityCommand:
     def test_preset_curves(self, tmp_path):
         out = tmp_path / "cp.csv"
@@ -156,6 +176,20 @@ class TestBenchCommand:
         lines = out1.read_text().splitlines()
         assert lines[0] == "scenario,estimator,n,repetition,seed,excess_risk,fit_seconds,predict_seconds"
         assert len(lines) == 1 + 3 * 2 * 2
+
+
+    def test_bool_tau_is_config_error(self, tmp_path, tiny_scenario_file, capsys):
+        config = {
+            "scenario": json.loads(tiny_scenario_file.read_text()),
+            "estimators": [{"kind": "pbp", "tau": True}],
+            "n_grid": [80],
+            "repetitions": 1,
+            "n_test": 200,
+        }
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "tau rule True" in capsys.readouterr().err
 
 
 class TestExitCodes:

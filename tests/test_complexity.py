@@ -171,6 +171,34 @@ class TestEntropyBounds:
                         assert bound.value >= exact - 1e-12, (kind, tau)
 
 
+class TestGroupedBounds:
+    """Homogeneous Bernoulli bounds come from d + 1 grouped atoms; the same
+    rates as a BernoulliPatterns law are enumerated pattern by pattern."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 9, 12])
+    @pytest.mark.parametrize("eps", [0.0, 0.03, 0.2, 0.5, 0.8, 1.0])
+    def test_grouped_equals_enumerated(self, d, eps):
+        grouped, enumerated = HomogeneousBernoulli(d, eps), BernoulliPatterns(np.full(d, eps))
+        for tau in (1e-4, 0.01, 0.3, 1.0):
+            for alpha in (0.1, 0.5, 0.9):
+                report, reference = bound_report(grouped, tau, alpha), bound_report(enumerated, tau, alpha)
+                assert report.cp_exact == pytest.approx(reference.cp_exact, rel=1e-12, abs=0.0)
+                for kind, bound in report.bounds.items():
+                    expected = reference.bounds[kind]
+                    assert bound.valid == expected.valid, (kind, tau)
+                    assert bound.value == pytest.approx(expected.value, rel=1e-12, abs=0.0), (kind, tau)
+                    assert bound == entropy_bound(grouped, tau, kind)
+
+    def test_dimension_30(self):
+        report = bound_report(HomogeneousBernoulli(30, 0.1), 0.01)
+        assert report.cp_exact == pytest.approx(pattern_complexity(HomogeneousBernoulli(30, 0.1), 0.01))
+        assert report.bounds[BoundKind.hartley()].value == pytest.approx(2.0**30 * 0.01)
+        for bound in report.bounds.values():
+            assert math.isfinite(bound.value)
+            if bound.valid:
+                assert bound.value >= report.cp_exact
+
+
 class TestEffectiveDimension:
     def test_worked_value(self):
         assert effective_missing_dimension(8, 800, 0.1) == 2

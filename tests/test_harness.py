@@ -107,6 +107,11 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError):
             EstimatorSpec("pbp", "sometimes")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_tau_rejected(self, flag):
+        with pytest.raises(ValueError, match="tau rule"):
+            EstimatorSpec("pbp", flag)
+
 
 class TestExperimentConfig:
     def test_validation(self):

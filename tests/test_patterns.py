@@ -80,6 +80,18 @@ class TestMaskedDataset:
         with pytest.raises(ValueError):
             MaskedDataset([[1.0]], [[2]], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_observed_values_and_responses(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MaskedDataset([[1.0, bad]], [[0, 0]], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            MaskedDataset([[1.0, 2.0]], [[0, 1]], [bad])
+
+    def test_nonfinite_masked_cells_are_allowed(self):
+        data = MaskedDataset([[1.0, np.nan], [np.inf, 2.0]], [[0, 1], [1, 0]], [0.0, 1.0])
+        assert data.observed_values(0).tolist() == [1.0]
+        assert data.observed_values(1).tolist() == [2.0]
+
     def test_arrays_frozen(self):
         data = self._tiny()
         with pytest.raises(ValueError):

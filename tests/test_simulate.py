@@ -15,6 +15,7 @@ from patternlab import (
     NoClosedFormError,
     SelfMaskingScenario,
     bayes_oracle_mc,
+    conditional_mean_map,
     merge_scenario,
     paired_block_covariance,
     preset,
@@ -212,6 +213,66 @@ class TestBayesColumn:
             model = fresh.pattern_model(m)
             scale = 1.0 + abs(model.intercept) + np.abs(x_obs) @ np.abs(model.coefficients)
             assert abs(batch[i] - model.predict(x_obs)) <= 1e-12 * scale
+
+
+def composed_optimum(params, beta0, beta, missing_row):
+    """(coefficients over all d coordinates, intercept) of one pattern's
+    optimum, composed from conditional_mean_map."""
+    obs, mis = np.flatnonzero(~missing_row), np.flatnonzero(missing_row)
+    offset, gain = conditional_mean_map(params, obs)
+    coef = np.zeros(missing_row.size)
+    coef[obs] = beta[obs] + gain.T @ beta[mis]
+    return coef, beta0 + beta[mis] @ offset
+
+
+class TestStackedOptimum:
+    """Optima learned in one batch agree with the per-pattern composition of
+    conditional_mean_map over each scenario's whole pattern support."""
+
+    @staticmethod
+    def _learned(scenario, patterns):
+        mask = np.array([[m.is_missing(j) for j in range(scenario.d)] for m in patterns])
+        BayesPredictor(scenario).predict_masked(np.zeros(mask.shape), mask)
+        return mask
+
+    @staticmethod
+    def _assert_close(model, m, coef, intercept):
+        expected = coef[list(m.observed_indices)]
+        assert np.all(np.abs(model.coefficients - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        assert abs(model.intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
+
+    def test_mar_b(self):
+        scenario = preset("mar_b")
+        k = scenario.block_size
+        patterns = [MissingPattern(bits << k, scenario.d) for bits in range(1 << k)]
+        mask = self._learned(scenario, patterns)
+        for m, row in zip(patterns, mask):
+            params = GaussianParams(row[k:].astype(float), scenario.block_cov)
+            block2, intercept = composed_optimum(params, scenario.beta0, scenario.beta[k:], row[k:])
+            coef = np.concatenate([scenario.beta[:k], block2])
+            self._assert_close(scenario.pattern_model(m), m, coef, intercept)
+
+    def test_gpmm_c(self):
+        scenario = preset("gpmm_c")
+        patterns = [pattern for _, pattern, _ in scenario.components]
+        mask = self._learned(scenario, patterns)
+        for (_, m, params), row in zip(scenario.components, mask):
+            coef, intercept = composed_optimum(params, scenario.beta0, scenario.beta, row)
+            self._assert_close(scenario.pattern_model(m), m, coef, intercept)
+
+    def test_mcar_a(self):
+        scenario = preset("mcar_a")
+        patterns = [MissingPattern(bits, scenario.d) for bits in range(1 << scenario.d)]
+        mask = self._learned(scenario, patterns)
+        for m, row in zip(patterns, mask):
+            coef, intercept = composed_optimum(scenario.covariates, scenario.beta0, scenario.beta, row)
+            self._assert_close(scenario.pattern_model(m), m, coef, intercept)
+
+    def test_unknown_mixture_pattern_in_a_batch_is_rejected(self):
+        scenario = preset("gpmm_c")
+        mask = np.array([scenario.components[0][1].is_missing(j) for j in range(8)])
+        with pytest.raises(ValueError, match="probability zero"):
+            BayesPredictor(scenario).predict_masked(np.zeros((2, 8)), np.array([mask, np.zeros(8, dtype=bool)]))
 
 
 class TestOracle:

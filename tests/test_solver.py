@@ -8,8 +8,12 @@ from patternlab import (
     GaussianParams,
     clip,
     conditional_gaussian,
+    conditional_mean_map,
     least_squares,
+    optimum_rows,
+    paired_block_covariance,
 )
+from patternlab.solver import CONDITIONING_CHUNK
 
 
 def pseudoinverse_solution_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -124,12 +128,118 @@ class TestConditionalGaussian:
         params = GaussianParams(np.array([3.0, 4.0]), np.eye(2))
         assert np.allclose(conditional_gaussian(params, [], np.array([])), [3.0, 4.0])
 
+    def test_pinv_cutoff(self):
+        # the observed block has eigenvalues 2 and 1e-10; pinv's hermitian
+        # cutoff (eps * k relative to the largest) keeps the small one
+        cov = np.array([[2.0, 0.0, 0.5], [0.0, 1e-10, 3e-11], [0.5, 3e-11, 1.0]])
+        params = GaussianParams(np.zeros(3), cov)
+        cutoff = np.finfo(float).eps * 2
+        expected = cov[2:, :2] @ np.linalg.pinv(cov[:2, :2], rcond=cutoff, hermitian=True)
+        _, gain = conditional_mean_map(params, [0, 1])
+        assert np.allclose(gain, [[0.25, 0.3]], rtol=1e-6, atol=0.0)
+        assert np.abs(gain - expected).max() <= 1e-12
+        coef, _ = optimum_rows(params, 0.0, np.array([1.0, 1.0, 2.0]), np.array([[False, False, True]]))
+        assert np.abs(coef[0, :2] - (1.0 + 2.0 * expected[0])).max() <= 1e-12
+
+    def test_singular_block_drops_null_direction(self):
+        # duplicated coordinates: the observed block [[1, 1], [1, 1]] is
+        # singular and the minimum-norm gain splits evenly
+        params = GaussianParams(np.zeros(3), np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]]))
+        _, gain = conditional_mean_map(params, [0, 1])
+        assert np.allclose(gain, [[0.25, 0.25]], atol=1e-15)
+        coef, _ = optimum_rows(params, 0.0, np.ones(3), np.array([[False, False, True]]))
+        assert np.allclose(coef, [[1.25, 1.25, 0.0]], atol=1e-15)
+
     def test_dimension_mismatch(self):
         params = GaussianParams(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
             conditional_gaussian(params, [0], np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             conditional_gaussian(params, [5], np.array([1.0]))
+
+
+def per_pattern_rows(params, beta0, beta, missing):
+    """The optimum rows composed pattern by pattern from conditional_mean_map."""
+    coef = np.zeros(missing.shape)
+    intercepts = np.empty(missing.shape[0])
+    for i, row in enumerate(missing):
+        obs, mis = np.flatnonzero(~row), np.flatnonzero(row)
+        offset, gain = conditional_mean_map(params, obs)
+        coef[i, obs] = beta[obs] + gain.T @ beta[mis]
+        intercepts[i] = beta0 + beta[mis] @ offset
+    return coef, intercepts
+
+
+def assert_rows_match(got, expected):
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert (np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))).all()
+
+
+def ar_covariance(d, rho=0.5):
+    lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    return rho**lags
+
+
+def covariance_for(kind, rng):
+    if kind == "paired_block_8":
+        return paired_block_covariance(8)
+    if kind == "ar_20":
+        return ar_covariance(20)
+    # a random rank-deficient A A^T with small integer loadings
+    d = int(rng.integers(2, 9))
+    loadings = rng.integers(-1, 2, size=(d, int(rng.integers(1, d)))).astype(float)
+    return loadings @ loadings.T
+
+
+class TestOptimumRows:
+    @given(
+        st.sampled_from(["paired_block_8", "rank_deficient", "ar_20"]),
+        st.integers(1, 80),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_rows_equal_per_pattern_maps(self, kind, count, seed):
+        rng = np.random.default_rng(seed)
+        cov = covariance_for(kind, rng)
+        d = cov.shape[0]
+        params = GaussianParams(rng.normal(size=d), cov)
+        beta = rng.normal(size=d)
+        missing = rng.random((count + 2, d)) < rng.random()
+        missing[0], missing[1] = False, True  # k = d and k = 0
+        got = optimum_rows(params, 0.7, beta, missing)
+        assert_rows_match(got, per_pattern_rows(params, 0.7, beta, missing))
+        assert (got[0][missing] == 0.0).all()
+
+    def test_more_than_one_chunk(self):
+        rng = np.random.default_rng(4)
+        d = 20
+        params = GaussianParams(rng.normal(size=d), ar_covariance(d))
+        beta = rng.normal(size=d)
+        count = 2 * CONDITIONING_CHUNK + 5
+        missing = rng.permuted(np.tile(np.arange(d) < 10, (count, 1)), axis=1)
+        got = optimum_rows(params, -0.2, beta, missing)
+        assert_rows_match(got, per_pattern_rows(params, -0.2, beta, missing))
+
+    def test_full_and_empty_patterns(self):
+        params = GaussianParams(np.array([1.0, -2.0, 0.5]), ar_covariance(3))
+        beta = np.array([1.0, 2.0, 3.0])
+        coef, intercepts = optimum_rows(params, 0.5, beta, np.array([[False] * 3, [True] * 3]))
+        assert np.array_equal(coef, [beta, np.zeros(3)])
+        assert intercepts[0] == 0.5
+        assert intercepts[1] == pytest.approx(0.5 + beta @ params.mean, abs=1e-15)
+
+    def test_no_patterns(self):
+        params = GaussianParams(np.zeros(2), np.eye(2))
+        coef, intercepts = optimum_rows(params, 0.0, np.ones(2), np.zeros((0, 2), dtype=bool))
+        assert coef.shape == (0, 2) and intercepts.shape == (0,)
+
+    def test_shape_validation(self):
+        params = GaussianParams(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError):
+            optimum_rows(params, 0.0, np.ones(3), np.zeros((1, 2), dtype=bool))
+        with pytest.raises(ValueError):
+            optimum_rows(params, 0.0, np.ones(2), np.zeros((1, 3), dtype=bool))
 
 
 class TestGaussianParams:
