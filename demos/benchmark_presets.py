@@ -3,8 +3,8 @@
 Fits the per-pattern regressors (thresholded and not) and the two
 imputation baselines on growing training sets, scoring each fit by the
 mean squared gap to the exact optimum predictor on a fresh test draw.
-Every cell derives its own seed, so reruns and thread counts cannot
-change the CSV.
+Every cell derives its own seed, so reruns and the order of the cells
+cannot change the CSV.
 
 Run:  python demos/benchmark_presets.py            (quick, preset mcar_a)
       python demos/benchmark_presets.py --full     (all three presets)

@@ -4,12 +4,13 @@ The central quantity is
 
     C_p(tau) = sum over patterns m of min(p_m, tau),    tau in (0, 1].
 
-It is computed exactly (an O(d) grouped sum for homogeneous Bernoulli
-masking, a sparse sum for explicit laws, full enumeration up to d = 20
-otherwise), estimated by Monte Carlo as the mean of min(1, tau / p_M), and
-rewritten through its best-subset form. Upper bounds come from entropy
-functionals of the pattern law (summed over the same grouped atoms as the
-exact value) and from closed forms for the Bernoulli and merge families.
+Every law answers ``atoms()``: its positive pattern probabilities with
+their multiplicities. The exact value, its best-subset form and the entropy
+bounds are all sums over those atoms, so they agree wherever the law can
+list its atoms (any d for explicit, homogeneous Bernoulli and uniform laws,
+d <= 20 for the others). The complexity is also estimated by Monte Carlo as
+the mean of min(1, tau / p_M), and bounded in closed form for the
+Bernoulli and merge families.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import (
-    ExplicitPatterns,
-    HomogeneousBernoulli,
-    PatternDistribution,
-    UniformPatterns,
-)
+from .distributions import PatternDistribution
 
 
 def _validate_tau(tau: float) -> float:
@@ -35,49 +31,14 @@ def _validate_tau(tau: float) -> float:
     return tau
 
 
-def _enumerable(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and probabilities covering the whole law (support for explicit)."""
-    if isinstance(dist, ExplicitPatterns):
-        return dist.support()
-    return dist.enumerate_probabilities()
-
-
-def _atoms(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, multiplicities) of the law's positive atoms.
-
-    Homogeneous Bernoulli masking has d + 1 distinct atoms
-    eps**k (1 - eps)**(d - k), each shared by C(d, k) patterns, and the
-    uniform law has one atom 2**-d shared by all 2**d patterns; both are
-    O(d) at any dimension. Other laws list every pattern once, which for
-    parametric families means enumerating all 2**d patterns (d <= 20).
-    """
-    d = dist.dimension
-    if isinstance(dist, UniformPatterns):
-        probs, counts = np.array([0.5**d]), np.array([2.0**d])
-    elif isinstance(dist, HomogeneousBernoulli):
-        eps = dist.epsilon
-        probs = np.array([eps**k * (1.0 - eps) ** (d - k) for k in range(d + 1)])
-        counts = np.array([float(math.comb(d, k)) for k in range(d + 1)])
-    else:
-        _, probs = _enumerable(dist)
-        counts = np.ones(probs.size)
-    positive = probs > 0.0
-    return probs[positive], counts[positive]
-
-
 def _complexity(probs: np.ndarray, counts: np.ndarray, tau: float) -> float:
     return float((counts * np.minimum(probs, tau)).sum())
 
 
 def pattern_complexity(dist: PatternDistribution, tau: float) -> float:
-    """Exact sum of min(p_m, tau) over all patterns.
-
-    Homogeneous Bernoulli masking groups patterns by their number of missing
-    coordinates; the uniform law has the closed form 2**d * min(2**-d, tau);
-    other parametric families are enumerated and require d <= 20.
-    """
+    """Exact sum of min(p_m, tau) over all patterns, from the law's atoms."""
     tau = _validate_tau(tau)
-    return _complexity(*_atoms(dist), tau)
+    return _complexity(*dist.atoms(), tau)
 
 
 def pattern_complexity_subset_form(dist: PatternDistribution, tau: float) -> float:
@@ -85,9 +46,9 @@ def pattern_complexity_subset_form(dist: PatternDistribution, tau: float) -> flo
     p_m > tau, pay tau for each kept pattern plus the probability outside.
     """
     tau = _validate_tau(tau)
-    _, probs = _enumerable(dist)
+    probs, counts = dist.atoms()
     kept = probs > tau
-    return int(kept.sum()) * tau + float(probs[~kept].sum())
+    return float(counts[kept].sum() * tau + (counts * probs)[~kept].sum())
 
 
 @dataclass(frozen=True)
@@ -183,7 +144,7 @@ def entropy_bound(dist: PatternDistribution, tau: float, kind: BoundKind) -> Bou
     ``valid`` flag records.
     """
     tau = _validate_tau(tau)
-    return _entropy_bound(*_atoms(dist), tau, kind)
+    return _entropy_bound(*dist.atoms(), tau, kind)
 
 
 def _entropy_bound(probs: np.ndarray, counts: np.ndarray, tau: float, kind: BoundKind) -> BoundValue:
@@ -215,7 +176,7 @@ def bound_report(dist: PatternDistribution, tau: float, alpha: float = 0.5) -> B
         BoundKind.renyi(alpha),
         BoundKind.bertrand(alpha),
     )
-    probs, counts = _atoms(dist)
+    probs, counts = dist.atoms()
     return BoundReport(
         tau=tau,
         cp_exact=_complexity(probs, counts, tau),

@@ -30,9 +30,14 @@ def labeled_sample_to_json(sample: LabeledSample) -> dict:
 
 
 def dataset_from_json(obj: dict) -> MaskedDataset:
-    """Rebuild a dataset; ``null`` is allowed only at masked cells."""
+    """Rebuild a dataset; each mask is d characters of 0/1 and ``null`` is
+    allowed only at masked cells."""
     n, d = int(obj["n"]), int(obj["d"])
-    mask = np.array([[c == "1" for c in row] for row in obj["mask"]])
+    masks = obj["mask"]
+    for i, row in enumerate(masks):
+        if not isinstance(row, str) or len(row) != d or not set(row) <= {"0", "1"}:
+            raise ValueError(f"mask of row {i} (counting from 0) is {row!r}, expected {d} characters of 0/1")
+    mask = np.array([[c == "1" for c in row] for row in masks], dtype=bool)
     if mask.shape != (n, d):
         raise ValueError(f"mask shape {mask.shape} does not match n={n}, d={d}")
     cells = obj["values"]

@@ -9,10 +9,11 @@ per-coordinate failures), and the uniform law over all 2**d patterns.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
-from .patterns import MAX_DIMENSION, MissingPattern, unpack_masks
+from .patterns import MAX_DIMENSION, MissingPattern, pack_mask_rows, unpack_masks
 
 ENUMERATION_LIMIT = 20
 
@@ -37,15 +38,18 @@ class PatternDistribution(abc.ABC):
     def sample(self, rng: np.random.Generator) -> MissingPattern:
         return MissingPattern(int(self.sample_masks(rng, 1)[0]), self.dimension)
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, probabilities) for every pattern of positive probability.
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, multiplicities) of the law's positive atoms.
 
-        Parametric families enumerate all 2**d patterns, so this requires
-        d <= 20; explicit laws return their stored support at any d.
+        Every functional of the law that only sees the multiset of pattern
+        probabilities (the complexity, its entropy bounds) reads this. The
+        default lists each pattern once by enumerating all 2**d patterns, so
+        it requires d <= 20; families with a sparse support or shared atoms
+        override it and answer at any d.
         """
-        keys, probs = self.enumerate_probabilities()
-        positive = probs > 0.0
-        return keys[positive], probs[positive]
+        _, probs = self.enumerate_probabilities()
+        probs = probs[probs > 0.0]
+        return probs, np.ones(probs.size)
 
     def enumerate_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
         if self.dimension > ENUMERATION_LIMIT:
@@ -115,13 +119,9 @@ class ExplicitPatterns(PatternDistribution):
         idx = np.minimum(idx, self._keys.size - 1)
         return self._keys[idx]
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._keys.copy(), self._probs.copy()
-
-    def enumerate_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.dimension > ENUMERATION_LIMIT:
-            return self.support()
-        return super().enumerate_probabilities()
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored support, one atom per pattern in ascending key order."""
+        return self._probs.copy(), np.ones(self._probs.size)
 
     def items(self):
         for k, p in zip(self._keys, self._probs):
@@ -152,8 +152,6 @@ class BernoulliPatterns(PatternDistribution):
 
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         bits = rng.random((size, self.dimension)) < self.epsilons
-        from .patterns import pack_mask_rows
-
         return pack_mask_rows(bits)
 
 
@@ -164,6 +162,15 @@ class HomogeneousBernoulli(BernoulliPatterns):
         dimension = _validate_dimension(dimension)
         super().__init__(np.full(dimension, float(epsilon)))
         self.epsilon = float(epsilon)
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """d + 1 atoms eps**k (1 - eps)**(d - k), each shared by C(d, k)
+        patterns: O(d) at any dimension."""
+        d, eps = self.dimension, self.epsilon
+        probs = np.array([eps**k * (1.0 - eps) ** (d - k) for k in range(d + 1)])
+        counts = np.array([float(math.comb(d, k)) for k in range(d + 1)])
+        positive = probs > 0.0
+        return probs[positive], counts[positive]
 
 
 class MergeModel(PatternDistribution):
@@ -223,8 +230,6 @@ class MergeModel(PatternDistribution):
         choice = np.searchsorted(self._cumulative, rng.random(size), side="right")
         choice = np.minimum(choice, self._protocol_keys.size - 1)
         failures = rng.random((size, self.dimension)) < self.eta
-        from .patterns import pack_mask_rows
-
         return self._protocol_keys[choice] | pack_mask_rows(failures)
 
 
@@ -245,6 +250,10 @@ class UniformPatterns(PatternDistribution):
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         high = np.uint64(1) << np.uint64(self.dimension)
         return rng.integers(0, high, size=size, dtype=np.uint64).astype(np.int64)
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """One atom 2**-d shared by all 2**d patterns."""
+        return np.array([0.5**self.dimension]), np.array([2.0**self.dimension])
 
 
 def explicit_from_json(obj: dict) -> ExplicitPatterns:

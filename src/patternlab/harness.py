@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,7 +56,16 @@ def excess_risk(predictor, scenario: Scenario, n_test: int, rng: np.random.Gener
         )
     sample = scenario.generate(n_test, rng)
     predictions = predictor.predict_masked(sample.dataset.values, sample.dataset.mask)
-    return float(np.mean((predictions - sample.bayes_values) ** 2))
+    return _mean_squared_gap(predictions, sample.bayes_values)
+
+
+def _mean_squared_gap(predictions: np.ndarray, bayes: np.ndarray) -> float:
+    """The excess risk of a test draw; a non-finite value is a numeric
+    failure, never a reported risk."""
+    risk = float(np.mean((predictions - bayes) ** 2))
+    if not math.isfinite(risk):
+        raise FloatingPointError(f"excess risk is {risk!r}: the predictions are not finite")
+    return risk
 
 
 @dataclass(frozen=True)
@@ -193,7 +203,7 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
     t1 = time.perf_counter()
     predictions = predictor.predict_masked(test.dataset.values, test.dataset.mask)
     predict_seconds = time.perf_counter() - t1
-    risk = float(np.mean((predictions - test.bayes_values) ** 2))
+    risk = _mean_squared_gap(predictions, test.bayes_values)
     return RunRecord(
         scenario=config.scenario.name,
         estimator=spec.name,

@@ -189,15 +189,16 @@ class MarBlockScenario(Scenario):
         if cov.shape != (k, k):
             raise ValueError(f"block covariance must be {k}x{k}, got {cov.shape}")
         self.block_size = k
-        self.block_cov = cov
+        # block 2 around the zero mean; its mask is added as the mean shift
+        self._block2 = GaussianParams(np.zeros(k), cov)
+        self.block_cov = self._block2.covariance
 
     def _draw(self, n, rng):
         k = self.block_size
         block1 = rng.standard_normal((n, k))
         mask2 = block1 > 0.0
         noise2 = rng.standard_normal((n, k))
-        factor = GaussianParams(np.zeros(k), self.block_cov).factor
-        block2 = mask2.astype(float) + noise2 @ factor.T
+        block2 = mask2.astype(float) + noise2 @ self._block2.factor.T
         values = np.hstack([block1, block2])
         mask = np.hstack([np.zeros((n, k), dtype=bool), mask2])
         return values, mask
@@ -207,16 +208,15 @@ class MarBlockScenario(Scenario):
         if missing[:, :k].any():
             raise ValueError("block-1 coordinates are always observed in this scenario")
         # Block 1 carries no information on block 2 beyond the mask, so its
-        # coefficients are beta's; block 2 is Gaussian around its own mask,
-        # one Gaussian (and one group) per block-2 mask.
+        # coefficients are beta's. Block 2 is Gaussian around its own mask:
+        # the observed coordinates have mean 0 and the missing ones mean 1,
+        # so conditioning the zero-mean block and adding beta over the
+        # missing coordinates to the intercept gives every pattern at once.
+        mask2 = missing[:, k:]
         coef = np.empty(missing.shape)
         coef[:, :k] = self.beta[:k]
-        intercepts = np.empty(missing.shape[0])
-        for i, mask2 in enumerate(missing[:, k:]):
-            params = GaussianParams(mask2.astype(float), self.block_cov)
-            row, intercept = optimum_rows(params, self.beta0, self.beta[k:], mask2[None])
-            coef[i, k:], intercepts[i] = row[0], intercept[0]
-        return coef, intercepts
+        coef[:, k:], intercepts = optimum_rows(self._block2, self.beta0, self.beta[k:], mask2)
+        return coef, intercepts + np.where(mask2, self.beta[k:], 0.0).sum(axis=1)
 
 
 class GpmmScenario(Scenario):

@@ -127,6 +127,17 @@ class TestPipeline:
         data.write_text(json.dumps(payload))
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("bad", ["0x", "011", "0", 1])
+    def test_malformed_mask_is_config_error(self, tmp_path, tiny_scenario_file, capsys, bad):
+        data = tmp_path / "data.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "50", "--seed", "5", "--out", str(data)])
+        payload = json.loads(data.read_text())
+        payload["mask"][7] = bad
+        data.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(tmp_path / "m.json")]) == 2
+        assert "mask of row 7" in capsys.readouterr().err
+
 
 class TestComplexityCommand:
     def test_preset_curves(self, tmp_path):
@@ -227,3 +238,14 @@ class TestExitCodes:
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", "0.0", "--out", str(model)]) == 0
         # no exact optimum exists for this mechanism: numeric failure
         assert main(["eval", "--model", str(model), "--scenario", str(sfile), "--n-test", "500", "--seed", "2"]) == 3
+
+    def test_nonfinite_risk_is_numeric_failure(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "constant_impute", "d": 8, "intercept": 0.0, "coef": [1e308] * 16}))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "mcar_a"}))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--scenario", str(scenario), "--n-test", "200", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "excess_risk" not in captured.out
+        assert "not finite" in captured.err

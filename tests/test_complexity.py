@@ -104,6 +104,57 @@ class TestSubsetForm:
                 )
 
 
+def explicit_d30():
+    return ExplicitPatterns(
+        30, {MissingPattern(0, 30): 0.5, MissingPattern(2**29 + 1, 30): 0.3, MissingPattern(2**30 - 1, 30): 0.2}
+    )
+
+
+class TestAtoms:
+    """Every family lists its positive atoms; the exact value, the subset
+    form and the bounds read nothing else."""
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            ExplicitPatterns(6, {MissingPattern(3, 6): 0.25, MissingPattern(40, 6): 0.75}),
+            BernoulliPatterns([0.3, 0.0, 0.05, 0.6, 1.0, 0.2, 0.45]),
+            HomogeneousBernoulli(12, 0.2),
+            HomogeneousBernoulli(7, 1.0),
+            MergeModel(
+                [MissingPattern.from_string("1100000000"), MissingPattern.from_string("0000000011")],
+                [0.4, 0.6],
+                0.05,
+            ),
+            UniformPatterns(9),
+        ],
+        ids=["explicit", "bernoulli", "homogeneous", "homogeneous_degenerate", "merge", "uniform"],
+    )
+    def test_atoms_cover_the_positive_patterns(self, dist):
+        probs, counts = dist.atoms()
+        _, enumerated = dist.enumerate_probabilities()
+        assert (probs > 0.0).all()
+        assert counts.sum() == np.count_nonzero(enumerated > 0.0)
+        assert abs(float((counts * probs).sum()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dist", [HomogeneousBernoulli(30, 0.1), UniformPatterns(30), explicit_d30()], ids=["homogeneous", "uniform", "explicit"]
+    )
+    def test_subset_form_at_dimension_30(self, dist):
+        for tau in (1e-10, 1e-9, 1e-4, 0.01, 0.25, 1.0):
+            assert pattern_complexity_subset_form(dist, tau) == pytest.approx(
+                pattern_complexity(dist, tau), rel=1e-12, abs=0.0
+            )
+
+    def test_explicit_at_dimension_30(self):
+        dist = explicit_d30()
+        probs, counts = dist.atoms()
+        assert probs.tolist() == [0.5, 0.3, 0.2] and counts.tolist() == [1.0, 1.0, 1.0]
+        report = bound_report(dist, 0.25)
+        assert report.cp_exact == pytest.approx(0.7, abs=1e-15)
+        assert report.bounds[BoundKind.hartley()].value == 0.75
+
+
 class TestMonteCarlo:
     def test_point_mass_is_exact(self):
         out = pattern_complexity_mc(point_mass(), 0.3, 500, np.random.default_rng(0))

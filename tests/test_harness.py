@@ -38,6 +38,11 @@ class ZeroPredictor:
         return np.zeros(values.shape[0])
 
 
+class NanPredictor:
+    def predict_masked(self, values, mask):
+        return np.full(values.shape[0], np.nan)
+
+
 class ClippedBayes:
     def __init__(self, scenario, level):
         self.inner = BayesPredictor(scenario)
@@ -86,6 +91,10 @@ class TestExcessRisk:
         )
         with pytest.raises(NoClosedFormError, match="oracle"):
             excess_risk(ZeroPredictor(), scenario, 500, np.random.default_rng(0))
+
+    def test_nonfinite_risk_is_a_numeric_failure(self):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            excess_risk(NanPredictor(), tiny_scenario(), 100, np.random.default_rng(0))
 
 
 class TestEstimatorSpec:

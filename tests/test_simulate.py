@@ -179,6 +179,11 @@ class TestBayesPredict:
         with pytest.raises(ValueError):
             scenario.bayes_predict(np.zeros(7), MissingPattern.from_string("10000000"))
 
+    @pytest.mark.parametrize("block_cov", [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    def test_mar_block_rejects_bad_covariance_at_construction(self, block_cov):
+        with pytest.raises(ValueError, match="covariance"):
+            MarBlockScenario(0.0, np.ones(4), 0.5, block_cov)
+
     def test_mixture_rejects_zero_probability_pattern(self):
         scenario = preset("gpmm_c")
         with pytest.raises(ValueError):
