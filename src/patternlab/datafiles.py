@@ -30,8 +30,8 @@ def labeled_sample_to_json(sample: LabeledSample) -> dict:
 
 
 def dataset_from_json(obj: dict) -> MaskedDataset:
-    """Rebuild a dataset; each mask is d characters of 0/1 and ``null`` is
-    allowed only at masked cells."""
+    """Rebuild a dataset; each mask is d characters of 0/1, each values row
+    holds d entries, and ``null`` is allowed only at masked cells."""
     n, d = int(obj["n"]), int(obj["d"])
     masks = obj["mask"]
     for i, row in enumerate(masks):
@@ -41,6 +41,9 @@ def dataset_from_json(obj: dict) -> MaskedDataset:
     if mask.shape != (n, d):
         raise ValueError(f"mask shape {mask.shape} does not match n={n}, d={d}")
     cells = obj["values"]
+    for i, row in enumerate(cells):
+        if not isinstance(row, list) or len(row) != d:
+            raise ValueError(f"values row {i} (counting from 0) is {row!r}, expected a list of {d} numbers or nulls")
     values = np.array([[0.0 if cell is None else float(cell) for cell in row] for row in cells])
     if values.shape != (n, d):
         raise ValueError(f"values shape {values.shape} does not match n={n}, d={d}")

@@ -55,13 +55,16 @@ def excess_risk(predictor, scenario: Scenario, n_test: int, rng: np.random.Gener
             f"{scenario.name}: excess risk needs the exact optimum; use bayes_oracle_mc probes instead"
         )
     sample = scenario.generate(n_test, rng)
-    predictions = predictor.predict_masked(sample.dataset.values, sample.dataset.mask)
-    return _mean_squared_gap(predictions, sample.bayes_values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = predictor.predict_masked(sample.dataset.values, sample.dataset.mask)
+        return _mean_squared_gap(predictions, sample.bayes_values)
 
 
 def _mean_squared_gap(predictions: np.ndarray, bayes: np.ndarray) -> float:
     """The excess risk of a test draw; a non-finite value is a numeric
-    failure, never a reported risk."""
+    failure, never a reported risk. Callers compute the predictions and
+    this gap with overflow and invalid-value warnings off, because the
+    raise already reports them."""
     risk = float(np.mean((predictions - bayes) ** 2))
     if not math.isfinite(risk):
         raise FloatingPointError(f"excess risk is {risk!r}: the predictions are not finite")
@@ -200,10 +203,11 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
     predictor = spec.fit(train.dataset)
     fit_seconds = time.perf_counter() - t0
     test = config.scenario.generate(config.n_test, np.random.default_rng(test_seed))
-    t1 = time.perf_counter()
-    predictions = predictor.predict_masked(test.dataset.values, test.dataset.mask)
-    predict_seconds = time.perf_counter() - t1
-    risk = _mean_squared_gap(predictions, test.bayes_values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = time.perf_counter()
+        predictions = predictor.predict_masked(test.dataset.values, test.dataset.mask)
+        predict_seconds = time.perf_counter() - t1
+        risk = _mean_squared_gap(predictions, test.bayes_values)
     return RunRecord(
         scenario=config.scenario.name,
         estimator=spec.name,

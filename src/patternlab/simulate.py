@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import MergeModel, PatternDistribution
 from .patterns import MaskedDataset, MissingPattern, PatternBank, one_row, pack_mask_rows, unpack_masks
-from .solver import AffineModel, GaussianParams, optimum_rows
+from .solver import AffineModel, GaussianParams, optimum_rows, rows_product
 
 
 class NoClosedFormError(RuntimeError):
@@ -50,7 +50,14 @@ class LabeledSample:
 
 
 class Scenario:
-    """Base class; subclasses implement drawing and per-pattern optima."""
+    """Base class; subclasses implement drawing and per-pattern optima.
+
+    Each subclass writes its random-number sequence once, in ``_draw``.
+    Given a pattern, the draw makes the same generator calls, with the same
+    shapes and in the same order, and transforms only the draws whose
+    pattern it is: the sampling oracle reads that form, ``generate`` the
+    full one, and the two agree bit for bit on every shared row.
+    """
 
     has_closed_form = True
 
@@ -61,8 +68,8 @@ class Scenario:
         if not np.isfinite(beta).all() or not np.isfinite(beta0):
             raise ValueError("model coefficients must be finite")
         noise_sd = float(noise_sd)
-        if noise_sd < 0.0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0.0 <= noise_sd < np.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {noise_sd!r}")
         beta.setflags(write=False)
         self.beta0 = float(beta0)
         self.beta = beta
@@ -74,7 +81,17 @@ class Scenario:
     def d(self) -> int:
         return self.beta.size
 
-    def _draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def _draw(
+        self, n: int, rng: np.random.Generator, m: MissingPattern | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw n rows of covariates and masks: (values, mask), both (n, d).
+
+        With a pattern m, the random numbers drawn are the same, and the
+        result is (rows, values): the ascending indices of the draws whose
+        pattern is m and their full covariates, each row bitwise equal to
+        its row of the full draw. Nothing is computed for the other rows
+        beyond what deciding their pattern takes.
+        """
         raise NotImplementedError
 
     def _optimum_rows(self, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +166,12 @@ class McarGaussianScenario(Scenario):
         self.covariates = covariates
         self.missingness = missingness
 
-    def _draw(self, n, rng):
-        values = self.covariates.sample(rng, n)
-        mask = unpack_masks(self.missingness.sample_masks(rng, n), self.d)
-        return values, mask
+    def _draw(self, n, rng, m=None):
+        z = rng.standard_normal((n, self.d))
+        keys = self.missingness.sample_masks(rng, n)
+        rows = slice(None) if m is None else np.flatnonzero(keys == m.bits)
+        values = self.covariates.mean + rows_product(z, rows, self.covariates.factor.T)
+        return (values, unpack_masks(keys, self.d)) if m is None else (rows, values)
 
     def _optimum_rows(self, missing):
         return optimum_rows(self.covariates, self.beta0, self.beta, missing)
@@ -193,15 +212,19 @@ class MarBlockScenario(Scenario):
         self._block2 = GaussianParams(np.zeros(k), cov)
         self.block_cov = self._block2.covariance
 
-    def _draw(self, n, rng):
+    def _draw(self, n, rng, m=None):
         k = self.block_size
         block1 = rng.standard_normal((n, k))
         mask2 = block1 > 0.0
         noise2 = rng.standard_normal((n, k))
-        block2 = mask2.astype(float) + noise2 @ self._block2.factor.T
-        values = np.hstack([block1, block2])
-        mask = np.hstack([np.zeros((n, k), dtype=bool), mask2])
-        return values, mask
+        # block 1 is never missing, so a row's key is block 2's shifted by k
+        # and a pattern with a missing block-1 coordinate matches no row
+        rows = slice(None) if m is None else np.flatnonzero(pack_mask_rows(mask2) << k == m.bits)
+        block2 = mask2[rows].astype(float) + rows_product(noise2, rows, self._block2.factor.T)
+        values = np.hstack([block1[rows], block2])
+        if m is not None:
+            return rows, values
+        return values, np.hstack([np.zeros((n, k), dtype=bool), mask2])
 
     def _optimum_rows(self, missing):
         k = self.block_size
@@ -246,17 +269,27 @@ class GpmmScenario(Scenario):
     def pattern_probabilities(self) -> dict:
         return {pattern: prob for prob, pattern, _ in self.components}
 
-    def _draw(self, n, rng):
+    def _draw(self, n, rng, m=None):
         choice = np.searchsorted(self._cumulative, rng.random(n), side="right")
         choice = np.minimum(choice, len(self.components) - 1)
         z = rng.standard_normal((n, self.d))
+
+        def component(idx):
+            params = self.components[idx][2]
+            rows = np.flatnonzero(choice == idx)
+            return rows, params.mean + z[rows] @ params.factor.T
+
+        if m is not None:
+            # each pattern belongs to one component; one outside the mixture has no rows
+            for idx, (_, pattern, _) in enumerate(self.components):
+                if pattern == m:
+                    return component(idx)
+            return np.empty(0, dtype=np.intp), np.empty((0, self.d))
         values = np.empty((n, self.d))
         keys = np.empty(n, dtype=np.int64)
-        for idx, (_, pattern, params) in enumerate(self.components):
-            rows = np.flatnonzero(choice == idx)
-            if rows.size == 0:
-                continue
-            values[rows] = params.mean + z[rows] @ params.factor.T
+        for idx, (_, pattern, _) in enumerate(self.components):
+            rows, block = component(idx)
+            values[rows] = block
             keys[rows] = pattern.bits
         return values, unpack_masks(keys, self.d)
 
@@ -310,13 +343,17 @@ class SelfMaskingScenario(Scenario):
         self.mask_scale = scale
         self.mask_peak_prob = peak
 
-    def _draw(self, n, rng):
+    def _draw(self, n, rng, m=None):
+        # the mask depends on the values, so every row is transformed
         values = self.covariates.sample(rng, n)
         probs = self.mask_peak_prob * np.exp(
             -0.5 * ((values - self.mask_center) / self.mask_scale) ** 2
         )
         mask = rng.random((n, self.d)) < probs
-        return values, mask
+        if m is None:
+            return values, mask
+        rows = np.flatnonzero(pack_mask_rows(mask) == m.bits)
+        return rows, values[rows]
 
     def _optimum_rows(self, missing):
         raise NoClosedFormError(f"{self.name}: no exact per-pattern predictor; use bayes_oracle_mc")
@@ -345,6 +382,13 @@ def bayes_oracle_mc(
     sup-norm; returns the mean response over the kept rows. The answer
     carries a bias of order the bandwidth on top of the reported standard
     error. Intended as a test oracle, not a production predictor.
+
+    The random stream is the one ``generate`` reads, chunk by chunk: the
+    scenario's draw, then the response noise. Only the draws whose pattern
+    is m are transformed, and the kept responses are bitwise those of
+    ``generate``, so the estimate does not depend on this shortcut. A
+    non-finite observed value of such a draw, or a non-finite kept
+    response, raises ``ValueError`` as a ``MaskedDataset`` would.
     """
     if rng is None:
         raise ValueError("pass an explicit generator so oracle runs are reproducible")
@@ -359,20 +403,29 @@ def bayes_oracle_mc(
     kept = []
     remaining = int(samples)
     chunk_size = 250_000
+    # gemv sums a row in an order that depends on where the row sits in the
+    # matrix, so kept rows go back to their places in a zero matrix of the
+    # chunk's shape, as in generate's product, and are cleared after use
+    placed = np.zeros((chunk_size, scenario.d))
     while remaining > 0:
         chunk = min(chunk_size, remaining)
         remaining -= chunk
-        sample = scenario.generate(chunk, rng, with_bayes=False)
-        keys = pack_mask_rows(sample.dataset.mask)
-        rows = np.flatnonzero(keys == m.bits)
+        rows, values = scenario._draw(chunk, rng, m)
+        noise = rng.standard_normal(chunk)
+        block = values[:, obs]
+        if not np.isfinite(block).all():
+            raise ValueError("observed values must be finite (no NaN or infinity)")
+        near = np.abs(block - x_obs).max(axis=1, initial=0.0) <= bandwidth
+        rows = rows[near]
         if rows.size == 0:
             continue
-        if obs.size:
-            block = sample.full_values[np.ix_(rows, obs)]
-            near = np.abs(block - x_obs).max(axis=1) <= bandwidth
-            rows = rows[near]
-        if rows.size:
-            kept.append(sample.dataset.responses[rows])
+        placed[rows] = values[near]
+        with np.errstate(over="ignore", invalid="ignore"):
+            responses = scenario.beta0 + (placed[:chunk] @ scenario.beta)[rows] + scenario.noise_sd * noise[rows]
+        placed[rows] = 0.0
+        if not np.isfinite(responses).all():
+            raise ValueError("responses must be finite (no NaN or infinity)")
+        kept.append(responses)
     accepted = int(sum(len(k) for k in kept))
     if accepted < min_accepted:
         raise InsufficientSamplesError(

@@ -114,6 +114,20 @@ class GaussianParams:
         return self.mean + z @ self.factor.T
 
 
+def rows_product(z: np.ndarray, rows, matrix: np.ndarray) -> np.ndarray:
+    """``z[rows] @ matrix``, each row with the bits it has in ``z @ matrix``.
+
+    BLAS gemm gives a row the same bits whatever rows come with it, but
+    numpy hands a one-row product to gemv, which sums in another order. A
+    single row picked from a larger ``z`` is therefore multiplied as a
+    two-row block. ``rows`` may be ``slice(None)``, which copies nothing.
+    """
+    picked = z[rows]
+    if picked.shape[0] == 1 < z.shape[0]:
+        return (np.repeat(picked, 2, axis=0) @ matrix)[:1]
+    return picked @ matrix
+
+
 def _validated_observed(observed, dimension: int) -> np.ndarray:
     obs = np.asarray(observed, dtype=int)
     if obs.ndim != 1:

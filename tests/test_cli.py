@@ -1,9 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patternlab.cli import main, parse_tau_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args, cwd):
+    """``python -m patternlab`` in a fresh interpreter, so that stderr holds
+    exactly what a user would see."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "patternlab", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture()
@@ -138,6 +153,27 @@ class TestPipeline:
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(tmp_path / "m.json")]) == 2
         assert "mask of row 7" in capsys.readouterr().err
 
+    def test_short_values_row_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text(
+            json.dumps({"d": 2, "n": 2, "values": [[1.0, None], [1.0]], "mask": ["01", "00"], "responses": [1.0, 2.0]})
+        )
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert "values row 1" in err and "2 numbers or nulls" in err
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_nonfinite_noise_level_is_config_error(self, tmp_path, tiny_scenario_file, capsys, sigma):
+        scenario = json.loads(tiny_scenario_file.read_text())
+        scenario["sigma"] = sigma
+        tiny_scenario_file.write_text(json.dumps(scenario))
+        capsys.readouterr()
+        out = tmp_path / "data.json"
+        assert main(["gen", "--scenario", str(tiny_scenario_file), "--n", "10", "--seed", "1", "--out", str(out)]) == 2
+        assert "noise level" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestComplexityCommand:
     def test_preset_curves(self, tmp_path):
@@ -249,3 +285,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "excess_risk" not in captured.out
         assert "not finite" in captured.err
+
+    def test_numeric_failure_prints_one_line(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "constant_impute", "d": 8, "intercept": 0.0, "coef": [1e308] * 16}))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "mcar_a"}))
+        done = run_module(
+            "eval", "--model", str(model), "--scenario", str(scenario), "--n-test", "200", "--seed", "1", cwd=tmp_path
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+
+
+class TestModuleEntryPoint:
+    def test_help_exits_zero(self, tmp_path):
+        done = run_module("--help", cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: patternlab")

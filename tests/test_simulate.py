@@ -21,6 +21,7 @@ from patternlab import (
     preset,
     scenario_from_json,
 )
+from patternlab.patterns import pack_mask_rows
 
 
 def small_mcar(noise_sd=0.3, miss=0.3, d=2, name="tiny"):
@@ -340,6 +341,125 @@ class TestOracle:
         scenario = small_mcar()
         with pytest.raises(ValueError):
             bayes_oracle_mc(scenario, np.array([0.0, 0.0]), MissingPattern(0, 2), samples=100)
+
+
+def _merge_d4():
+    cov = np.array([[2.0, 0.6, 0.0, -0.3], [0.6, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [-0.3, 0.0, 0.4, 0.8]])
+    protocols = [MissingPattern.from_string(s) for s in ("1100", "0011", "0000")]
+    return merge_scenario(
+        0.3, [1.0, -2.0, 0.5, 1.5], 0.2, GaussianParams(np.arange(4.0), cov), protocols, [0.3, 0.3, 0.4], 0.1
+    )
+
+
+def _self_masking_d3():
+    cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    return SelfMaskingScenario(0.0, [1.0, 2.0, -1.0], 0.3, GaussianParams(np.array([0.5, 0.0, -0.5]), cov), 0.0, 1.0)
+
+
+PATTERN_DRAW_SCENARIOS = {
+    "mcar_a": lambda: preset("mcar_a"),
+    "merge": _merge_d4,
+    "mar_b": lambda: preset("mar_b"),
+    "gpmm_c": lambda: preset("gpmm_c"),
+    "self_masking": _self_masking_d3,
+}
+
+
+class TestPatternDraw:
+    """A draw given a pattern reads the same random numbers as the full
+    draw and returns exactly its matching rows."""
+
+    @given(
+        st.sampled_from(sorted(PATTERN_DRAW_SCENARIOS)),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_filtered_draw_is_the_full_draw_restricted(self, name, n, seed, from_row, pick):
+        scenario = PATTERN_DRAW_SCENARIOS[name]()
+        full_rng = np.random.default_rng(seed)
+        values, mask = scenario._draw(n, full_rng)
+        keys = pack_mask_rows(mask)
+        # a pattern the draw holds, or any pattern, zero-probability ones included
+        bits = int(keys[pick % n]) if from_row else pick % (1 << scenario.d)
+        rng = np.random.default_rng(seed)
+        rows, picked = scenario._draw(n, rng, MissingPattern(bits, scenario.d))
+        expected = np.flatnonzero(keys == bits)
+        assert np.array_equal(rows, expected)
+        assert picked.shape == (expected.size, scenario.d)
+        assert picked.tobytes() == values[expected].tobytes()
+        assert rng.random() == full_rng.random()
+
+    def test_patterns_outside_the_support_yield_no_rows(self):
+        mar = preset("mar_b")
+        gpmm = preset("gpmm_c")
+        for scenario, m in (
+            (mar, MissingPattern.from_string("10000000")),
+            (gpmm, MissingPattern.from_string("00000000")),
+        ):
+            rows, values = scenario._draw(1000, np.random.default_rng(0), m)
+            assert rows.size == 0 and values.shape == (0, 8)
+
+
+def reference_oracle(scenario, x_obs, m, samples, bandwidth, rng):
+    """bayes_oracle_mc written on generate: every row of every chunk is
+    drawn, transformed and validated, then filtered. None when no row is
+    kept."""
+    obs = np.array(m.observed_indices, dtype=int)
+    kept = []
+    remaining = samples
+    while remaining > 0:
+        chunk = min(250_000, remaining)
+        remaining -= chunk
+        sample = scenario.generate(chunk, rng, with_bayes=False)
+        rows = np.flatnonzero(pack_mask_rows(sample.dataset.mask) == m.bits)
+        block = sample.full_values[np.ix_(rows, obs)]
+        near = np.abs(block - x_obs).max(axis=1, initial=0.0) <= bandwidth
+        kept.append(sample.dataset.responses[rows[near]])
+    responses = np.concatenate(kept)
+    if responses.size == 0:
+        return None
+    spread = float(responses.std(ddof=1)) if responses.size > 1 else 0.0
+    return float(responses.mean()), spread / float(np.sqrt(responses.size)), responses.size
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
+    def test_bit_identical_to_generate_reference(self, name):
+        scenario = preset(name)
+        probes = scenario.generate(4, np.random.default_rng(1000), with_bayes=False).dataset
+        # narrow windows keep few rows, so one response's last bit shows in
+        # the estimate; two chunks, the second of a length that leaves gemv
+        # a remainder
+        samples, bandwidth = 300_003, 0.2
+        accepted = 0
+        for i in range(probes.n):
+            m, x_obs = probes.pattern(i), probes.observed_values(i)
+            expected = reference_oracle(scenario, x_obs, m, samples, bandwidth, np.random.default_rng(7))
+            try:
+                out = bayes_oracle_mc(scenario, x_obs, m, samples, bandwidth, np.random.default_rng(7), min_accepted=1)
+            except InsufficientSamplesError as err:
+                assert expected is None and err.accepted == 0
+                continue
+            assert (out.estimate, out.std_error, out.accepted) == expected
+            accepted += out.accepted
+        assert accepted > 0
+
+    def test_overflowing_response_raises(self):
+        scenario = McarGaussianScenario(
+            beta0=0.0,
+            beta=np.ones(2),
+            noise_sd=0.1,
+            covariates=GaussianParams(np.full(2, 1e308), np.eye(2)),
+            missingness=HomogeneousBernoulli(2, 0.3),
+        )
+        with pytest.raises(ValueError, match="responses must be finite"):
+            bayes_oracle_mc(
+                scenario, np.full(2, 1e308), MissingPattern(0, 2), samples=1000, bandwidth=0.1,
+                rng=np.random.default_rng(3),
+            )
 
 
 class TestPresets:
