@@ -87,6 +87,7 @@ from .solver import (
     conditional_gaussian,
     conditional_mean_map,
     least_squares,
+    lstsq_stack,
     optimum_rows,
 )
 

@@ -21,13 +21,17 @@ class ConfigError(Exception):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object a file holds; any other top level is a config error."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            obj = json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: file not found") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def parse_tau_grid(text: str) -> list:
@@ -174,7 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import ConstantImputeRegression, IterativeImputeRegression, PbpRegression
-from .patterns import MaskedDataset
+from .patterns import MaskedDataset, json_field, json_floats
 from .simulate import LabeledSample
 
 
@@ -32,19 +32,22 @@ def labeled_sample_to_json(sample: LabeledSample) -> dict:
 def dataset_from_json(obj: dict) -> MaskedDataset:
     """Rebuild a dataset; each mask is d characters of 0/1, each values row
     holds d entries, and ``null`` is allowed only at masked cells."""
-    n, d = int(obj["n"]), int(obj["d"])
-    masks = obj["mask"]
+    n, d = json_field(obj, "n", int), json_field(obj, "d", int)
+    masks = json_field(obj, "mask", list)
     for i, row in enumerate(masks):
         if not isinstance(row, str) or len(row) != d or not set(row) <= {"0", "1"}:
             raise ValueError(f"mask of row {i} (counting from 0) is {row!r}, expected {d} characters of 0/1")
     mask = np.array([[c == "1" for c in row] for row in masks], dtype=bool)
     if mask.shape != (n, d):
         raise ValueError(f"mask shape {mask.shape} does not match n={n}, d={d}")
-    cells = obj["values"]
+    cells = json_field(obj, "values", list)
     for i, row in enumerate(cells):
         if not isinstance(row, list) or len(row) != d:
             raise ValueError(f"values row {i} (counting from 0) is {row!r}, expected a list of {d} numbers or nulls")
-    values = np.array([[0.0 if cell is None else float(cell) for cell in row] for row in cells])
+    try:
+        values = np.array([[0.0 if cell is None else float(cell) for cell in row] for row in cells])
+    except TypeError as exc:
+        raise ValueError(f"field 'values': {exc}") from exc
     if values.shape != (n, d):
         raise ValueError(f"values shape {values.shape} does not match n={n}, d={d}")
     for i, j in np.argwhere(~mask):
@@ -52,12 +55,12 @@ def dataset_from_json(obj: dict) -> MaskedDataset:
             raise ValueError(
                 f"value at row {i}, column {j} (counting from 0) is null but its mask marks it observed"
             )
-    return MaskedDataset(values, mask, np.asarray(obj["responses"], dtype=float))
+    return MaskedDataset(values, mask, json_field(obj, "responses", json_floats))
 
 
 def model_from_json(obj: dict):
     """Detect the estimator family from the payload and rebuild it."""
-    kind = obj.get("kind")
+    kind = json_field(obj, "kind", default=None)
     if kind is None and "models" in obj:
         return PbpRegression.from_json(obj)
     if kind == "constant_impute":

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .patterns import MAX_DIMENSION, MissingPattern, pack_mask_rows, unpack_masks
+from .patterns import MAX_DIMENSION, MissingPattern, json_field, json_floats, pack_mask_rows, unpack_masks
 
 ENUMERATION_LIMIT = 20
 
@@ -258,15 +258,16 @@ class UniformPatterns(PatternDistribution):
 
 def explicit_from_json(obj: dict) -> ExplicitPatterns:
     """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}."""
-    d = int(obj["d"])
+    d = json_field(obj, "d", int)
     mapping = {}
-    for entry in obj["patterns"]:
-        pattern = MissingPattern.from_string(entry["mask"])
+    for entry in json_field(obj, "patterns", list):
+        mask = json_field(entry, "mask")
+        pattern = MissingPattern.from_string(mask)
         if pattern.dimension != d:
-            raise ValueError(f"mask {entry['mask']!r} does not have {d} characters")
+            raise ValueError(f"mask {mask!r} does not have {d} characters")
         if pattern in mapping:
-            raise ValueError(f"duplicate mask {entry['mask']!r}")
-        mapping[pattern] = float(entry["p"])
+            raise ValueError(f"duplicate mask {mask!r}")
+        mapping[pattern] = json_field(entry, "p", float)
     return ExplicitPatterns(d, mapping)
 
 
@@ -279,18 +280,16 @@ def explicit_to_json(dist: ExplicitPatterns) -> dict:
 
 def distribution_from_json(obj: dict) -> PatternDistribution:
     """Load any supported family; a bare {"d", "patterns"} object is explicit."""
-    if "patterns" in obj and "kind" not in obj:
-        return explicit_from_json(obj)
-    kind = obj.get("kind")
-    if kind == "explicit":
+    kind = json_field(obj, "kind", default=None)
+    if kind == "explicit" or (kind is None and "patterns" in obj):
         return explicit_from_json(obj)
     if kind == "homogeneous_bernoulli":
-        return HomogeneousBernoulli(int(obj["d"]), float(obj["epsilon"]))
+        return HomogeneousBernoulli(json_field(obj, "d", int), json_field(obj, "epsilon", float))
     if kind == "heterogeneous_bernoulli":
-        return BernoulliPatterns(obj["epsilons"])
+        return BernoulliPatterns(json_field(obj, "epsilons", json_floats))
     if kind == "merge":
-        protocols = [MissingPattern.from_string(s) for s in obj["protocols"]]
-        return MergeModel(protocols, obj["weights"], float(obj["eta"]))
+        protocols = [MissingPattern.from_string(s) for s in json_field(obj, "protocols", list)]
+        return MergeModel(protocols, json_field(obj, "weights", json_floats), json_field(obj, "eta", float))
     if kind == "uniform":
-        return UniformPatterns(int(obj["d"]))
+        return UniformPatterns(json_field(obj, "d", int))
     raise ValueError(f"unknown distribution kind {kind!r}")

@@ -14,8 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .patterns import MaskedDataset, MissingPattern, PatternBank, build_pattern_index, one_row
-from .solver import AffineModel, clip, least_squares
+from .patterns import (
+    MaskedDataset,
+    MissingPattern,
+    PatternBank,
+    json_field,
+    json_floats,
+    key_groups,
+    one_row,
+    unpack_masks,
+)
+from .solver import AffineModel, clip, least_squares, lstsq_stack
 
 
 def default_ball_radius(gamma: float, n: int) -> float:
@@ -97,16 +106,29 @@ class PbpRegression:
     """One affine model per sufficiently frequent pattern; 0 elsewhere.
 
     ``models`` is the bank of kept patterns; read as a Mapping it gives each
-    kept pattern's affine model over its observed coordinates.
+    kept pattern's affine model over its observed coordinates. A fit also
+    stores the packed key and row count of every training pattern, kept or
+    not (a model read from JSON stores none).
     """
 
     models: PatternBank
     config: EstimatorConfig
-    train_frequencies: dict = field(default_factory=dict)
+    seen_keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64), repr=False, compare=False)
+    seen_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64), repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.models.d
+
+    @property
+    def train_frequencies(self) -> dict:
+        """{MissingPattern: empirical frequency} of every training pattern,
+        built on access from the stored counts."""
+        n = int(self.seen_counts.sum())
+        return {
+            MissingPattern(int(key), self.dimension): int(count) / n
+            for key, count in zip(self.seen_keys, self.seen_counts)
+        }
 
     def predict_one(self, x_obs, m: MissingPattern) -> float:
         return float(self.predict_masked(*one_row(x_obs, m))[0])
@@ -128,8 +150,15 @@ class PbpRegression:
     def from_json(cls, obj: dict) -> "PbpRegression":
         if "d" not in obj:
             raise ValueError("per-pattern model payload lacks the field 'd' (the covariate dimension)")
-        config = EstimatorConfig(tau=float(obj["tau"]), clip_level=obj.get("clip"))
-        return cls(models=PatternBank.from_json(int(obj["d"]), obj["models"]), config=config)
+        config = EstimatorConfig(
+            tau=json_field(obj, "tau", float), clip_level=json_field(obj, "clip", float, None)
+        )
+        bank = PatternBank.from_json(json_field(obj, "d", int), json_field(obj, "models", list))
+        return cls(models=bank, config=config)
+
+
+def _affine_from_json(obj) -> AffineModel:
+    return AffineModel(json_field(obj, "intercept", float), json_field(obj, "coef", json_floats))
 
 
 def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
@@ -138,26 +167,49 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     With a ball radius set, each pattern's rows are first restricted to
     those whose observed block stays inside the sup-norm ball; a pattern
     whose filtered subsample is empty keeps an all-zero model.
+
+    Rows are grouped by pattern with array operations, and the kept
+    patterns are bucketed by exact shape (observed count k, row count r),
+    without padding. Each bucket is one ``lstsq_stack`` call on its stack
+    of [block | 1] systems, so every pattern gets the solution, bit for
+    bit, that ``least_squares`` gives its rows (ascending row order).
     """
-    index = build_pattern_index(data)
-    kept = [pattern for pattern, freq in index.frequencies.items() if freq > config.tau]
-    coef = np.zeros((len(kept), data.d))
-    intercepts = np.zeros(len(kept))
-    for i, pattern in enumerate(kept):
-        rows = index.groups[pattern]
-        obs = np.array(pattern.observed_indices, dtype=int)
-        block = data.values[np.ix_(rows, obs)]
-        if config.ball_radius is not None and obs.size:
-            inside = np.abs(block).max(axis=1) <= config.ball_radius
-            rows = rows[inside]
-            block = block[inside]
-        if rows.size:
-            model = least_squares(block, data.responses[rows])
-            intercepts[i] = model.intercept
-            coef[i, obs] = model.coefficients
+    if data.n < 1:
+        raise ValueError("dataset is empty")
+    keys = data.mask_keys()
+    order, starts, counts = key_groups(keys)
+    seen = keys[order[starts]]
+    kept = np.flatnonzero(counts / data.n > config.tau)
+    # the kept slot of each row in sorted order; -1 for a dropped pattern
+    slot = np.full(seen.size, -1)
+    slot[kept] = np.arange(kept.size)
+    slot = np.repeat(slot, counts)
+    use = slot >= 0
+    if config.ball_radius is not None:
+        sup = np.where(data.mask, 0.0, np.abs(data.values)).max(axis=1, initial=0.0)
+        use &= (sup <= config.ball_radius)[order]
+    rows, slot = order[use], slot[use]
+    sizes = np.bincount(slot, minlength=kept.size)
+    offsets = np.cumsum(sizes) - sizes
+    missing = unpack_masks(seen[kept], data.d)
+    n_observed = data.d - missing.sum(axis=1)
+    coef = np.zeros((kept.size, data.d))
+    intercepts = np.zeros(kept.size)
+    solved = np.flatnonzero(sizes)
+    shape_order, shape_starts, shape_counts = key_groups(n_observed[solved] * (data.n + 1) + sizes[solved])
+    for start, count in zip(shape_starts, shape_counts):
+        ids = solved[shape_order[start : start + count]]
+        k, r = n_observed[ids[0]], sizes[ids[0]]
+        obs = np.nonzero(~missing[ids])[1].reshape(ids.size, k)
+        take = rows[offsets[ids][:, None] + np.arange(r)]
+        systems = np.ones((ids.size, r, k + 1))
+        systems[:, :, :k] = data.values[take[:, :, None], obs[:, None, :]]
+        solutions = lstsq_stack(systems, data.responses[take])
+        coef[ids[:, None], obs] = solutions[:, :k]
+        intercepts[ids] = solutions[:, k]
     bank = PatternBank(data.d)
-    bank.add([pattern.bits for pattern in kept], coef, intercepts)
-    return PbpRegression(models=bank, config=config, train_frequencies=dict(index.frequencies))
+    bank.add(seen[kept], coef, intercepts)
+    return PbpRegression(models=bank, config=config, seen_keys=seen, seen_counts=counts)
 
 
 def _zero_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -193,8 +245,7 @@ class ConstantImputeRegression:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantImputeRegression":
-        d = int(obj["d"])
-        return cls(d, AffineModel(float(obj["intercept"]), np.array(obj["coef"], dtype=float)))
+        return cls(json_field(obj, "d", int), _affine_from_json(obj))
 
 
 def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
@@ -300,17 +351,15 @@ class IterativeImputeRegression:
     @classmethod
     def from_json(cls, obj: dict) -> "IterativeImputeRegression":
         models = tuple(
-            None
-            if entry is None
-            else AffineModel(float(entry["intercept"]), np.array(entry["coef"], dtype=float))
-            for entry in obj["column_models"]
+            None if entry is None else _affine_from_json(entry)
+            for entry in json_field(obj, "column_models", list)
         )
         return cls(
-            dimension=int(obj["d"]),
-            column_means=np.array(obj["column_means"], dtype=float),
+            dimension=json_field(obj, "d", int),
+            column_means=json_field(obj, "column_means", json_floats),
             column_models=models,
-            rounds=int(obj["rounds"]),
-            regression=AffineModel(float(obj["intercept"]), np.array(obj["coef"], dtype=float)),
+            rounds=json_field(obj, "rounds", int),
+            regression=_affine_from_json(obj),
         )
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .complexity import pattern_complexity
 from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
+from .patterns import json_field
 from .simulate import NoClosedFormError, Scenario
 
 CSV_HEADER = (
@@ -131,11 +132,11 @@ class EstimatorSpec:
 
 def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
     return EstimatorSpec(
-        kind=obj["kind"],
-        tau_rule=obj.get("tau"),
-        rounds=int(obj.get("rounds", 10)),
-        clip_level=obj.get("clip"),
-        ball_radius=obj.get("ball_radius"),
+        kind=json_field(obj, "kind"),
+        tau_rule=json_field(obj, "tau", default=None),
+        rounds=json_field(obj, "rounds", int, 10),
+        clip_level=json_field(obj, "clip", float, None),
+        ball_radius=json_field(obj, "ball_radius", float, None),
     )
 
 
@@ -166,13 +167,13 @@ def experiment_config_from_json(obj: dict) -> ExperimentConfig:
     from .simulate import scenario_from_json
 
     return ExperimentConfig(
-        scenario=scenario_from_json(obj["scenario"]),
-        estimators=tuple(estimator_spec_from_json(e) for e in obj["estimators"]),
-        n_grid=tuple(obj["n_grid"]),
-        repetitions=int(obj["repetitions"]),
-        n_test=int(obj.get("n_test", 10_000)),
-        seed=int(obj.get("seed", 0)),
-        record_timings=bool(obj.get("record_timings", True)),
+        scenario=scenario_from_json(json_field(obj, "scenario", dict)),
+        estimators=tuple(estimator_spec_from_json(e) for e in json_field(obj, "estimators", list)),
+        n_grid=json_field(obj, "n_grid", lambda grid: tuple(int(n) for n in grid)),
+        repetitions=json_field(obj, "repetitions", int),
+        n_test=json_field(obj, "n_test", int, 10_000),
+        seed=json_field(obj, "seed", int, 0),
+        record_timings=json_field(obj, "record_timings", bool, True),
     )
 
 

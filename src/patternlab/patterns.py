@@ -12,6 +12,44 @@ from .solver import AffineModel
 
 MAX_DIMENSION = 63
 
+_REQUIRED = object()
+
+
+def json_field(obj, name: str, convert=None, default=_REQUIRED):
+    """Field ``name`` of the JSON object ``obj``, passed through ``convert``.
+
+    ``convert`` is ``list`` or ``dict`` (the value must be a JSON array or
+    object) or a callable such as ``float``. A field that is absent or null
+    takes ``default`` when one is given. An ``obj`` that is not an object, a
+    missing field without a default, and a value that ``convert`` rejects
+    are each a ValueError naming the field; the readers of every JSON input
+    go through here, so a malformed file is never reported as a KeyError or
+    TypeError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object holding the field {name!r}, got {type(obj).__name__}")
+    value = obj.get(name)
+    if value is None and default is not _REQUIRED:
+        return default
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    if convert in (list, dict):
+        if not isinstance(value, convert):
+            wanted = "an array" if convert is list else "an object"
+            raise ValueError(f"field {name!r} must be {wanted}, got {type(value).__name__}")
+        return value
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+
+
+def json_floats(value) -> np.ndarray:
+    """A JSON number or nested array of numbers as a float array."""
+    return np.asarray(value, dtype=float)
+
 
 class MaskedReadError(RuntimeError):
     """A value cell flagged as missing was read."""
@@ -46,7 +84,7 @@ class MissingPattern:
     @classmethod
     def from_string(cls, text: str) -> "MissingPattern":
         """Parse a mask string such as "0110"; the leftmost character is coordinate 1."""
-        if not text or set(text) - {"0", "1"}:
+        if not isinstance(text, str) or not text or set(text) - {"0", "1"}:
             raise ValueError(f"mask string must be a nonempty run of 0/1, got {text!r}")
         return cls.from_bools(c == "1" for c in text)
 
@@ -109,13 +147,22 @@ def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
     return values, mask
 
 
+def key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, counts) of a key array: its stable argsort, and for
+    each distinct key, ascending, the offset of its run in ``order`` and the
+    run's length. Each run lists the key's rows in ascending order."""
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    boundaries = np.flatnonzero(np.diff(keys[order])) + 1
+    starts = np.concatenate([[0], boundaries]) if keys.size else boundaries
+    return order, starts, np.diff(np.append(starts, keys.size))
+
+
 def group_rows_by_key(keys: np.ndarray) -> list:
     """(key, ascending row indices) pairs, keys ascending; one sort, no scans."""
     keys = np.asarray(keys)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    return [(int(keys[chunk[0]]), chunk) for chunk in np.split(order, boundaries)]
+    order, starts, _ = key_groups(keys)
+    return [(int(keys[chunk[0]]), chunk) for chunk in np.split(order, starts[1:])]
 
 
 class MaskedDataset:
@@ -315,14 +362,15 @@ class PatternBank(Mapping):
         coef = np.zeros((len(entries), bank.d))
         intercepts = np.zeros(len(entries))
         for i, entry in enumerate(entries):
-            m = MissingPattern.from_string(entry["mask"])
+            mask = json_field(entry, "mask")
+            m = MissingPattern.from_string(mask)
             if m.dimension != bank.d:
-                raise ValueError(f"mask {entry['mask']!r} does not have {bank.d} characters")
-            row = np.asarray(entry["coef"], dtype=float)
+                raise ValueError(f"mask {mask!r} does not have {bank.d} characters")
+            row = json_field(entry, "coef", json_floats)
             if row.shape != (m.n_observed,):
-                raise ValueError(f"mask {entry['mask']!r} needs {m.n_observed} coefficients, got {row.size}")
+                raise ValueError(f"mask {mask!r} needs {m.n_observed} coefficients, got {row.size}")
             keys.append(m.bits)
             coef[i, list(m.observed_indices)] = row
-            intercepts[i] = float(entry["intercept"])
+            intercepts[i] = json_field(entry, "intercept", float)
         bank.add(keys, coef, intercepts)
         return bank

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MergeModel, PatternDistribution
-from .patterns import MaskedDataset, MissingPattern, PatternBank, one_row, pack_mask_rows, unpack_masks
+from .patterns import (
+    MaskedDataset,
+    MissingPattern,
+    PatternBank,
+    json_field,
+    json_floats,
+    one_row,
+    pack_mask_rows,
+    unpack_masks,
+)
 from .solver import AffineModel, GaussianParams, optimum_rows, rows_product
 
 
@@ -515,56 +524,53 @@ def preset(name: str):
     raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
 
 
+def _gaussian_from_json(obj) -> GaussianParams:
+    return GaussianParams(json_field(obj, "mu", json_floats), json_field(obj, "cov", json_floats))
+
+
 def scenario_from_json(obj: dict) -> Scenario:
     """Build a scenario from its JSON description or a {"preset": name} reference."""
-    if "preset" in obj:
-        built = preset(obj["preset"])
+    name = json_field(obj, "preset", default=None)
+    if name is not None:
+        built = preset(name)
         if not isinstance(built, Scenario):
-            raise ValueError(f"preset {obj['preset']!r} is a pattern law, not a scenario")
+            raise ValueError(f"preset {name!r} is a pattern law, not a scenario")
         return built
-    kind = obj.get("kind")
-    d = int(obj["d"])
-    beta0 = float(obj["beta0"])
-    beta = np.asarray(obj["beta"], dtype=float)
-    sigma = float(obj["sigma"])
+    kind = json_field(obj, "kind", default=None)
+    d = json_field(obj, "d", int)
+    beta0 = json_field(obj, "beta0", float)
+    beta = json_field(obj, "beta", json_floats)
+    sigma = json_field(obj, "sigma", float)
     if beta.shape != (d,):
         raise ValueError(f"beta must have length {d}")
-    name = obj.get("name", kind)
+    name = json_field(obj, "name", default=kind)
     if kind == "mcar_gaussian":
         from .distributions import distribution_from_json
 
-        params = GaussianParams(np.asarray(obj["mu"], dtype=float), np.asarray(obj["cov"], dtype=float))
-        return McarGaussianScenario(
-            beta0, beta, sigma, params, distribution_from_json(obj["missingness"]), name=name
-        )
+        missingness = distribution_from_json(json_field(obj, "missingness", dict))
+        return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), missingness, name=name)
     if kind == "mar_block":
-        return MarBlockScenario(beta0, beta, sigma, np.asarray(obj["block_cov"], dtype=float), name=name)
+        return MarBlockScenario(beta0, beta, sigma, json_field(obj, "block_cov", json_floats), name=name)
     if kind == "gpmm":
         components = [
-            (
-                float(c["p"]),
-                MissingPattern.from_string(c["mask"]),
-                GaussianParams(np.asarray(c["mu"], dtype=float), np.asarray(c["cov"], dtype=float)),
-            )
-            for c in obj["components"]
+            (json_field(c, "p", float), MissingPattern.from_string(json_field(c, "mask")), _gaussian_from_json(c))
+            for c in json_field(obj, "components", list)
         ]
         return GpmmScenario(beta0, beta, sigma, components, name=name)
     if kind == "self_masking":
-        params = GaussianParams(np.asarray(obj["mu"], dtype=float), np.asarray(obj["cov"], dtype=float))
         return SelfMaskingScenario(
             beta0,
             beta,
             sigma,
-            params,
-            mask_center=obj["mask_center"],
-            mask_scale=obj["mask_scale"],
-            mask_peak_prob=obj.get("mask_peak_prob", 0.5),
+            _gaussian_from_json(obj),
+            mask_center=json_field(obj, "mask_center", json_floats),
+            mask_scale=json_field(obj, "mask_scale", json_floats),
+            mask_peak_prob=json_field(obj, "mask_peak_prob", json_floats, 0.5),
             name=name,
         )
     if kind == "merge":
-        params = GaussianParams(np.asarray(obj["mu"], dtype=float), np.asarray(obj["cov"], dtype=float))
-        protocols = [MissingPattern.from_string(s) for s in obj["protocols"]]
-        return merge_scenario(
-            beta0, beta, sigma, params, protocols, obj["weights"], float(obj["eta"]), name=name
-        )
+        protocols = [MissingPattern.from_string(s) for s in json_field(obj, "protocols", list)]
+        weights = json_field(obj, "weights", json_floats)
+        eta = json_field(obj, "eta", float)
+        return merge_scenario(beta0, beta, sigma, _gaussian_from_json(obj), protocols, weights, eta, name=name)
     raise ValueError(f"unknown scenario kind {kind!r}")

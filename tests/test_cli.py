@@ -305,3 +305,49 @@ class TestModuleEntryPoint:
         done = run_module("--help", cwd=tmp_path)
         assert done.returncode == 0
         assert done.stdout.startswith("usage: patternlab")
+
+
+class TestMalformedInputs:
+    """Inputs of the right JSON syntax but the wrong shape exit 2 with a
+    message naming the file or the field."""
+
+    @pytest.fixture()
+    def list_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        return path
+
+    def test_gen_scenario_not_an_object(self, tmp_path, list_file, capsys):
+        out = tmp_path / "d.json"
+        assert main(["gen", "--scenario", str(list_file), "--n", "10", "--seed", "1", "--out", str(out)]) == 2
+        assert f"{list_file}: the top level must be a JSON object" in capsys.readouterr().err
+
+    def test_eval_model_not_an_object(self, tmp_path, list_file, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "mcar_a"}))
+        assert main(["eval", "--model", str(list_file), "--scenario", str(scenario), "--seed", "1"]) == 2
+        assert f"{list_file}: the top level must be a JSON object" in capsys.readouterr().err
+
+    @staticmethod
+    def bench_error(tmp_path, capsys, config) -> str:
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        return capsys.readouterr().err
+
+    def test_bench_config_without_scenario(self, tmp_path, capsys):
+        config = {"estimators": [{"kind": "pbp", "tau": "d_over_n"}], "n_grid": [100], "repetitions": 1}
+        assert "missing field 'scenario'" in self.bench_error(tmp_path, capsys, config)
+
+    def test_scenario_without_covariance(self, tmp_path, tiny_scenario_file, capsys):
+        scenario = json.loads(tiny_scenario_file.read_text())
+        del scenario["cov"]
+        config = {"scenario": scenario, "estimators": [{"kind": "cst_impute_lr"}], "n_grid": [100]}
+        config["repetitions"] = 1
+        assert "missing field 'cov'" in self.bench_error(tmp_path, capsys, config)
+
+    def test_n_grid_not_an_array(self, tmp_path, capsys):
+        config = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "cst_impute_lr"}], "n_grid": 100}
+        config["repetitions"] = 1
+        assert "field 'n_grid'" in self.bench_error(tmp_path, capsys, config)

@@ -12,6 +12,7 @@ from patternlab import (
     PbpRegression,
     ConstantImputeRegression,
     IterativeImputeRegression,
+    build_pattern_index,
     default_ball_radius,
     excess_risk,
     fit_constant_impute,
@@ -21,6 +22,7 @@ from patternlab import (
     preset,
     theory_config,
 )
+from patternlab.patterns import group_rows_by_key
 
 
 def linear_dataset(rng, n, d, beta0, beta, noise_sd, miss_rate):
@@ -243,6 +245,136 @@ class TestPbpProperties:
         again = PbpRegression.from_json(json.loads(json.dumps(payload)))
         assert again.to_json() == payload
         assert again.dimension == fit.dimension
+        assert np.array_equal(again.predict_masked(values, mask), fit.predict_masked(values, mask))
+
+
+def per_pattern_fit(data, config):
+    """{pattern: (intercept, coefficients)} of the kept patterns, one
+    ``least_squares`` call per pattern on its rows in ascending order."""
+    out = {}
+    for key, rows in group_rows_by_key(data.mask_keys()):
+        if not rows.size / data.n > config.tau:
+            continue
+        pattern = MissingPattern(key, data.d)
+        obs = np.array(pattern.observed_indices, dtype=int)
+        block = data.values[np.ix_(rows, obs)]
+        if config.ball_radius is not None and obs.size:
+            inside = np.abs(block).max(axis=1) <= config.ball_radius
+            rows, block = rows[inside], block[inside]
+        if rows.size:
+            model = least_squares(block, data.responses[rows])
+            out[pattern] = (model.intercept, model.coefficients)
+        else:
+            out[pattern] = (0.0, np.zeros(obs.size))
+    return out
+
+
+def assert_fit_matches_per_pattern(data, config):
+    fit = fit_pbp(data, config)
+    expected = per_pattern_fit(data, config)
+    assert set(fit.models) == set(expected)
+    for pattern, (intercept, coefficients) in expected.items():
+        model = fit.models[pattern]
+        assert np.array_equal(model.intercept, intercept)
+        assert np.array_equal(model.coefficients, coefficients)
+    assert fit.train_frequencies == build_pattern_index(data).frequencies
+    return fit
+
+
+class TestStackedFit:
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 70),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["independent", "ones", "integer_loadings"]),
+        st.integers(0, 3),
+        st.sampled_from([0.0, 0.02, 0.1, 1.0]),
+        st.sampled_from([None, 0.8, 2.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_pattern_least_squares_bit_for_bit(self, d, n, seed, columns, all_missing, tau, radius):
+        rng = np.random.default_rng(seed)
+        if columns == "ones":  # every column equal, as in the rank-one gpmm_c component
+            values = np.repeat(rng.normal(size=(n, 1)), d, axis=1)
+        elif columns == "integer_loadings":
+            values = rng.normal(size=(n, 2)) @ rng.integers(-1, 2, size=(2, d)).astype(float)
+        else:
+            values = rng.normal(size=(n, d))
+        values *= rng.choice([1.0, 5.0], size=(n, 1))  # rows a ball filter drops
+        mask = rng.random((n, d)) < rng.uniform(0.1, 0.6)
+        mask[: min(all_missing, n)] = True
+        responses = 0.3 + values @ rng.normal(size=d) + rng.normal(size=n)
+        data = MaskedDataset(values, mask, responses)
+        assert_fit_matches_per_pattern(data, EstimatorConfig(tau=tau, ball_radius=radius))
+
+    def test_edge_patterns(self):
+        # all-missing (2 rows), a one-row pattern, two patterns of 3 rows
+        # with different observed counts, two equal columns, and a pattern
+        # whose rows all leave the ball
+        masks = ["111", "111", "010", "000", "000", "000", "100", "100", "100", "001", "001"]
+        mask = np.array([[c == "1" for c in row] for row in masks])
+        values = np.array(
+            [[0, 0, 0], [0, 0, 0], [0.5, 0, 0.2], [1, 1, 0.3], [2, 2, -0.1], [-1, -1, 0.4],
+             [0, 0.1, 0.2], [0, 0.3, -0.5], [0, -0.2, 0.6], [9.0, 8.0, 0], [-7.0, 9.0, 0]]
+        )
+        data = MaskedDataset(values, mask, np.arange(11.0))
+        fit = assert_fit_matches_per_pattern(data, EstimatorConfig(tau=0.0, ball_radius=2.5))
+        assert len(fit.models) == 5
+        empty = fit.models[MissingPattern.from_string("001")]
+        assert empty.intercept == 0.0 and not empty.coefficients.any()
+        assert fit.models[MissingPattern.from_string("111")].intercept == pytest.approx(0.5)
+        assert_fit_matches_per_pattern(data, EstimatorConfig(tau=1 / 11))
+
+    def test_empty_dataset_rejected(self):
+        data = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0))
+        with pytest.raises(ValueError, match="empty"):
+            fit_pbp(data, EstimatorConfig())
+
+
+def _baseline_case(kind, d, n, seed, never_observed):
+    """A fitted imputation baseline on n random rows (column 0 masked
+    throughout when ``never_observed``) and 30 probe rows."""
+    rng = np.random.default_rng(seed)
+    data, _ = linear_dataset(rng, n, d, 0.3, rng.normal(size=d), 0.5, 0.3)
+    if never_observed:
+        mask = data.mask.copy()
+        mask[:, 0] = True
+        data = MaskedDataset(np.where(mask, 0.0, data.values), mask, data.responses)
+    fit = fit_constant_impute(data) if kind == "constant" else fit_iterative_impute(data, rounds=3)
+    return fit, rng.normal(size=(30, d)) * 2.0, rng.random((30, d)) < 0.4
+
+
+baseline_cases = st.tuples(
+    st.sampled_from(["constant", "iterative"]),
+    st.integers(1, 5),
+    st.integers(2, 60),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+
+
+class TestImputationBaselineProperties:
+    @given(baseline_cases)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_single_rows(self, case):
+        fit, values, mask = _baseline_case(*case)
+        batch = fit.predict_masked(values, mask)
+        # the rounding scale of the final regression, whose coefficients
+        # reach 1e6 on nearly collinear imputed columns
+        filled = np.where(mask, 0.0, values)
+        features = fit.complete(filled, mask) if case[0] == "iterative" else np.hstack([filled, mask])
+        scale = 1.0 + abs(fit.regression.intercept) + np.abs(features) @ np.abs(fit.regression.coefficients)
+        for i in range(values.shape[0]):
+            single = fit.predict_one(values[i][~mask[i]], MissingPattern.from_bools(mask[i]))
+            assert abs(batch[i] - single) <= 1e-12 * scale[i]
+
+    @given(baseline_cases)
+    @settings(max_examples=40, deadline=None)
+    def test_json_round_trip_is_identity(self, case):
+        fit, values, mask = _baseline_case(*case)
+        payload = fit.to_json()
+        again = type(fit).from_json(json.loads(json.dumps(payload)))
+        assert again.to_json() == payload
         assert np.array_equal(again.predict_masked(values, mask), fit.predict_masked(values, mask))
 
 

@@ -13,7 +13,8 @@ from patternlab import (
     optimum_rows,
     paired_block_covariance,
 )
-from patternlab.solver import CONDITIONING_CHUNK
+from patternlab import solver
+from patternlab.solver import CONDITIONING_CHUNK, PRECISION_MAX_CONDITION, lstsq_stack
 
 
 def pseudoinverse_solution_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -240,6 +241,100 @@ class TestOptimumRows:
             optimum_rows(params, 0.0, np.ones(3), np.zeros((1, 2), dtype=bool))
         with pytest.raises(ValueError):
             optimum_rows(params, 0.0, np.ones(2), np.zeros((1, 3), dtype=bool))
+
+
+def spd_with_condition(rng, d, kappa):
+    """A random SPD covariance whose eigenvalues run geometrically from 1 to kappa."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = (basis * np.geomspace(1.0, kappa, d)) @ basis.T
+    return (cov + cov.T) / 2.0
+
+
+def routes_taken(monkeypatch):
+    """Counts of stacked eigendecompositions (the pseudoinverse route) and of
+    stacked solves (the precision route) made by ``optimum_rows``."""
+    calls = {"pinv": 0, "solve": 0}
+    pinv_apply, solve = solver._pinv_apply, np.linalg.solve
+
+    def counting_pinv(*args):
+        calls["pinv"] += 1
+        return pinv_apply(*args)
+
+    def counting_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "_pinv_apply", counting_pinv)
+    monkeypatch.setattr(solver.np.linalg, "solve", counting_solve)
+    return calls
+
+
+class TestPrecisionRoute:
+    @given(st.integers(1, 20), st.floats(0.0, 2.0), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_well_conditioned_rows_equal_per_pattern_maps(self, d, log_kappa, count, seed):
+        rng = np.random.default_rng(seed)
+        params = GaussianParams(rng.normal(size=d), spd_with_condition(rng, d, 10.0**log_kappa))
+        beta = rng.normal(size=d)
+        missing = rng.random((count + 2, d)) < rng.random()
+        missing[0], missing[1] = False, True  # k = d and k = 0
+        got = optimum_rows(params, 0.7, beta, missing)
+        assert_rows_match(got, per_pattern_rows(params, 0.7, beta, missing))
+        assert (got[0][missing] == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "kappa,route", [(PRECISION_MAX_CONDITION * 0.99, "solve"), (PRECISION_MAX_CONDITION * 1.01, "pinv")]
+    )
+    def test_condition_number_picks_the_route(self, monkeypatch, kappa, route):
+        rng = np.random.default_rng(17)
+        d = 12
+        params = GaussianParams(rng.normal(size=d), spd_with_condition(rng, d, kappa))
+        assert params.condition_number == pytest.approx(kappa, rel=1e-9)
+        beta = rng.normal(size=d)
+        missing = rng.random((200, d)) < 0.3
+        calls = routes_taken(monkeypatch)
+        got = optimum_rows(params, -1.0, beta, missing)
+        assert calls[route] > 0 and calls["solve" if route == "pinv" else "pinv"] == 0
+        assert_rows_match(got, per_pattern_rows(params, -1.0, beta, missing))
+
+    def test_singular_covariance_takes_the_pseudoinverse_route(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        d = 20
+        params = GaussianParams(rng.normal(size=d), paired_block_covariance(d))
+        assert params.condition_number == np.inf
+        beta = rng.normal(size=d)
+        count = 2 * CONDITIONING_CHUNK + 5
+        missing = rng.permuted(np.tile(np.arange(d) < 10, (count, 1)), axis=1)
+        calls = routes_taken(monkeypatch)
+        got = optimum_rows(params, 0.4, beta, missing)
+        assert calls == {"pinv": 3, "solve": 0}
+        assert_rows_match(got, per_pattern_rows(params, 0.4, beta, missing))
+
+    def test_condition_numbers(self):
+        assert GaussianParams(np.zeros(3), np.eye(3)).condition_number == 1.0
+        assert GaussianParams(np.zeros(2), np.ones((2, 2))).condition_number == np.inf
+        assert GaussianParams(np.zeros(20), ar_covariance(20)).condition_number == pytest.approx(8.6, abs=0.05)
+
+
+class TestLstsqStack:
+    def test_bit_identical_to_numpy_lstsq_on_rank_deficient_systems(self):
+        rng = np.random.default_rng(8)
+        for rows, cols in [(1, 4), (3, 3), (6, 4), (9, 7), (40, 9)]:
+            rank = max(1, min(rows, cols) - 2)
+            systems = rng.normal(size=(5, rows, rank)) @ rng.normal(size=(5, rank, cols))
+            systems[0, :, -1] = systems[0, :, 0]  # a duplicated column
+            systems[1] = 1.0  # rank one
+            targets = rng.normal(size=(5, rows))
+            got = lstsq_stack(systems, targets)
+            for system, target, solution in zip(systems, targets, got):
+                assert np.array_equal(solution, np.linalg.lstsq(system, target, rcond=None)[0])
+
+    def test_non_convergence_raises_like_numpy(self):
+        system = np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(system, np.ones(3), rcond=None)
+        with pytest.raises(np.linalg.LinAlgError):
+            lstsq_stack(system[None], np.ones((1, 3)))
 
 
 class TestGaussianParams:
