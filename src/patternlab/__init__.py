@@ -58,7 +58,6 @@ from .harness import (
 )
 from .patterns import (
     MaskedDataset,
-    MaskedReadError,
     MissingPattern,
     PatternBank,
     PatternIndex,
@@ -84,7 +83,6 @@ from .solver import (
     AffineModel,
     GaussianParams,
     clip,
-    conditional_gaussian,
     conditional_mean_map,
     least_squares,
     lstsq_stack,

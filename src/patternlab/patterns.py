@@ -51,10 +51,6 @@ def json_floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-class MaskedReadError(RuntimeError):
-    """A value cell flagged as missing was read."""
-
-
 @dataclass(frozen=True)
 class MissingPattern:
     """A d-bit missingness mask. Bit j set means coordinate j is missing.
@@ -169,9 +165,8 @@ class MaskedDataset:
     """n rows of covariates with a missingness mask and a response.
 
     Observed cells and responses must be finite. Masked cells of ``values``
-    hold NaN as a sentinel and must never be read; ``value_at`` raises on
-    such reads and per-row access goes through ``observed_values``. All
-    arrays are frozen after construction.
+    hold NaN as a sentinel, and per-row access goes through
+    ``observed_values``. All arrays are frozen after construction.
     """
 
     def __init__(self, values, mask, responses):
@@ -226,11 +221,6 @@ class MaskedDataset:
 
     def mask_keys(self) -> np.ndarray:
         return pack_mask_rows(self._mask)
-
-    def value_at(self, i: int, j: int) -> float:
-        if self._mask[i, j]:
-            raise MaskedReadError(f"cell ({i}, {j}) is masked")
-        return float(self._values[i, j])
 
     def observed_values(self, i: int) -> np.ndarray:
         """Values of row i at its observed coordinates, ascending coordinate order."""

@@ -18,6 +18,7 @@ an affine model; self-masking only admits the sampling oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .patterns import (
     pack_mask_rows,
     unpack_masks,
 )
-from .solver import AffineModel, GaussianParams, optimum_rows, rows_product
+from .solver import AffineModel, GaussianParams, optimum_rows
 
 
 class NoClosedFormError(RuntimeError):
@@ -61,11 +62,12 @@ class LabeledSample:
 class Scenario:
     """Base class; subclasses implement drawing and per-pattern optima.
 
-    Each subclass writes its random-number sequence once, in ``_draw``.
-    Given a pattern, the draw makes the same generator calls, with the same
-    shapes and in the same order, and transforms only the draws whose
-    pattern it is: the sampling oracle reads that form, ``generate`` the
-    full one, and the two agree bit for bit on every shared row.
+    Two draws read the same law. ``_draw`` is the joint draw that
+    ``generate`` makes: covariates and mask of every row. ``_draw_pattern``
+    is what the sampling oracle reads: only the rows of one pattern among n
+    joint draws, drawn pattern-first from P(M = m) and the law of X given
+    M = m where the scenario's generative law allows it. The two agree in
+    distribution, not in their random-number streams.
     """
 
     has_closed_form = True
@@ -90,18 +92,17 @@ class Scenario:
     def d(self) -> int:
         return self.beta.size
 
-    def _draw(
-        self, n: int, rng: np.random.Generator, m: MissingPattern | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n rows of covariates and masks: (values, mask), both (n, d).
-
-        With a pattern m, the random numbers drawn are the same, and the
-        result is (rows, values): the ascending indices of the draws whose
-        pattern is m and their full covariates, each row bitwise equal to
-        its row of the full draw. Nothing is computed for the other rows
-        beyond what deciding their pattern takes.
-        """
+    def _draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw n rows of covariates and masks: (values, mask), both (n, d)."""
         raise NotImplementedError
+
+    def _draw_pattern(self, n: int, rng: np.random.Generator, m: MissingPattern) -> np.ndarray:
+        """The full covariates, (c, d), of the draws whose pattern is m among
+        n joint draws, with c Binomial(n, P(M = m)). This base version makes
+        the joint draw and filters it; subclasses whose law is pattern-first,
+        or can be read that way, draw c and then only those c rows."""
+        values, mask = self._draw(n, rng)
+        return values[pack_mask_rows(mask) == m.bits]
 
     def _optimum_rows(self, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimum predictors of the patterns in the (P, d) boolean matrix
@@ -175,12 +176,14 @@ class McarGaussianScenario(Scenario):
         self.covariates = covariates
         self.missingness = missingness
 
-    def _draw(self, n, rng, m=None):
-        z = rng.standard_normal((n, self.d))
-        keys = self.missingness.sample_masks(rng, n)
-        rows = slice(None) if m is None else np.flatnonzero(keys == m.bits)
-        values = self.covariates.mean + rows_product(z, rows, self.covariates.factor.T)
-        return (values, unpack_masks(keys, self.d)) if m is None else (rows, values)
+    def _draw(self, n, rng):
+        values = self.covariates.sample(rng, n)
+        return values, unpack_masks(self.missingness.sample_masks(rng, n), self.d)
+
+    def _draw_pattern(self, n, rng, m):
+        # the mask is independent of the values: count the pattern's draws,
+        # then draw only their covariates
+        return self.covariates.sample(rng, rng.binomial(n, self.missingness.probability(m)))
 
     def _optimum_rows(self, missing):
         return optimum_rows(self.covariates, self.beta0, self.beta, missing)
@@ -221,19 +224,27 @@ class MarBlockScenario(Scenario):
         self._block2 = GaussianParams(np.zeros(k), cov)
         self.block_cov = self._block2.covariance
 
-    def _draw(self, n, rng, m=None):
+    def _draw(self, n, rng):
         k = self.block_size
         block1 = rng.standard_normal((n, k))
         mask2 = block1 > 0.0
-        noise2 = rng.standard_normal((n, k))
-        # block 1 is never missing, so a row's key is block 2's shifted by k
-        # and a pattern with a missing block-1 coordinate matches no row
-        rows = slice(None) if m is None else np.flatnonzero(pack_mask_rows(mask2) << k == m.bits)
-        block2 = mask2[rows].astype(float) + rows_product(noise2, rows, self._block2.factor.T)
-        values = np.hstack([block1[rows], block2])
-        if m is not None:
-            return rows, values
-        return values, np.hstack([np.zeros((n, k), dtype=bool), mask2])
+        block2 = mask2.astype(float) + rng.standard_normal((n, k)) @ self._block2.factor.T
+        return np.hstack([block1, block2]), np.hstack([np.zeros((n, k), dtype=bool), mask2])
+
+    def _draw_pattern(self, n, rng, m):
+        k = self.block_size
+        missing = unpack_masks(np.array([m.bits]), self.d)[0]
+        if missing[:k].any():
+            # block 1 is never missing
+            return np.empty((0, self.d))
+        # each of block 1's k independent signs is positive with probability
+        # 1/2, and the signs fix block 2's mask: draw the count, then block 1
+        # as |N(0, 1)| signed by the mask, then block 2 around its mask
+        mask2 = missing[k:]
+        count = rng.binomial(n, 0.5**k)
+        block1 = np.abs(rng.standard_normal((count, k))) * np.where(mask2, 1.0, -1.0)
+        block2 = mask2.astype(float) + rng.standard_normal((count, k)) @ self._block2.factor.T
+        return np.hstack([block1, block2])
 
     def _optimum_rows(self, missing):
         k = self.block_size
@@ -278,29 +289,24 @@ class GpmmScenario(Scenario):
     def pattern_probabilities(self) -> dict:
         return {pattern: prob for prob, pattern, _ in self.components}
 
-    def _draw(self, n, rng, m=None):
+    def _draw(self, n, rng):
         choice = np.searchsorted(self._cumulative, rng.random(n), side="right")
         choice = np.minimum(choice, len(self.components) - 1)
         z = rng.standard_normal((n, self.d))
-
-        def component(idx):
-            params = self.components[idx][2]
-            rows = np.flatnonzero(choice == idx)
-            return rows, params.mean + z[rows] @ params.factor.T
-
-        if m is not None:
-            # each pattern belongs to one component; one outside the mixture has no rows
-            for idx, (_, pattern, _) in enumerate(self.components):
-                if pattern == m:
-                    return component(idx)
-            return np.empty(0, dtype=np.intp), np.empty((0, self.d))
         values = np.empty((n, self.d))
         keys = np.empty(n, dtype=np.int64)
-        for idx, (_, pattern, _) in enumerate(self.components):
-            rows, block = component(idx)
-            values[rows] = block
+        for idx, (_, pattern, params) in enumerate(self.components):
+            rows = np.flatnonzero(choice == idx)
+            values[rows] = params.mean + z[rows] @ params.factor.T
             keys[rows] = pattern.bits
         return values, unpack_masks(keys, self.d)
+
+    def _draw_pattern(self, n, rng, m):
+        # each pattern belongs to one component; one outside the mixture has no rows
+        for prob, pattern, params in self.components:
+            if pattern == m:
+                return params.sample(rng, rng.binomial(n, prob))
+        return np.empty((0, self.d))
 
     def _optimum_rows(self, missing):
         keys = pack_mask_rows(missing)
@@ -352,17 +358,13 @@ class SelfMaskingScenario(Scenario):
         self.mask_scale = scale
         self.mask_peak_prob = peak
 
-    def _draw(self, n, rng, m=None):
-        # the mask depends on the values, so every row is transformed
+    def _draw(self, n, rng):
+        # the mask depends on the values, so the oracle filters this joint draw
         values = self.covariates.sample(rng, n)
         probs = self.mask_peak_prob * np.exp(
             -0.5 * ((values - self.mask_center) / self.mask_scale) ** 2
         )
-        mask = rng.random((n, self.d)) < probs
-        if m is None:
-            return values, mask
-        rows = np.flatnonzero(pack_mask_rows(mask) == m.bits)
-        return rows, values[rows]
+        return values, rng.random((n, self.d)) < probs
 
     def _optimum_rows(self, missing):
         raise NoClosedFormError(f"{self.name}: no exact per-pattern predictor; use bayes_oracle_mc")
@@ -384,20 +386,29 @@ def bayes_oracle_mc(
     rng: np.random.Generator | None = None,
     min_accepted: int = 50,
 ) -> OracleEstimate:
-    """Sampling estimate of E[Y | observed values near x_obs, pattern m].
+    """Sampling estimate of E[Y | observed values x_obs, pattern m].
 
-    Draws labeled rows from the scenario and keeps those whose pattern is m
-    and whose observed block lies within ``bandwidth`` of the probe in
-    sup-norm; returns the mean response over the kept rows. The answer
-    carries a bias of order the bandwidth on top of the reported standard
-    error. Intended as a test oracle, not a production predictor.
+    Out of ``samples`` joint draws of the scenario, keeps the labeled rows
+    whose pattern is m and whose observed block lies within ``bandwidth``
+    of the probe in sup-norm, and regresses their responses on
+    ``[1, x_obs_row - x_obs]`` by minimum-norm least squares (a local-linear
+    fit). The estimate is the intercept, and its standard error is the OLS
+    one, s^2 [(X^T X)^+]_00 with s^2 on accepted - rank degrees of freedom.
+    A regression function affine in the observed values within the pattern
+    (every scenario with a closed form) is estimated without bias whatever
+    part of the window the draws can reach; curvature, as in self-masking,
+    still biases it by O(bandwidth^2). With no observed coordinate the
+    estimate is the kept responses' mean, with standard error
+    std(ddof=1) / sqrt(accepted). Intended as a test oracle, not a
+    production predictor.
 
-    The random stream is the one ``generate`` reads, chunk by chunk: the
-    scenario's draw, then the response noise. Only the draws whose pattern
-    is m are transformed, and the kept responses are bitwise those of
-    ``generate``, so the estimate does not depend on this shortcut. A
+    The oracle reads only the generative law: each chunk of at most 250,000
+    joint draws yields the draws of pattern m through the scenario's
+    ``_draw_pattern``, and response noise is drawn for those rows only. A
     non-finite observed value of such a draw, or a non-finite kept
-    response, raises ``ValueError`` as a ``MaskedDataset`` would.
+    response, raises ``ValueError`` as a ``MaskedDataset`` would. Too few
+    kept rows, or no more than the local fit's rank, raise
+    ``InsufficientSamplesError``.
     """
     if rng is None:
         raise ValueError("pass an explicit generator so oracle runs are reproducible")
@@ -406,49 +417,73 @@ def bayes_oracle_mc(
     x_obs = np.asarray(x_obs, dtype=float)
     if x_obs.shape != (m.n_observed,):
         raise ValueError("x_obs does not match the pattern's observed coordinates")
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    if not np.isfinite(x_obs).all():
+        raise ValueError("x_obs must be finite (no NaN or infinity)")
+    if not bandwidth > 0.0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    try:
+        remaining = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer number of draws, got {samples!r}") from None
+    if remaining < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     obs = np.array(m.observed_indices, dtype=int)
-    kept = []
-    remaining = int(samples)
-    chunk_size = 250_000
-    # gemv sums a row in an order that depends on where the row sits in the
-    # matrix, so kept rows go back to their places in a zero matrix of the
-    # chunk's shape, as in generate's product, and are cleared after use
-    placed = np.zeros((chunk_size, scenario.d))
+    offsets, responses = [], []
     while remaining > 0:
-        chunk = min(chunk_size, remaining)
+        chunk = min(250_000, remaining)
         remaining -= chunk
-        rows, values = scenario._draw(chunk, rng, m)
-        noise = rng.standard_normal(chunk)
+        values = scenario._draw_pattern(chunk, rng, m)
+        noise = rng.standard_normal(values.shape[0])
         block = values[:, obs]
         if not np.isfinite(block).all():
             raise ValueError("observed values must be finite (no NaN or infinity)")
-        near = np.abs(block - x_obs).max(axis=1, initial=0.0) <= bandwidth
-        rows = rows[near]
-        if rows.size == 0:
-            continue
-        placed[rows] = values[near]
+        with np.errstate(over="ignore"):
+            offset = block - x_obs
+        near = np.abs(offset).max(axis=1, initial=0.0) <= bandwidth
         with np.errstate(over="ignore", invalid="ignore"):
-            responses = scenario.beta0 + (placed[:chunk] @ scenario.beta)[rows] + scenario.noise_sd * noise[rows]
-        placed[rows] = 0.0
-        if not np.isfinite(responses).all():
+            kept = scenario.beta0 + values[near] @ scenario.beta + scenario.noise_sd * noise[near]
+        if not np.isfinite(kept).all():
             raise ValueError("responses must be finite (no NaN or infinity)")
-        kept.append(responses)
-    accepted = int(sum(len(k) for k in kept))
-    if accepted < min_accepted:
+        offsets.append(offset[near])
+        responses.append(kept)
+    responses = np.concatenate(responses)
+    accepted = responses.size
+    if accepted < min_accepted or accepted == 0:
         raise InsufficientSamplesError(
             f"only {accepted} of {samples} draws fell in the acceptance window "
             f"(need {min_accepted}); widen the bandwidth or raise the budget",
             accepted=accepted,
         )
-    responses = np.concatenate(kept)
-    spread = float(responses.std(ddof=1)) if accepted > 1 else 0.0
-    return OracleEstimate(
-        estimate=float(responses.mean()),
-        std_error=spread / float(np.sqrt(accepted)),
-        accepted=accepted,
-    )
+    estimate, std_error, rank = _local_linear(np.concatenate(offsets), responses)
+    if accepted <= rank:
+        raise InsufficientSamplesError(
+            f"{accepted} draws fell in the acceptance window, no more than the local "
+            f"linear fit's rank {rank}; widen the bandwidth or raise the budget",
+            accepted=accepted,
+        )
+    return OracleEstimate(estimate=estimate, std_error=std_error, accepted=accepted)
+
+
+def _local_linear(offsets: np.ndarray, responses: np.ndarray) -> tuple[float, float, int]:
+    """Minimum-norm least squares of the responses on ``[1, offsets]``: the
+    intercept, its OLS standard error and the design's rank, with
+    ``np.linalg.lstsq``'s rank cutoff (eps * max(rows, columns) relative to
+    the largest singular value). Tied or collinear offset columns are
+    resolved by the minimum-norm solution, whose intercept stays the fitted
+    value at the probe. The intercept is w @ y with w the first row of the
+    design's pseudoinverse, so its variance is s^2 |w|^2 = s^2 [(X^T X)^+]_00.
+    The standard error is nan when no residual degree of freedom is left."""
+    design = np.column_stack([np.ones(responses.size), offsets])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape) * s[0]
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    rank = int(s.size)
+    projected = u.T @ responses
+    weights = vt[:, 0] / s  # the intercept row of the pseudoinverse, in the basis u
+    residual = responses - u @ projected
+    dof = responses.size - rank
+    variance = float(residual @ residual) / dof if dof > 0 else float("nan")
+    return float(weights @ projected), float(np.sqrt(variance * (weights @ weights))), rank
 
 
 def paired_block_covariance(d: int, block: int = 2) -> np.ndarray:

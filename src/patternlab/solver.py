@@ -152,20 +152,6 @@ class GaussianParams:
         return self.mean + z @ self.factor.T
 
 
-def rows_product(z: np.ndarray, rows, matrix: np.ndarray) -> np.ndarray:
-    """``z[rows] @ matrix``, each row with the bits it has in ``z @ matrix``.
-
-    BLAS gemm gives a row the same bits whatever rows come with it, but
-    numpy hands a one-row product to gemv, which sums in another order. A
-    single row picked from a larger ``z`` is therefore multiplied as a
-    two-row block. ``rows`` may be ``slice(None)``, which copies nothing.
-    """
-    picked = z[rows]
-    if picked.shape[0] == 1 < z.shape[0]:
-        return (np.repeat(picked, 2, axis=0) @ matrix)[:1]
-    return picked @ matrix
-
-
 def _validated_observed(observed, dimension: int) -> np.ndarray:
     obs = np.asarray(observed, dtype=int)
     if obs.ndim != 1:
@@ -225,19 +211,6 @@ def conditional_mean_map(params: GaussianParams, observed) -> tuple[np.ndarray, 
     gain = _pinv_apply(cov[np.ix_(obs, obs)], cov[np.ix_(obs, mis)]).T
     offset = params.mean[mis] - gain @ params.mean[obs]
     return offset, gain
-
-
-def conditional_gaussian(params: GaussianParams, observed, x_obs) -> np.ndarray:
-    """Conditional mean of the missing block given observed values.
-
-    With every coordinate observed the result is empty; with none observed
-    it is the unconditional mean.
-    """
-    offset, gain = conditional_mean_map(params, observed)
-    x_obs = np.asarray(x_obs, dtype=float)
-    if x_obs.shape != (gain.shape[1],):
-        raise ValueError(f"x_obs shape {x_obs.shape} does not match {gain.shape[1]} observed indices")
-    return offset + gain @ x_obs
 
 
 def optimum_rows(params: GaussianParams, beta0: float, beta, missing) -> tuple[np.ndarray, np.ndarray]:

@@ -330,8 +330,11 @@ def test_09_thresholding_helps_at_small_samples_averaged():
 
 
 ORACLE_PLANS = {
-    # (bandwidth, sample budget) rungs; widened or refilled only as far as
-    # the window bias stays inside the stated allowance for that preset
+    # (bandwidth, sample budget) rungs, the budget counted in joint draws.
+    # They were set when the oracle estimated by the window mean, whose bias
+    # grows with the bandwidth; its local-linear fit is unbiased on these
+    # presets' regression functions, affine within a pattern, so the rungs
+    # now only trade accepted rows against standard error
     "mcar_a": ((0.14, 4_000_000), (0.2, 16_000_000)),
     "mar_b": ((0.22, 3_000_000), (0.3, 10_000_000)),
     "gpmm_c": ((0.1, 2_000_000), (0.2, 4_000_000), (0.25, 8_000_000)),

@@ -22,6 +22,7 @@ from patternlab import (
     scenario_from_json,
 )
 from patternlab.patterns import pack_mask_rows
+from patternlab.simulate import _local_linear
 
 
 def small_mcar(noise_sd=0.3, miss=0.3, d=2, name="tiny"):
@@ -342,6 +343,22 @@ class TestOracle:
         with pytest.raises(ValueError):
             bayes_oracle_mc(scenario, np.array([0.0, 0.0]), MissingPattern(0, 2), samples=100)
 
+    @pytest.mark.parametrize(
+        "x_obs,samples,bandwidth,argument",
+        [
+            ([0.0, 0.0], 1000, float("nan"), "bandwidth"),
+            ([0.0, 0.0], 1000, 0.0, "bandwidth"),
+            ([float("nan"), 0.0], 1000, 0.1, "x_obs"),
+            ([0.0, float("inf")], 1000, 0.1, "x_obs"),
+            ([0.0, 0.0], 0, 0.1, "samples"),
+            ([0.0, 0.0], -5, 0.1, "samples"),
+            ([0.0, 0.0], 2.7, 0.1, "samples"),
+        ],
+    )
+    def test_invalid_arguments_are_named(self, x_obs, samples, bandwidth, argument):
+        with pytest.raises(ValueError, match=argument):
+            bayes_oracle_mc(small_mcar(), np.array(x_obs), MissingPattern(0, 2), samples, bandwidth, np.random.default_rng(0))
+
 
 def _merge_d4():
     cov = np.array([[2.0, 0.6, 0.0, -0.3], [0.6, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [-0.3, 0.0, 0.4, 0.8]])
@@ -356,41 +373,48 @@ def _self_masking_d3():
     return SelfMaskingScenario(0.0, [1.0, 2.0, -1.0], 0.3, GaussianParams(np.array([0.5, 0.0, -0.5]), cov), 0.0, 1.0)
 
 
-PATTERN_DRAW_SCENARIOS = {
-    "mcar_a": lambda: preset("mcar_a"),
-    "merge": _merge_d4,
-    "mar_b": lambda: preset("mar_b"),
-    "gpmm_c": lambda: preset("gpmm_c"),
-    "self_masking": _self_masking_d3,
+# pattern-first draws checked against the filtered joint draw: per scenario,
+# two patterns of different mass (a common one and a rare one)
+PATTERN_DRAW_CASES = {
+    "mcar_a": (lambda: preset("mcar_a"), ("00000000", "00100000")),
+    "merge": (_merge_d4, ("0000", "1100")),
+    "mar_b": (lambda: preset("mar_b"), ("00000000", "00001010")),
+    "gpmm_c": (lambda: preset("gpmm_c"), ("01010000", "01000000")),
 }
+# every comparison below must hold within this many standard errors, a
+# bound fixed before the test was first run
+AGREEMENT_SE = 5.0
 
 
 class TestPatternDraw:
-    """A draw given a pattern reads the same random numbers as the full
-    draw and returns exactly its matching rows."""
+    """The pattern-first draw and the joint draw filtered to the pattern
+    agree in distribution."""
 
-    @given(
-        st.sampled_from(sorted(PATTERN_DRAW_SCENARIOS)),
-        st.integers(1, 400),
-        st.integers(0, 2**32 - 1),
-        st.booleans(),
-        st.integers(0, 2**16),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_filtered_draw_is_the_full_draw_restricted(self, name, n, seed, from_row, pick):
-        scenario = PATTERN_DRAW_SCENARIOS[name]()
-        full_rng = np.random.default_rng(seed)
-        values, mask = scenario._draw(n, full_rng)
-        keys = pack_mask_rows(mask)
-        # a pattern the draw holds, or any pattern, zero-probability ones included
-        bits = int(keys[pick % n]) if from_row else pick % (1 << scenario.d)
-        rng = np.random.default_rng(seed)
-        rows, picked = scenario._draw(n, rng, MissingPattern(bits, scenario.d))
-        expected = np.flatnonzero(keys == bits)
-        assert np.array_equal(rows, expected)
-        assert picked.shape == (expected.size, scenario.d)
-        assert picked.tobytes() == values[expected].tobytes()
-        assert rng.random() == full_rng.random()
+    @pytest.mark.parametrize("name", sorted(PATTERN_DRAW_CASES))
+    def test_pattern_first_matches_joint_filtered(self, name):
+        make, masks = PATTERN_DRAW_CASES[name]
+        scenario = make()
+        n = 20_000
+        for k, mask in enumerate(masks):
+            m = MissingPattern.from_string(mask)
+            first = scenario._draw_pattern(n, np.random.default_rng([11, k]), m)
+            values, joint_mask = scenario._draw(n, np.random.default_rng([12, k]))
+            joint = values[pack_mask_rows(joint_mask) == m.bits]
+            assert first.shape[1] == joint.shape[1] == scenario.d
+            # both counts are Binomial(n, p_m): compare them with p_m pooled
+            c1, c2 = first.shape[0], joint.shape[0]
+            assert min(c1, c2) >= 200, (name, mask, c1, c2)
+            p = (c1 + c2) / (2 * n)
+            assert abs(c1 - c2) <= AGREEMENT_SE * np.sqrt(2 * n * p * (1 - p)), (name, mask, c1, c2)
+            # first and second moments, coordinate by coordinate
+            for f, g in ((first, joint), (first**2, joint**2)):
+                se = np.sqrt(f.var(axis=0, ddof=1) / c1 + g.var(axis=0, ddof=1) / c2)
+                gap = np.abs(f.mean(axis=0) - g.mean(axis=0))
+                assert (gap <= AGREEMENT_SE * se).all(), (name, mask, gap, se)
+            if name == "mar_b":
+                # block 1's sign pattern is block 2's mask
+                mask2 = np.array([m.is_missing(j) for j in range(4, 8)])
+                assert ((first[:, :4] > 0.0) == mask2).all()
 
     def test_patterns_outside_the_support_yield_no_rows(self):
         mar = preset("mar_b")
@@ -399,53 +423,93 @@ class TestPatternDraw:
             (mar, MissingPattern.from_string("10000000")),
             (gpmm, MissingPattern.from_string("00000000")),
         ):
-            rows, values = scenario._draw(1000, np.random.default_rng(0), m)
-            assert rows.size == 0 and values.shape == (0, 8)
+            values = scenario._draw_pattern(1000, np.random.default_rng(0), m)
+            assert values.shape == (0, 8)
+
+    def test_self_masking_filters_the_joint_draw(self):
+        scenario = _self_masking_d3()
+        m = MissingPattern.from_string("010")
+        values, mask = scenario._draw(500, np.random.default_rng(4))
+        picked = scenario._draw_pattern(500, np.random.default_rng(4), m)
+        assert np.array_equal(picked, values[pack_mask_rows(mask) == m.bits])
 
 
-def reference_oracle(scenario, x_obs, m, samples, bandwidth, rng):
-    """bayes_oracle_mc written on generate: every row of every chunk is
-    drawn, transformed and validated, then filtered. None when no row is
-    kept."""
-    obs = np.array(m.observed_indices, dtype=int)
-    kept = []
-    remaining = samples
-    while remaining > 0:
-        chunk = min(250_000, remaining)
-        remaining -= chunk
-        sample = scenario.generate(chunk, rng, with_bayes=False)
-        rows = np.flatnonzero(pack_mask_rows(sample.dataset.mask) == m.bits)
-        block = sample.full_values[np.ix_(rows, obs)]
-        near = np.abs(block - x_obs).max(axis=1, initial=0.0) <= bandwidth
-        kept.append(sample.dataset.responses[rows[near]])
-    responses = np.concatenate(kept)
-    if responses.size == 0:
-        return None
-    spread = float(responses.std(ddof=1)) if responses.size > 1 else 0.0
-    return float(responses.mean()), spread / float(np.sqrt(responses.size)), responses.size
+class FixedRows(McarGaussianScenario):
+    """A scenario whose pattern draws are the given rows, whatever the budget."""
+
+    def __init__(self, rows):
+        super().__init__(0.0, [1.0, 1.0], 0.1, GaussianParams(np.zeros(2), np.eye(2)), HomogeneousBernoulli(2, 0.3))
+        self.rows = np.asarray(rows, dtype=float)
+
+    def _draw_pattern(self, n, rng, m):
+        return self.rows
 
 
 class TestOracleReference:
-    @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
-    def test_bit_identical_to_generate_reference(self, name):
-        scenario = preset(name)
-        probes = scenario.generate(4, np.random.default_rng(1000), with_bayes=False).dataset
-        # narrow windows keep few rows, so one response's last bit shows in
-        # the estimate; two chunks, the second of a length that leaves gemv
-        # a remainder
-        samples, bandwidth = 300_003, 0.2
-        accepted = 0
-        for i in range(probes.n):
-            m, x_obs = probes.pattern(i), probes.observed_values(i)
-            expected = reference_oracle(scenario, x_obs, m, samples, bandwidth, np.random.default_rng(7))
-            try:
-                out = bayes_oracle_mc(scenario, x_obs, m, samples, bandwidth, np.random.default_rng(7), min_accepted=1)
-            except InsufficientSamplesError as err:
-                assert expected is None and err.accepted == 0
-                continue
-            assert (out.estimate, out.std_error, out.accepted) == expected
-            accepted += out.accepted
-        assert accepted > 0
+    """The local-linear estimate against the window mean and plain least squares."""
+
+    def test_affine_response_on_a_half_empty_window(self):
+        # block 2 is missing exactly where block 1 is positive, so at the
+        # probe x1 = 0 only the right half of the window can fill; the
+        # response is affine in x1 with slope 2 inside the pattern
+        scenario = MarBlockScenario(0.0, [2.0, 1.0], 0.1, [[1.0]])
+        m = MissingPattern.from_string("01")
+        x_obs, bandwidth = np.array([0.0]), 0.3
+        closed = scenario.bayes_predict(x_obs, m)
+        sample = scenario.generate(200_000, np.random.default_rng(41), with_bayes=False)
+        rows = (pack_mask_rows(sample.dataset.mask) == m.bits) & (np.abs(sample.full_values[:, 0]) <= bandwidth)
+        window = sample.dataset.responses[rows]
+        mean_se = window.std(ddof=1) / np.sqrt(window.size)
+        # the mean sits about slope * E[x1 | 0 < x1 < h] = 0.30 above the closed form
+        assert window.mean() - closed > 0.2 and window.mean() - closed > 20 * mean_se
+        out = bayes_oracle_mc(scenario, x_obs, m, 200_000, bandwidth, np.random.default_rng(42))
+        assert abs(out.estimate - closed) <= 4.0 * out.std_error
+        assert out.std_error < 0.05
+
+    def test_no_observed_coordinate_gives_the_mean(self):
+        # one chunk: the pattern's rows, then one noise draw per row
+        scenario = small_mcar(noise_sd=0.5)
+        m = MissingPattern.from_string("11")
+        out = bayes_oracle_mc(scenario, np.empty(0), m, 50_000, 0.1, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        values = scenario._draw_pattern(50_000, rng, m)
+        responses = scenario.beta0 + values @ scenario.beta + scenario.noise_sd * rng.standard_normal(values.shape[0])
+        assert out.accepted == responses.size
+        assert out.estimate == pytest.approx(responses.mean(), rel=1e-12)
+        assert out.std_error == pytest.approx(responses.std(ddof=1) / np.sqrt(responses.size), rel=1e-12)
+
+    def test_matches_lstsq_and_the_ols_standard_error(self):
+        rng = np.random.default_rng(8)
+        offsets = rng.uniform(-0.2, 0.2, (400, 3))
+        responses = 1.5 + offsets @ [2.0, -1.0, 0.5] + rng.normal(0.0, 0.3, 400)
+        design = np.column_stack([np.ones(400), offsets])
+        coef, rss, rank, _ = np.linalg.lstsq(design, responses, rcond=None)
+        se = np.sqrt(rss[0] / (400 - rank) * np.linalg.inv(design.T @ design)[0, 0])
+        estimate, std_error, got_rank = _local_linear(offsets, responses)
+        assert got_rank == rank == 4
+        assert estimate == pytest.approx(coef[0], rel=1e-12)
+        assert std_error == pytest.approx(se, rel=1e-10)
+
+    def test_tied_coordinates_resolve_by_minimum_norm(self):
+        # two observed coordinates that always agree (as in gpmm_c's ones8
+        # component) give the same intercept and error as one of them alone
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-0.2, 0.2, 300)
+        responses = 0.7 + 3.0 * x + rng.normal(0.0, 0.2, 300)
+        single = _local_linear(x[:, None], responses)
+        tied = _local_linear(np.column_stack([x, x]), responses)
+        assert tied[2] == single[2] == 2
+        assert tied[0] == pytest.approx(single[0], rel=1e-12)
+        assert tied[1] == pytest.approx(single[1], rel=1e-10)
+
+    @pytest.mark.parametrize("rows", [[[0.0, 0.0]], [[0.0, 0.0], [0.01, 0.02]], [[0.0, 0.0], [0.01, 0.02], [0.02, -0.01]]])
+    def test_window_no_larger_than_the_rank_is_insufficient(self, rows):
+        scenario = FixedRows(rows)
+        with pytest.raises(InsufficientSamplesError) as err:
+            bayes_oracle_mc(
+                scenario, np.zeros(2), MissingPattern(0, 2), 10, 0.1, np.random.default_rng(0), min_accepted=1
+            )
+        assert err.value.accepted == len(rows)
 
     def test_overflowing_response_raises(self):
         scenario = McarGaussianScenario(

@@ -7,7 +7,6 @@ from patternlab import (
     AffineModel,
     GaussianParams,
     clip,
-    conditional_gaussian,
     conditional_mean_map,
     least_squares,
     optimum_rows,
@@ -102,32 +101,38 @@ class TestClip:
         assert clip(lo, level) <= clip(hi, level)
 
 
+def conditional_mean(params, observed, x_obs):
+    offset, gain = conditional_mean_map(params, observed)
+    return offset + gain @ x_obs
+
+
 class TestConditionalGaussian:
     def test_identity_covariance_ignores_observed(self):
         params = GaussianParams(np.array([1.0, 2.0, 3.0]), np.eye(3))
-        out = conditional_gaussian(params, [0], np.array([99.0]))
+        out = conditional_mean(params, [0], np.array([99.0]))
         assert np.allclose(out, [2.0, 3.0])
 
     def test_bivariate_textbook_formula(self):
         rho = 0.45
         params = GaussianParams(np.array([1.0, -2.0]), np.array([[1.0, rho], [rho, 1.0]]))
-        out = conditional_gaussian(params, [0], np.array([2.5]))
+        out = conditional_mean(params, [0], np.array([2.5]))
         assert out[0] == pytest.approx(-2.0 + rho * (2.5 - 1.0), abs=1e-12)
 
     def test_rank_one_comonotone(self):
         d = 4
         params = GaussianParams(np.arange(1.0, 5.0), np.ones((d, d)))
-        out = conditional_gaussian(params, [1], np.array([5.0]))
+        out = conditional_mean(params, [1], np.array([5.0]))
         shift = 5.0 - 2.0
         assert np.allclose(out, np.array([1.0, 3.0, 4.0]) + shift, atol=1e-10)
 
     def test_all_observed_empty(self):
         params = GaussianParams(np.zeros(2), np.eye(2))
-        assert conditional_gaussian(params, [0, 1], np.array([1.0, 2.0])).size == 0
+        offset, gain = conditional_mean_map(params, [0, 1])
+        assert offset.size == 0 and gain.shape == (0, 2)
 
     def test_none_observed_returns_mean(self):
         params = GaussianParams(np.array([3.0, 4.0]), np.eye(2))
-        assert np.allclose(conditional_gaussian(params, [], np.array([])), [3.0, 4.0])
+        assert np.allclose(conditional_mean(params, [], np.array([])), [3.0, 4.0])
 
     def test_pinv_cutoff(self):
         # the observed block has eigenvalues 2 and 1e-10; pinv's hermitian
@@ -154,9 +159,9 @@ class TestConditionalGaussian:
     def test_dimension_mismatch(self):
         params = GaussianParams(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
-            conditional_gaussian(params, [0], np.array([1.0, 2.0]))
+            conditional_mean(params, [0], np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            conditional_gaussian(params, [5], np.array([1.0]))
+            conditional_mean_map(params, [5])
 
 
 def per_pattern_rows(params, beta0, beta, missing):
