@@ -126,6 +126,8 @@ def _cmd_eval(args) -> None:
 
     model = model_from_json(_load_json(args.model))
     scenario = scenario_from_json(_load_json(args.scenario))
+    if model.dimension != scenario.d:
+        raise ConfigError(f"model dimension {model.dimension} does not match scenario dimension {scenario.d}")
     risk = excess_risk(model, scenario, args.n_test, np.random.default_rng(args.seed))
     print(json.dumps({"excess_risk": risk, "n_test": args.n_test, "seed": args.seed}))
 

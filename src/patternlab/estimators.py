@@ -10,7 +10,7 @@ by linear regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,6 +212,14 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     return PbpRegression(models=bank, config=config, seen_keys=seen, seen_counts=counts)
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as a positive integer count; a bool or a fraction is a
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _zero_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 0.0, values)
 
@@ -221,11 +229,17 @@ class ConstantImputeRegression:
     """Linear regression on the 2d features (zero-filled values, mask).
 
     Regressing on the mask indicators alongside zero-filled values realizes
-    the jointly optimal per-coordinate imputation constants.
+    the jointly optimal per-coordinate imputation constants. Construction
+    checks that the regression has 2d coefficients.
     """
 
     dimension: int
     regression: AffineModel
+
+    def __post_init__(self) -> None:
+        d = positive_int("d", self.dimension)
+        if self.regression.coefficients.shape != (2 * d,):
+            raise ValueError(f"coef must hold 2d={2 * d} numbers, got {self.regression.coefficients.size}")
 
     def predict_one(self, x_obs, m: MissingPattern) -> float:
         return float(self.predict_masked(*one_row(x_obs, m))[0])
@@ -278,11 +292,16 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray, damping: flo
     lam = 1.0
     hyper = 1e-6
     coef = np.zeros(k)
+    # the fit's residual, refilled in place each iteration
+    residual = np.empty(n)
     for _ in range(300):
         shrink = eigvals + lam / alpha
         new_coef = eigvecs @ (projected / np.where(shrink > 0.0, shrink, 1.0))
         dof = float((eigvals / shrink).sum()) if k else 0.0
-        sse = float(np.sum((residual_y - centered @ new_coef) ** 2))
+        np.matmul(centered, new_coef, out=residual)
+        np.subtract(residual_y, residual, out=residual)
+        np.square(residual, out=residual)
+        sse = float(np.sum(residual))
         lam = (dof + 2.0 * hyper) / (float(new_coef @ new_coef) + 2.0 * hyper)
         alpha = (n - dof + 2.0 * hyper) / (sse + 2.0 * hyper)
         done = float(np.abs(new_coef - coef).sum()) < 1e-3
@@ -295,6 +314,17 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray, damping: flo
     return AffineModel(y_mean - float(x_mean @ solution), solution)
 
 
+def _others_index(rows: np.ndarray, j: int, n: int, d: int) -> np.ndarray:
+    """Flat positions, in C order, of ``rows`` at every column but j of an
+    (n, d) matrix: ``matrix.take(index)`` is ``matrix[np.ix_(rows, others)]``,
+    the same fresh C-ordered (r, d - 1) array, gathered in one pass (a
+    matrix stored in another order is first copied to C order). The
+    positions are int32 when they fit, which halves the memory a fit keeps
+    them in."""
+    index = rows[:, None] * d + np.delete(np.arange(d), j)
+    return index.astype(np.int32) if n * d <= np.iinfo(np.int32).max else index
+
+
 @dataclass(frozen=True)
 class IterativeImputeRegression:
     """Chained-equations imputation followed by linear regression.
@@ -303,6 +333,9 @@ class IterativeImputeRegression:
     cycling the stored per-column models in ascending column order for the
     stored number of rounds, both while training and at prediction time.
     Columns never observed in training impute to 0 and carry no model.
+
+    Construction checks the shapes: d column means, d column models each
+    None or over d - 1 features, d regression coefficients and rounds >= 1.
     """
 
     dimension: int
@@ -312,18 +345,37 @@ class IterativeImputeRegression:
     regression: AffineModel
     round_deltas: tuple = ()
 
+    def __post_init__(self) -> None:
+        d = positive_int("d", self.dimension)
+        means = np.array(self.column_means, dtype=float)
+        if means.shape != (d,):
+            raise ValueError(f"column_means must hold d={d} numbers, got shape {means.shape}")
+        if len(self.column_models) != d:
+            raise ValueError(f"column_models must hold d={d} entries, got {len(self.column_models)}")
+        for j, model in enumerate(self.column_models):
+            if model is not None and model.coefficients.shape != (d - 1,):
+                raise ValueError(
+                    f"column_models[{j}] must have d-1={d - 1} coefficients, got {model.coefficients.size}"
+                )
+        if self.regression.coefficients.shape != (d,):
+            raise ValueError(f"coef must hold d={d} numbers, got {self.regression.coefficients.size}")
+        means.setflags(write=False)
+        object.__setattr__(self, "column_means", means)
+        object.__setattr__(self, "column_models", tuple(self.column_models))
+        object.__setattr__(self, "rounds", positive_int("rounds", self.rounds))
+
     def complete(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
         completed = np.where(mask, self.column_means, values)
+        plan = []
+        for j, model in enumerate(self.column_models):
+            rows = np.flatnonzero(mask[:, j])
+            if model is not None and rows.size:
+                plan.append((j, model, rows, _others_index(rows, j, mask.shape[0], self.dimension)))
         for _ in range(self.rounds):
-            for j in range(self.dimension):
-                model = self.column_models[j]
-                rows = np.flatnonzero(mask[:, j])
-                if model is None or rows.size == 0:
-                    continue
-                others = np.delete(np.arange(self.dimension), j)
-                completed[rows, j] = model.predict(completed[np.ix_(rows, others)])
+            for j, model, rows, others in plan:
+                completed[rows, j] = model.predict(completed.take(others))
         return completed
 
     def predict_one(self, x_obs, m: MissingPattern) -> float:
@@ -358,9 +410,49 @@ class IterativeImputeRegression:
             dimension=json_field(obj, "d", int),
             column_means=json_field(obj, "column_means", json_floats),
             column_models=models,
-            rounds=json_field(obj, "rounds", int),
+            rounds=json_field(obj, "rounds"),
             regression=_affine_from_json(obj),
         )
+
+
+def _impute_sweeps(
+    data: MaskedDataset, means: np.ndarray, rounds: int, damping: float, tol: float
+) -> tuple[list, list]:
+    """Run up to ``rounds`` chained-equation sweeps from the column
+    ``means``; return the column models of the last sweep and each sweep's
+    mean imputed-cell change."""
+    d = data.d
+    observed = ~data.mask
+    completed = np.where(data.mask, means, data.values)
+    # per observed column: its observed and missing rows, and the flat
+    # positions of those rows' other columns, fixed for the whole fit
+    plan = []
+    for j in range(d):
+        rows_obs = np.flatnonzero(observed[:, j])
+        if rows_obs.size:
+            rows_mis = np.flatnonzero(data.mask[:, j])
+            plan.append(
+                (j, rows_obs, _others_index(rows_obs, j, data.n, d), rows_mis, _others_index(rows_mis, j, data.n, d))
+            )
+    cells = np.flatnonzero(data.mask)
+    value_scale = float(np.abs(completed[observed]).max()) if observed.any() else 0.0
+    column_models: list[AffineModel | None] = [None] * d
+    deltas = []
+    for _ in range(rounds):
+        before = completed.take(cells)
+        for j, rows_obs, obs_others, rows_mis, mis_others in plan:
+            model = _damped_column_model(completed.take(obs_others), completed[rows_obs, j], damping)
+            column_models[j] = model
+            if rows_mis.size:
+                completed[rows_mis, j] = model.predict(completed.take(mis_others))
+        if not cells.size:
+            deltas.append(0.0)
+            break
+        changes = np.abs(completed.take(cells) - before)
+        deltas.append(float(changes.mean()))
+        if changes.max() < tol * value_scale:
+            break
+    return column_models, deltas
 
 
 def fit_iterative_impute(
@@ -374,48 +466,24 @@ def fit_iterative_impute(
     falls below ``tol`` times the observed-value scale (set tol=0 to always
     run all sweeps); prediction replays the executed number of sweeps. The
     final regression of the response on the completed matrix is solved
-    without damping.
+    without damping. ``rounds`` is an integer >= 1, ``damping`` finite and
+    ``tol`` nonnegative.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    rounds = positive_int("rounds", rounds)
+    if isinstance(damping, bool) or not 0.0 <= damping < math.inf:
+        raise ValueError(f"damping must be finite and nonnegative, got {damping!r}")
+    if isinstance(tol, bool) or not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     observed = ~data.mask
     means = np.array(
         [data.values[observed[:, j], j].mean() if observed[:, j].any() else 0.0 for j in range(data.d)]
     )
-    completed = np.where(data.mask, means, data.values)
-    column_models: list[AffineModel | None] = [None] * data.d
-    deltas = []
-    any_missing = data.mask.any()
-    value_scale = float(np.abs(completed[observed]).max()) if observed.any() else 0.0
-    executed = 0
-    for _ in range(rounds):
-        before = completed.copy()
-        for j in range(data.d):
-            rows_obs = np.flatnonzero(observed[:, j])
-            if rows_obs.size == 0:
-                continue
-            others = np.delete(np.arange(data.d), j)
-            model = _damped_column_model(
-                completed[np.ix_(rows_obs, others)], completed[rows_obs, j], damping
-            )
-            column_models[j] = model
-            rows_mis = np.flatnonzero(data.mask[:, j])
-            if rows_mis.size:
-                completed[rows_mis, j] = model.predict(completed[np.ix_(rows_mis, others)])
-        executed += 1
-        if any_missing:
-            changes = np.abs(completed - before)[data.mask]
-            deltas.append(float(changes.mean()))
-            if changes.max() < tol * value_scale:
-                break
-        else:
-            deltas.append(0.0)
-            break
+    column_models, deltas = _impute_sweeps(data, means, rounds, damping, tol)
     fitted = IterativeImputeRegression(
         dimension=data.d,
         column_means=means,
         column_models=tuple(column_models),
-        rounds=executed,
+        rounds=len(deltas),
         regression=AffineModel(0.0, np.zeros(data.d)),
         round_deltas=tuple(deltas),
     )
@@ -425,11 +493,4 @@ def fit_iterative_impute(
     # regression's coefficients on nearly collinear imputed columns do not
     # transfer to fresh data.
     replayed = fitted.complete(np.where(data.mask, 0.0, data.values), data.mask)
-    return IterativeImputeRegression(
-        dimension=data.d,
-        column_means=means,
-        column_models=tuple(column_models),
-        rounds=executed,
-        regression=least_squares(replayed, data.responses),
-        round_deltas=tuple(deltas),
-    )
+    return replace(fitted, regression=least_squares(replayed, data.responses))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import pattern_complexity
-from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
+from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp, positive_int
 from .patterns import json_field
 from .simulate import NoClosedFormError, Scenario
 
@@ -95,8 +95,7 @@ class EstimatorSpec:
             numeric = isinstance(rule, (int, float)) and not isinstance(rule, bool)
             if not (rule in ("d_over_n", "one_over_n") or numeric):
                 raise ValueError(f"invalid tau rule {rule!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        object.__setattr__(self, "rounds", positive_int("rounds", self.rounds))
 
     @property
     def name(self) -> str:
@@ -134,7 +133,7 @@ def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
     return EstimatorSpec(
         kind=json_field(obj, "kind"),
         tau_rule=json_field(obj, "tau", default=None),
-        rounds=json_field(obj, "rounds", int, 10),
+        rounds=json_field(obj, "rounds", default=10),
         clip_level=json_field(obj, "clip", float, None),
         ball_radius=json_field(obj, "ball_radius", float, None),
     )

@@ -312,13 +312,16 @@ class PatternBank(Mapping):
         positions = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
         return np.where(self._keys[positions] == keys, self._rows[positions], -1)
 
-    def predict(self, values, mask) -> np.ndarray:
-        """Predictions for a batch of rows; masked cells of ``values`` are never read."""
+    def predict(self, values, mask, rows=None) -> np.ndarray:
+        """Predictions for a batch of rows; masked cells of ``values`` are
+        never read. ``rows``, when given, is ``find`` of the rows' packed
+        masks, which the caller has already looked up."""
         mask = np.asarray(mask, dtype=bool)
         filled = np.where(mask, 0.0, np.asarray(values, dtype=float))
         if mask.ndim != 2 or mask.shape[1] != self.d or filled.shape != mask.shape:
             raise ValueError(f"values and mask must both be (n, {self.d}) matrices")
-        rows = self.find(pack_mask_rows(mask))
+        if rows is None:
+            rows = self.find(pack_mask_rows(mask))
         hit = np.flatnonzero(rows >= 0)
         rows = rows[hit]
         out = np.zeros(mask.shape[0])

@@ -128,14 +128,18 @@ class Scenario:
         full.setflags(write=False)
         return LabeledSample(dataset=dataset, full_values=full, bayes_values=bayes)
 
-    def _learn(self, keys: np.ndarray) -> None:
-        """Add to the optimum bank, in one batch, every pattern among the
-        packed ``keys`` that it lacks."""
-        new = np.unique(keys[self._optimum.find(keys) < 0])
-        if new.size == 0:
-            return
-        coef, intercepts = self._optimum_rows(unpack_masks(new, self.d))
-        self._optimum.add(new, coef, intercepts)
+    def _learn(self, keys: np.ndarray) -> np.ndarray:
+        """The optimum bank's table row of each packed key, after adding to
+        the bank, in one batch, every pattern among ``keys`` that it lacks.
+        Keys are looked up once; only the cold ones are looked up again."""
+        rows = self._optimum.find(keys)
+        cold = np.flatnonzero(rows < 0)
+        if cold.size:
+            new = np.unique(keys[cold])
+            coef, intercepts = self._optimum_rows(unpack_masks(new, self.d))
+            self._optimum.add(new, coef, intercepts)
+            rows[cold] = self._optimum.find(keys[cold])
+        return rows
 
     def pattern_model(self, m: MissingPattern) -> AffineModel:
         """The optimum predictor for pattern m as an affine model over the
@@ -150,8 +154,7 @@ class Scenario:
         return float(self._bayes_for(*one_row(x_obs, m))[0])
 
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self._learn(pack_mask_rows(mask))
-        out = self._optimum.predict(values, mask)
+        out = self._optimum.predict(values, mask, rows=self._learn(pack_mask_rows(mask)))
         out.setflags(write=False)
         return out
 

@@ -351,3 +351,62 @@ class TestMalformedInputs:
         config = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "cst_impute_lr"}], "n_grid": 100}
         config["repetitions"] = 1
         assert "field 'n_grid'" in self.bench_error(tmp_path, capsys, config)
+
+    def test_bool_rounds_is_config_error(self, tmp_path, capsys):
+        config = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "iterative_impute_lr", "rounds": True}]}
+        config.update(n_grid=[100], repetitions=1)
+        assert "rounds must be an integer >= 1, got True" in self.bench_error(tmp_path, capsys, config)
+
+
+class TestEvalModelShapes:
+    """``eval`` checks a model against its own dimension and the scenario's
+    before predicting, and exits 2 with one line naming what is wrong."""
+
+    @pytest.fixture()
+    def fitted(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "mcar_a"}))
+        data, model = tmp_path / "data.json", tmp_path / "model.json"
+        assert main(["gen", "--scenario", str(scenario), "--n", "200", "--seed", "3", "--out", str(data)]) == 0
+        fit = ["fit", "--data", str(data), "--estimator", "iterative_impute_lr", "--rounds", "2", "--out", str(model)]
+        assert main(fit) == 0
+        return scenario, model
+
+    @staticmethod
+    def eval_error(tmp_path, capsys, scenario, payload) -> str:
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--scenario", str(scenario), "--n-test", "200", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("column_models", lambda p: p.update(column_models=p["column_models"][:3])),
+            ("column_means", lambda p: p.update(column_means=p["column_means"][:5])),
+            ("coef", lambda p: p.update(coef=p["coef"] + [1.0])),
+            ("column_models[2]", lambda p: p["column_models"][2].update(coef=[0.0] * 8)),
+            ("rounds", lambda p: p.update(rounds=0)),
+        ],
+    )
+    def test_iterative_impute_shapes(self, tmp_path, capsys, fitted, field, change):
+        scenario, model = fitted
+        payload = json.loads(model.read_text())
+        change(payload)
+        assert field in self.eval_error(tmp_path, capsys, scenario, payload)
+
+    def test_constant_impute_coefficient_count(self, tmp_path, capsys, fitted):
+        scenario, _ = fitted
+        payload = {"kind": "constant_impute", "d": 8, "intercept": 0.0, "coef": [0.0] * 8}
+        assert "coef must hold 2d=16 numbers" in self.eval_error(tmp_path, capsys, scenario, payload)
+
+    def test_dimension_must_match_the_scenario(self, tmp_path, fitted):
+        scenario, _ = fitted
+        model = tmp_path / "small_model.json"
+        model.write_text(json.dumps({"kind": "constant_impute", "d": 3, "intercept": 0.0, "coef": [0.0] * 6}))
+        done = run_module("eval", "--model", str(model), "--scenario", str(scenario), "--seed", "1", cwd=tmp_path)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == ["error: model dimension 3 does not match scenario dimension 8"]

@@ -22,6 +22,7 @@ from patternlab import (
     preset,
     theory_config,
 )
+from patternlab.solver import AffineModel
 from patternlab.patterns import group_rows_by_key
 
 
@@ -331,17 +332,23 @@ class TestStackedFit:
             fit_pbp(data, EstimatorConfig())
 
 
-def _baseline_case(kind, d, n, seed, never_observed):
-    """A fitted imputation baseline on n random rows (column 0 masked
-    throughout when ``never_observed``) and 30 probe rows."""
+def _baseline_data(d, n, seed, never_observed):
+    """n random rows (column 0 masked throughout when ``never_observed``),
+    30 probe rows and their probe mask."""
     rng = np.random.default_rng(seed)
     data, _ = linear_dataset(rng, n, d, 0.3, rng.normal(size=d), 0.5, 0.3)
     if never_observed:
         mask = data.mask.copy()
         mask[:, 0] = True
         data = MaskedDataset(np.where(mask, 0.0, data.values), mask, data.responses)
+    return data, rng.normal(size=(30, d)) * 2.0, rng.random((30, d)) < 0.4
+
+
+def _baseline_case(kind, d, n, seed, never_observed):
+    """A fitted imputation baseline on ``_baseline_data`` and its probes."""
+    data, values, mask = _baseline_data(d, n, seed, never_observed)
     fit = fit_constant_impute(data) if kind == "constant" else fit_iterative_impute(data, rounds=3)
-    return fit, rng.normal(size=(30, d)) * 2.0, rng.random((30, d)) < 0.4
+    return fit, values, mask
 
 
 baseline_cases = st.tuples(
@@ -483,6 +490,197 @@ class TestIterativeImpute:
         data, _ = linear_dataset(rng, 20, 2, 0.0, np.ones(2), 0.1, 0.1)
         with pytest.raises(ValueError):
             fit_iterative_impute(data, rounds=0)
+
+
+def reference_column_model(features, targets, damping):
+    """The evidence-tuned column model as first written: a fresh residual
+    array each iteration."""
+    n, k = features.shape
+    x_mean = features.mean(axis=0) if n else np.zeros(k)
+    y_mean = float(targets.mean()) if n else 0.0
+    centered = features - x_mean
+    residual_y = targets - y_mean
+    gram = centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    eigvals = np.clip(eigvals, 0.0, None)
+    projected = eigvecs.T @ (centered.T @ residual_y)
+    alpha = 1.0 / (float(residual_y @ residual_y) / max(n, 1) + 1e-12)
+    lam, hyper, coef = 1.0, 1e-6, np.zeros(k)
+    for _ in range(300):
+        shrink = eigvals + lam / alpha
+        new_coef = eigvecs @ (projected / np.where(shrink > 0.0, shrink, 1.0))
+        dof = float((eigvals / shrink).sum()) if k else 0.0
+        sse = float(np.sum((residual_y - centered @ new_coef) ** 2))
+        lam = (dof + 2.0 * hyper) / (float(new_coef @ new_coef) + 2.0 * hyper)
+        alpha = (n - dof + 2.0 * hyper) / (sse + 2.0 * hyper)
+        done = float(np.abs(new_coef - coef).sum()) < 1e-3
+        coef = new_coef
+        if done:
+            break
+    scale = float(np.trace(gram)) / k if k else 1.0
+    ridge = max(lam / alpha, damping * scale, 1e-300)
+    solution = np.linalg.solve(gram + ridge * np.eye(k), centered.T @ residual_y)
+    return AffineModel(y_mean - float(x_mean @ solution), solution)
+
+
+def reference_complete(fit, values, mask):
+    """Chained-equations completion as first written: rows and columns
+    re-indexed with np.ix_ for every column of every round."""
+    completed = np.where(mask, fit.column_means, values)
+    for _ in range(fit.rounds):
+        for j in range(fit.dimension):
+            model = fit.column_models[j]
+            rows = np.flatnonzero(mask[:, j])
+            if model is None or rows.size == 0:
+                continue
+            others = np.delete(np.arange(fit.dimension), j)
+            completed[rows, j] = model.predict(completed[np.ix_(rows, others)])
+    return completed
+
+
+def reference_fit(data, rounds=10, damping=1e-14, tol=1e-3):
+    """The chained-equations fit as first written: full-matrix copies and
+    differences per round, and np.ix_ gathers per column per round."""
+    observed = ~data.mask
+    means = np.array(
+        [data.values[observed[:, j], j].mean() if observed[:, j].any() else 0.0 for j in range(data.d)]
+    )
+    completed = np.where(data.mask, means, data.values)
+    column_models = [None] * data.d
+    deltas = []
+    value_scale = float(np.abs(completed[observed]).max()) if observed.any() else 0.0
+    for _ in range(rounds):
+        before = completed.copy()
+        for j in range(data.d):
+            rows_obs = np.flatnonzero(observed[:, j])
+            if rows_obs.size == 0:
+                continue
+            others = np.delete(np.arange(data.d), j)
+            model = reference_column_model(completed[np.ix_(rows_obs, others)], completed[rows_obs, j], damping)
+            column_models[j] = model
+            rows_mis = np.flatnonzero(data.mask[:, j])
+            if rows_mis.size:
+                completed[rows_mis, j] = model.predict(completed[np.ix_(rows_mis, others)])
+        if not data.mask.any():
+            deltas.append(0.0)
+            break
+        changes = np.abs(completed - before)[data.mask]
+        deltas.append(float(changes.mean()))
+        if changes.max() < tol * value_scale:
+            break
+    fitted = IterativeImputeRegression(
+        data.d, means, tuple(column_models), len(deltas), AffineModel(0.0, np.zeros(data.d)), tuple(deltas)
+    )
+    replayed = reference_complete(fitted, np.where(data.mask, 0.0, data.values), data.mask)
+    return IterativeImputeRegression(
+        data.d, means, tuple(column_models), len(deltas), least_squares(replayed, data.responses), tuple(deltas)
+    )
+
+
+def assert_same_fit(data, values, mask, **kwargs):
+    """The fit, its sweep changes and its predictions on (values, mask)
+    equal the reference's bit for bit."""
+    fit, expected = fit_iterative_impute(data, **kwargs), reference_fit(data, **kwargs)
+    assert fit.to_json() == expected.to_json()
+    assert fit.round_deltas == expected.round_deltas
+    filled = np.where(mask, 0.0, values)
+    reference = expected.regression.predict(reference_complete(expected, filled, mask))
+    assert np.array_equal(fit.predict_masked(values, mask), reference)
+
+
+class TestIterativeImputeMatchesReference:
+    """The hoisted-plan fit and completion give the first implementation's
+    output, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_presets(self, name, n):
+        scenario = preset(name)
+        train = scenario.generate(n, np.random.default_rng(n + 1), with_bayes=False)
+        test = scenario.generate(2000, np.random.default_rng(n + 2), with_bayes=False)
+        assert_same_fit(train.dataset, test.dataset.values, test.dataset.mask)
+
+    def test_all_sweeps_and_fully_observed(self):
+        scenario = preset("mcar_a")
+        sample = scenario.generate(300, np.random.default_rng(5), with_bayes=False)
+        data = sample.dataset
+        assert_same_fit(data, data.values, data.mask, rounds=4, tol=0.0)
+        observed = MaskedDataset(sample.full_values, np.zeros_like(data.mask), data.responses)
+        assert_same_fit(observed, data.values, data.mask, rounds=3)
+
+    def test_fortran_ordered_input(self):
+        sample = preset("mar_b").generate(400, np.random.default_rng(9), with_bayes=False)
+        data = sample.dataset
+        fortran = MaskedDataset(np.asfortranarray(sample.full_values), np.asfortranarray(data.mask), data.responses)
+        assert_same_fit(fortran, np.asfortranarray(data.values), np.asfortranarray(data.mask))
+
+    @given(baseline_cases.filter(lambda case: case[0] == "iterative"))
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_cases(self, case):
+        data, values, mask = _baseline_data(*case[1:])
+        assert_same_fit(data, values, mask, rounds=3)
+
+
+class TestImputeArguments:
+    @pytest.mark.parametrize(
+        "kwargs, argument",
+        [
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": -1.0}, "tol"),
+            ({"damping": -1.0}, "damping"),
+            ({"damping": float("inf")}, "damping"),
+            ({"rounds": True}, "rounds"),
+            ({"rounds": 2.5}, "rounds"),
+            ({"rounds": 0}, "rounds"),
+        ],
+    )
+    def test_rejected_and_named(self, kwargs, argument):
+        data, _ = linear_dataset(np.random.default_rng(1), 20, 2, 0.0, np.ones(2), 0.1, 0.1)
+        with pytest.raises(ValueError, match=argument):
+            fit_iterative_impute(data, **kwargs)
+
+    def test_numpy_integer_rounds_accepted(self):
+        data, _ = linear_dataset(np.random.default_rng(1), 20, 2, 0.0, np.ones(2), 0.1, 0.1)
+        assert fit_iterative_impute(data, rounds=np.int64(2), tol=0.0).rounds == 2
+
+
+class TestModelShapes:
+    """A model read from JSON has the shapes its dimension implies, or the
+    read fails naming the field."""
+
+    @staticmethod
+    def _iterative_payload():
+        data, _ = linear_dataset(np.random.default_rng(3), 60, 3, 0.0, np.ones(3), 0.2, 0.25)
+        return fit_iterative_impute(data, rounds=2).to_json()
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda p: p.update(column_models=p["column_models"][:2]), "column_models"),
+            (lambda p: p.update(column_means=p["column_means"] + [0.0]), "column_means"),
+            (lambda p: p.update(coef=p["coef"][:2]), "coef"),
+            (lambda p: p["column_models"][1].update(coef=[1.0, 2.0, 3.0]), r"column_models\[1\]"),
+            (lambda p: p.update(rounds=0), "rounds"),
+            (lambda p: p.update(rounds=-2), "rounds"),
+            (lambda p: p.update(rounds=True), "rounds"),
+            (lambda p: p.update(rounds=2.5), "rounds"),
+            (lambda p: p.update(d=0), "d"),
+        ],
+    )
+    def test_iterative_impute(self, change, field):
+        payload = self._iterative_payload()
+        IterativeImputeRegression.from_json(payload)
+        change(payload)
+        with pytest.raises(ValueError, match=field):
+            IterativeImputeRegression.from_json(payload)
+
+    @pytest.mark.parametrize("size", [3, 5, 0])
+    def test_constant_impute_needs_2d_coefficients(self, size):
+        payload = {"kind": "constant_impute", "d": 2, "intercept": 0.0, "coef": [1.0] * size}
+        with pytest.raises(ValueError, match="coef"):
+            ConstantImputeRegression.from_json(payload)
+        payload["coef"] = [1.0] * 4
+        assert ConstantImputeRegression.from_json(payload).dimension == 2
 
 
 class TestBaselineComparison:

@@ -19,7 +19,7 @@ from patternlab import (
     preset,
     run_experiment,
 )
-from patternlab.harness import bound_report_csv, records_to_csv
+from patternlab.harness import bound_report_csv, estimator_spec_from_json, records_to_csv
 
 
 def tiny_scenario(name="tiny"):
@@ -115,6 +115,17 @@ class TestEstimatorSpec:
             EstimatorSpec("nope")
         with pytest.raises(ValueError):
             EstimatorSpec("pbp", "sometimes")
+
+    @pytest.mark.parametrize("rounds", [True, False, 2.5, 0, -1, "3"])
+    def test_rounds_must_be_a_positive_integer(self, rounds):
+        with pytest.raises(ValueError, match="rounds"):
+            EstimatorSpec("iterative_impute_lr", rounds=rounds)
+
+    @pytest.mark.parametrize("rounds", [True, 2.5])
+    def test_json_rounds_must_be_a_positive_integer(self, rounds):
+        with pytest.raises(ValueError, match="rounds"):
+            estimator_spec_from_json({"kind": "iterative_impute_lr", "rounds": rounds})
+        assert estimator_spec_from_json({"kind": "iterative_impute_lr", "rounds": 3}).rounds == 3
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_tau_rejected(self, flag):

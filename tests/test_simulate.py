@@ -222,6 +222,44 @@ class TestBayesColumn:
             assert abs(batch[i] - model.predict(x_obs)) <= 1e-12 * scale
 
 
+class TestBayesColumnLookups:
+    """The Bayes column looks each row's pattern up once, and again only
+    for the rows whose optimum it had to learn."""
+
+    @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
+    def test_partly_warm_bank_matches_a_cold_one(self, name):
+        sample = preset(name).generate(3000, np.random.default_rng(11), with_bayes=False)
+        values, mask = sample.full_values, sample.dataset.mask
+        cold = BayesPredictor(preset(name)).predict_masked(values, mask)
+        warm = preset(name)
+        keys = np.unique(pack_mask_rows(mask))
+        for key in keys[::2]:
+            warm.pattern_model(MissingPattern(int(key), warm.d))
+        assert len(warm._optimum) == keys[::2].size < keys.size
+        assert BayesPredictor(warm).predict_masked(values, mask).tobytes() == cold.tobytes()
+
+    def test_lookups_per_batch(self, monkeypatch):
+        scenario = preset("mcar_a")
+        sample = scenario.generate(500, np.random.default_rng(4), with_bayes=False)
+        values, mask = sample.full_values, sample.dataset.mask
+        BayesPredictor(scenario).predict_masked(values, mask)
+        calls = []
+        bank = type(scenario._optimum)
+        find = bank.find
+        monkeypatch.setattr(bank, "find", lambda self, keys: calls.append(np.size(keys)) or find(self, keys))
+        BayesPredictor(scenario).predict_masked(values, mask)
+        assert calls == [500]
+        # the bank's own duplicate check on adding the new patterns comes
+        # between the lookup and the cold rows' second one
+        fresh = preset("mcar_a")
+        fresh.pattern_model(MissingPattern(0, fresh.d))
+        calls.clear()
+        BayesPredictor(fresh).predict_masked(values, mask)
+        keys = pack_mask_rows(mask)
+        cold_rows = int((keys != 0).sum())
+        assert calls == [500, np.unique(keys[keys != 0]).size, cold_rows]
+
+
 def composed_optimum(params, beta0, beta, missing_row):
     """(coefficients over all d coordinates, intercept) of one pattern's
     optimum, composed from conditional_mean_map."""
