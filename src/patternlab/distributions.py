@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .patterns import MAX_DIMENSION, MissingPattern, json_field, json_floats, pack_mask_rows, unpack_masks
+from .patterns import MissingPattern, checked_dimension, json_field, json_floats, pack_mask_rows, unpack_masks
 
 ENUMERATION_LIMIT = 20
 
@@ -23,9 +23,10 @@ class PatternDistribution(abc.ABC):
 
     dimension: int
 
-    @abc.abstractmethod
     def probability(self, m: MissingPattern) -> float:
-        """P(M = m)."""
+        """P(M = m): the batch probability of m's packed key."""
+        self._check_dimension(m)
+        return float(self.mask_probabilities(np.array([m.bits], dtype=np.int64))[0])
 
     @abc.abstractmethod
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
@@ -67,13 +68,6 @@ class PatternDistribution(abc.ABC):
             )
 
 
-def _validate_dimension(d: int) -> int:
-    d = int(d)
-    if not 1 <= d <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
-    return d
-
-
 class ExplicitPatterns(PatternDistribution):
     """A law given by an explicit pattern -> probability map.
 
@@ -82,7 +76,7 @@ class ExplicitPatterns(PatternDistribution):
     """
 
     def __init__(self, dimension: int, probabilities: dict):
-        self.dimension = _validate_dimension(dimension)
+        self.dimension = checked_dimension(dimension)
         items = []
         for pattern, p in probabilities.items():
             if not isinstance(pattern, MissingPattern):
@@ -99,12 +93,7 @@ class ExplicitPatterns(PatternDistribution):
         items.sort()
         self._keys = np.array([k for k, _ in items], dtype=np.int64)
         self._probs = np.array([p for _, p in items], dtype=float)
-        self._lookup = {k: p for k, p in items}
         self._cumulative = np.cumsum(self._probs)
-
-    def probability(self, m: MissingPattern) -> float:
-        self._check_dimension(m)
-        return self._lookup.get(m.bits, 0.0)
 
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
@@ -137,14 +126,9 @@ class BernoulliPatterns(PatternDistribution):
             raise ValueError("epsilons must be a nonempty 1-d sequence")
         if ((eps < 0.0) | (eps > 1.0)).any():
             raise ValueError("rates must lie in [0, 1]")
-        self.dimension = _validate_dimension(eps.size)
+        self.dimension = checked_dimension(eps.size)
         eps.setflags(write=False)
         self.epsilons = eps
-
-    def probability(self, m: MissingPattern) -> float:
-        self._check_dimension(m)
-        bits = np.array([m.is_missing(j) for j in range(self.dimension)])
-        return float(np.prod(np.where(bits, self.epsilons, 1.0 - self.epsilons)))
 
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
         bits = unpack_masks(keys, self.dimension)
@@ -159,7 +143,7 @@ class HomogeneousBernoulli(BernoulliPatterns):
     """Bernoulli masking with one shared rate for every coordinate."""
 
     def __init__(self, dimension: int, epsilon: float):
-        dimension = _validate_dimension(dimension)
+        dimension = checked_dimension(dimension)
         super().__init__(np.full(dimension, float(epsilon)))
         self.epsilon = float(epsilon)
 
@@ -209,10 +193,6 @@ class MergeModel(PatternDistribution):
         self._protocol_keys = np.array([p.bits for p in protocols], dtype=np.int64)
         self._cumulative = np.cumsum(w)
 
-    def probability(self, m: MissingPattern) -> float:
-        self._check_dimension(m)
-        return float(self.mask_probabilities(np.array([m.bits], dtype=np.int64))[0])
-
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
         bits = unpack_masks(keys, self.dimension)
@@ -237,11 +217,7 @@ class UniformPatterns(PatternDistribution):
     """The uniform law over all 2**d patterns."""
 
     def __init__(self, dimension: int):
-        self.dimension = _validate_dimension(dimension)
-
-    def probability(self, m: MissingPattern) -> float:
-        self._check_dimension(m)
-        return 0.5**self.dimension
+        self.dimension = checked_dimension(dimension)
 
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)

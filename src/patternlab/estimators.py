@@ -18,10 +18,11 @@ from .patterns import (
     MaskedDataset,
     MissingPattern,
     PatternBank,
+    RowPredictor,
     json_field,
     json_floats,
     key_groups,
-    one_row,
+    masked_batch,
     unpack_masks,
 )
 from .solver import AffineModel, clip, least_squares, lstsq_stack
@@ -38,38 +39,27 @@ def default_ball_radius(gamma: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the per-pattern regressor.
+    """Knobs of the per-pattern regressor; each one is read by its fit or
+    predict.
 
     tau: frequency threshold in [0, 1]; a pattern gets a model only when its
         empirical frequency strictly exceeds tau.
     clip_level: truncate predictions to [-L, L] when set.
     ball_radius: keep only training rows whose observed block has sup-norm
         at most this radius when set.
-    gamma: scale of the covariates (largest per-coordinate second moment);
-        only used to derive and sanity-check the radius.
-    lipschitz_bound: slope bound used when deriving a clip level.
     """
 
     tau: float = 0.0
     clip_level: float | None = None
     ball_radius: float | None = None
-    gamma: float | None = None
-    lipschitz_bound: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
         if self.clip_level is not None and not self.clip_level > 0.0:
             raise ValueError("clip_level must be positive")
-        if self.ball_radius is not None:
-            if not self.ball_radius > 0.0:
-                raise ValueError("ball_radius must be positive")
-            if self.gamma is not None and not self.ball_radius > math.sqrt(self.gamma):
-                raise ValueError("ball_radius must exceed sqrt(gamma)")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if self.lipschitz_bound is not None and not self.lipschitz_bound > 0.0:
-            raise ValueError("lipschitz_bound must be positive")
+        if self.ball_radius is not None and not self.ball_radius > 0.0:
+            raise ValueError("ball_radius must be positive")
 
 
 def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> EstimatorConfig:
@@ -77,8 +67,10 @@ def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> 
 
     The covariate scale is estimated as the largest per-column mean square
     over observed entries. Without a slope bound, clipping stays off rather
-    than guessing one.
+    than guessing one; a slope bound must be positive.
     """
+    if lipschitz_bound is not None and not lipschitz_bound > 0.0:
+        raise ValueError("lipschitz_bound must be positive")
     observed = ~data.mask
     second_moments = [
         float(np.mean(data.values[observed[:, j], j] ** 2))
@@ -92,17 +84,11 @@ def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> 
         gamma = 1.0
     radius = default_ball_radius(gamma, data.n)
     level = (radius + 1.0) * (lipschitz_bound + 1.0) if lipschitz_bound is not None else None
-    return EstimatorConfig(
-        tau=min(1.0, data.d / data.n),
-        clip_level=level,
-        ball_radius=radius,
-        gamma=gamma,
-        lipschitz_bound=lipschitz_bound,
-    )
+    return EstimatorConfig(tau=min(1.0, data.d / data.n), clip_level=level, ball_radius=radius)
 
 
 @dataclass(frozen=True)
-class PbpRegression:
+class PbpRegression(RowPredictor):
     """One affine model per sufficiently frequent pattern; 0 elsewhere.
 
     ``models`` is the bank of kept patterns; read as a Mapping it gives each
@@ -129,9 +115,6 @@ class PbpRegression:
             MissingPattern(int(key), self.dimension): int(count) / n
             for key, count in zip(self.seen_keys, self.seen_counts)
         }
-
-    def predict_one(self, x_obs, m: MissingPattern) -> float:
-        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Predictions for a batch of rows; masked cells of ``values`` are never read."""
@@ -225,7 +208,7 @@ def _zero_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConstantImputeRegression:
+class ConstantImputeRegression(RowPredictor):
     """Linear regression on the 2d features (zero-filled values, mask).
 
     Regressing on the mask indicators alongside zero-filled values realizes
@@ -241,11 +224,8 @@ class ConstantImputeRegression:
         if self.regression.coefficients.shape != (2 * d,):
             raise ValueError(f"coef must hold 2d={2 * d} numbers, got {self.regression.coefficients.size}")
 
-    def predict_one(self, x_obs, m: MissingPattern) -> float:
-        return float(self.predict_masked(*one_row(x_obs, m))[0])
-
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask, dtype=bool)
+        values, mask = masked_batch(values, mask, self.dimension)
         features = np.hstack([_zero_filled(values, mask), mask.astype(float)])
         return self.regression.predict(features)
 
@@ -267,7 +247,11 @@ def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
     return ConstantImputeRegression(data.d, least_squares(features, data.responses))
 
 
-def _damped_column_model(features: np.ndarray, targets: np.ndarray, damping: float) -> AffineModel:
+# the column models' ridge floor, relative to the feature scale
+RIDGE_FLOOR = 1e-14
+
+
+def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineModel:
     """Evidence-tuned ridge with an unpenalized intercept and a ridge floor.
 
     The ridge weight follows the usual evidence updates with weak 1e-6
@@ -275,8 +259,9 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray, damping: flo
     chained-equation column models: exact linear relations are recovered
     almost unshrunk while noisy, nearly collinear feature blocks (imputed
     near-duplicate columns) stay damped instead of receiving huge
-    compensating coefficients. ``damping`` floors the ridge on the normal
-    equations, relative to the feature scale, for exact-collinearity safety.
+    compensating coefficients. ``RIDGE_FLOOR`` floors the ridge on the
+    normal equations, relative to the feature scale, for exact-collinearity
+    safety.
     """
     n, k = features.shape
     x_mean = features.mean(axis=0) if n else np.zeros(k)
@@ -309,7 +294,7 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray, damping: flo
         if done:
             break
     scale = float(np.trace(gram)) / k if k else 1.0
-    ridge = max(lam / alpha, damping * scale, 1e-300)
+    ridge = max(lam / alpha, RIDGE_FLOOR * scale, 1e-300)
     solution = np.linalg.solve(gram + ridge * np.eye(k), centered.T @ residual_y)
     return AffineModel(y_mean - float(x_mean @ solution), solution)
 
@@ -326,7 +311,7 @@ def _others_index(rows: np.ndarray, j: int, n: int, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IterativeImputeRegression:
+class IterativeImputeRegression(RowPredictor):
     """Chained-equations imputation followed by linear regression.
 
     Missing cells start at the observed column means and are refreshed by
@@ -365,8 +350,7 @@ class IterativeImputeRegression:
         object.__setattr__(self, "rounds", positive_int("rounds", self.rounds))
 
     def complete(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
+        values, mask = masked_batch(values, mask, self.dimension)
         completed = np.where(mask, self.column_means, values)
         plan = []
         for j, model in enumerate(self.column_models):
@@ -377,9 +361,6 @@ class IterativeImputeRegression:
             for j, model, rows, others in plan:
                 completed[rows, j] = model.predict(completed.take(others))
         return completed
-
-    def predict_one(self, x_obs, m: MissingPattern) -> float:
-        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return self.regression.predict(self.complete(values, mask))
@@ -415,9 +396,7 @@ class IterativeImputeRegression:
         )
 
 
-def _impute_sweeps(
-    data: MaskedDataset, means: np.ndarray, rounds: int, damping: float, tol: float
-) -> tuple[list, list]:
+def _impute_sweeps(data: MaskedDataset, means: np.ndarray, rounds: int, tol: float) -> tuple[list, list]:
     """Run up to ``rounds`` chained-equation sweeps from the column
     ``means``; return the column models of the last sweep and each sweep's
     mean imputed-cell change."""
@@ -441,7 +420,7 @@ def _impute_sweeps(
     for _ in range(rounds):
         before = completed.take(cells)
         for j, rows_obs, obs_others, rows_mis, mis_others in plan:
-            model = _damped_column_model(completed.take(obs_others), completed[rows_obs, j], damping)
+            model = _damped_column_model(completed.take(obs_others), completed[rows_obs, j])
             column_models[j] = model
             if rows_mis.size:
                 completed[rows_mis, j] = model.predict(completed.take(mis_others))
@@ -455,9 +434,7 @@ def _impute_sweeps(
     return column_models, deltas
 
 
-def fit_iterative_impute(
-    data: MaskedDataset, rounds: int = 10, damping: float = 1e-14, tol: float = 1e-3
-) -> IterativeImputeRegression:
+def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-3) -> IterativeImputeRegression:
     """Chained-equations fit: cycle columns ascending, up to ``rounds`` sweeps.
 
     Each sweep refits column j on the other, currently completed, columns
@@ -466,19 +443,17 @@ def fit_iterative_impute(
     falls below ``tol`` times the observed-value scale (set tol=0 to always
     run all sweeps); prediction replays the executed number of sweeps. The
     final regression of the response on the completed matrix is solved
-    without damping. ``rounds`` is an integer >= 1, ``damping`` finite and
-    ``tol`` nonnegative.
+    without damping. ``rounds`` is an integer >= 1 and ``tol`` nonnegative;
+    the column models' ridge floor is the constant ``RIDGE_FLOOR``.
     """
     rounds = positive_int("rounds", rounds)
-    if isinstance(damping, bool) or not 0.0 <= damping < math.inf:
-        raise ValueError(f"damping must be finite and nonnegative, got {damping!r}")
     if isinstance(tol, bool) or not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     observed = ~data.mask
     means = np.array(
         [data.values[observed[:, j], j].mean() if observed[:, j].any() else 0.0 for j in range(data.d)]
     )
-    column_models, deltas = _impute_sweeps(data, means, rounds, damping, tol)
+    column_models, deltas = _impute_sweeps(data, means, rounds, tol)
     fitted = IterativeImputeRegression(
         dimension=data.d,
         column_means=means,

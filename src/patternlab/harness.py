@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexity import pattern_complexity
 from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp, positive_int
-from .patterns import json_field
+from .patterns import RowPredictor, json_field
 from .simulate import NoClosedFormError, Scenario
 
 CSV_HEADER = (
@@ -36,14 +36,11 @@ CSV_HEADER = (
 )
 
 
-class BayesPredictor:
+class BayesPredictor(RowPredictor):
     """The scenario's own optimum predictor, exposed as a fitted regressor."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-
-    def predict_one(self, x_obs, m) -> float:
-        return self.scenario.bayes_predict(x_obs, m)
 
     def predict_masked(self, values, mask) -> np.ndarray:
         return self.scenario._bayes_for(values, mask)
@@ -55,21 +52,23 @@ def excess_risk(predictor, scenario: Scenario, n_test: int, rng: np.random.Gener
         raise NoClosedFormError(
             f"{scenario.name}: excess risk needs the exact optimum; use bayes_oracle_mc probes instead"
         )
-    sample = scenario.generate(n_test, rng)
+    return _score(predictor, scenario, n_test, rng)[0]
+
+
+def _score(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> tuple[float, float]:
+    """(excess risk, seconds of ``predict_masked``) on a fresh test draw of
+    n_test rows. A non-finite risk is a numeric failure, never a reported
+    risk; overflow and invalid-value warnings stay off, because the raise
+    already reports them."""
+    test = scenario.generate(n_test, rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = predictor.predict_masked(sample.dataset.values, sample.dataset.mask)
-        return _mean_squared_gap(predictions, sample.bayes_values)
-
-
-def _mean_squared_gap(predictions: np.ndarray, bayes: np.ndarray) -> float:
-    """The excess risk of a test draw; a non-finite value is a numeric
-    failure, never a reported risk. Callers compute the predictions and
-    this gap with overflow and invalid-value warnings off, because the
-    raise already reports them."""
-    risk = float(np.mean((predictions - bayes) ** 2))
+        t0 = time.perf_counter()
+        predictions = predictor.predict_masked(test.dataset.values, test.dataset.mask)
+        seconds = time.perf_counter() - t0
+        risk = float(np.mean((predictions - test.bayes_values) ** 2))
     if not math.isfinite(risk):
         raise FloatingPointError(f"excess risk is {risk!r}: the predictions are not finite")
-    return risk
+    return risk, seconds
 
 
 @dataclass(frozen=True)
@@ -202,12 +201,7 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
     t0 = time.perf_counter()
     predictor = spec.fit(train.dataset)
     fit_seconds = time.perf_counter() - t0
-    test = config.scenario.generate(config.n_test, np.random.default_rng(test_seed))
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1 = time.perf_counter()
-        predictions = predictor.predict_masked(test.dataset.values, test.dataset.mask)
-        predict_seconds = time.perf_counter() - t1
-        risk = _mean_squared_gap(predictions, test.bayes_values)
+    risk, predict_seconds = _score(predictor, config.scenario, config.n_test, np.random.default_rng(test_seed))
     return RunRecord(
         scenario=config.scenario.name,
         estimator=spec.name,

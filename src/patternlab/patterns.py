@@ -19,7 +19,8 @@ def json_field(obj, name: str, convert=None, default=_REQUIRED):
     """Field ``name`` of the JSON object ``obj``, passed through ``convert``.
 
     ``convert`` is ``list`` or ``dict`` (the value must be a JSON array or
-    object) or a callable such as ``float``. A field that is absent or null
+    object), ``bool`` (the value must be a JSON boolean) or a callable such
+    as ``float``, which never receives a boolean. A field that is absent or null
     takes ``default`` when one is given. An ``obj`` that is not an object, a
     missing field without a default, and a value that ``convert`` rejects
     are each a ValueError naming the field; the readers of every JSON input
@@ -40,10 +41,21 @@ def json_field(obj, name: str, convert=None, default=_REQUIRED):
         return value
     if convert is None:
         return value
+    if (convert is bool) != isinstance(value, bool):
+        wanted = "a JSON boolean" if convert is bool else "a number"
+        raise ValueError(f"field {name!r} must be {wanted}, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from exc
+
+
+def checked_dimension(d) -> int:
+    """``d`` as an int in [1, MAX_DIMENSION]; any other value is a ValueError."""
+    d = int(d)
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
+    return d
 
 
 def json_floats(value) -> np.ndarray:
@@ -63,8 +75,7 @@ class MissingPattern:
     dimension: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dimension <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.dimension}")
+        checked_dimension(self.dimension)
         if not 0 <= self.bits < (1 << self.dimension):
             raise ValueError(f"bits {self.bits} outside a {self.dimension}-bit pattern")
 
@@ -141,6 +152,27 @@ def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
     values = np.zeros(mask.shape)
     values[~mask] = x_obs
     return values, mask
+
+
+def masked_batch(values, mask, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as floats and ``mask`` as booleans, both (n, d) matrices;
+    any other shape is a ValueError."""
+    values = np.asarray(values, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape[1] != d or values.shape != mask.shape:
+        raise ValueError(f"values and mask must both be (n, {d}) matrices")
+    return values, mask
+
+
+class RowPredictor:
+    """A predictor of batches of masked rows. One row is a batch of one:
+    ``predict_one`` reads the batch prediction of ``one_row``."""
+
+    def predict_masked(self, values, mask) -> np.ndarray:
+        raise NotImplementedError
+
+    def predict_one(self, x_obs, m: MissingPattern) -> float:
+        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
 
 def key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,9 +305,7 @@ class PatternBank(Mapping):
     """
 
     def __init__(self, d: int):
-        if not 1 <= d <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
-        self.d = int(d)
+        self.d = checked_dimension(d)
         self._keys = np.empty(0, dtype=np.int64)
         self._rows = np.empty(0, dtype=np.intp)
         self._coef = np.zeros((0, self.d))
@@ -316,10 +346,8 @@ class PatternBank(Mapping):
         """Predictions for a batch of rows; masked cells of ``values`` are
         never read. ``rows``, when given, is ``find`` of the rows' packed
         masks, which the caller has already looked up."""
-        mask = np.asarray(mask, dtype=bool)
-        filled = np.where(mask, 0.0, np.asarray(values, dtype=float))
-        if mask.ndim != 2 or mask.shape[1] != self.d or filled.shape != mask.shape:
-            raise ValueError(f"values and mask must both be (n, {self.d}) matrices")
+        values, mask = masked_batch(values, mask, self.d)
+        filled = np.where(mask, 0.0, values)
         if rows is None:
             rows = self.find(pack_mask_rows(mask))
         hit = np.flatnonzero(rows >= 0)

@@ -30,6 +30,7 @@ from .patterns import (
     PatternBank,
     json_field,
     json_floats,
+    masked_batch,
     one_row,
     pack_mask_rows,
     unpack_masks,
@@ -154,6 +155,7 @@ class Scenario:
         return float(self._bayes_for(*one_row(x_obs, m))[0])
 
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        values, mask = masked_batch(values, mask, self.d)
         out = self._optimum.predict(values, mask, rows=self._learn(pack_mask_rows(mask)))
         out.setflags(write=False)
         return out

@@ -357,6 +357,44 @@ class TestMalformedInputs:
         config.update(n_grid=[100], repetitions=1)
         assert "rounds must be an integer >= 1, got True" in self.bench_error(tmp_path, capsys, config)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda c: c["estimators"][0].update(clip=True), "field 'clip' must be a number, got True"),
+            (lambda c: c["estimators"][0].update(ball_radius=True), "field 'ball_radius' must be a number, got True"),
+            (lambda c: c.update(repetitions=True), "field 'repetitions' must be a number, got True"),
+            (lambda c: c.update(seed=True), "field 'seed' must be a number, got True"),
+            (lambda c: c.update(n_test=False), "field 'n_test' must be a number, got False"),
+            (lambda c: c["scenario"].update(sigma=True), "field 'sigma' must be a number, got True"),
+            (lambda c: c.update(record_timings="false"), "field 'record_timings' must be a JSON boolean, got 'false'"),
+            (lambda c: c.update(record_timings=0), "field 'record_timings' must be a JSON boolean, got 0"),
+        ],
+        ids=["clip", "ball_radius", "repetitions", "seed", "n_test", "sigma", "record_timings_str", "record_timings_int"],
+    )
+    def test_bench_types_are_not_coerced(self, tmp_path, tiny_scenario_file, capsys, change, message):
+        config = {
+            "scenario": json.loads(tiny_scenario_file.read_text()),
+            "estimators": [{"kind": "pbp", "tau": "d_over_n", "clip": 5.0, "ball_radius": 4.0}],
+            "n_grid": [100],
+            "repetitions": 1,
+            "n_test": 200,
+            "record_timings": False,
+        }
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "ok.csv")]) == 0
+        change(config)
+        assert message in self.bench_error(tmp_path, capsys, config)
+
+    def test_pbp_model_bool_tau(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "mcar_a"}))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"tau": True, "clip": None, "d": 8, "models": []}))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--scenario", str(scenario), "--n-test", "200", "--seed", "1"]) == 2
+        assert "field 'tau' must be a number, got True" in capsys.readouterr().err
+
 
 class TestEvalModelShapes:
     """``eval`` checks a model against its own dimension and the scenario's

@@ -32,6 +32,49 @@ def merge_probability_oracle(model: MergeModel, m: MissingPattern) -> float:
     return total
 
 
+def law_families(d: int, rng) -> dict:
+    """One law of each family at dimension d, with random parameters."""
+    support = np.unique(rng.integers(0, 1 << d, size=min(40, 1 << d), dtype=np.int64))
+    weights = rng.random(support.size)
+    protocols = [MissingPattern(int(k), d) for k in rng.integers(0, 1 << d, size=3, dtype=np.int64)]
+    return {
+        "explicit": ExplicitPatterns(d, {MissingPattern(int(k), d): w for k, w in zip(support, weights / weights.sum())}),
+        "bernoulli": BernoulliPatterns(np.concatenate([[0.0, 1.0], rng.random(d)])[:d]),
+        "homogeneous_bernoulli": HomogeneousBernoulli(d, 0.23),
+        "merge": MergeModel(protocols, [0.5, 0.3, 0.2], 0.17),
+        "uniform": UniformPatterns(d),
+    }
+
+
+class TestProbabilityIsTheBatchPath:
+    """P(M = m) of one pattern is, bit for bit, the batch probability of its
+    key, for every family."""
+
+    @staticmethod
+    def assert_batch_path(d, keys, seed):
+        for name, law in law_families(d, np.random.default_rng(seed)).items():
+            batch = law.mask_probabilities(keys)
+            for key, p in zip(keys, batch):
+                m = MissingPattern(int(key), d)
+                assert law.probability(m) == law.mask_probabilities(np.array([m.bits]))[0] == p, (name, m)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_every_pattern(self, d):
+        self.assert_batch_path(d, np.arange(1 << d, dtype=np.int64), seed=d)
+
+    def test_random_keys_at_d30(self):
+        rng = np.random.default_rng(30)
+        keys = rng.integers(0, 1 << 30, size=500, dtype=np.int64)
+        support = [m.bits for m, _ in law_families(30, np.random.default_rng(31))["explicit"].items()]
+        keys = np.concatenate([keys, support, [0, (1 << 30) - 1]])
+        self.assert_batch_path(30, keys, seed=31)
+
+    def test_dimension_checked(self):
+        for law in law_families(4, np.random.default_rng(0)).values():
+            with pytest.raises(ValueError, match="does not match distribution dimension 4"):
+                law.probability(MissingPattern(0, 5))
+
+
 class TestBernoulli:
     def test_zero_rate_is_fully_observed(self):
         dist = HomogeneousBernoulli(4, 0.0)

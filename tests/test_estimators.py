@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternlab import (
+    BayesPredictor,
     EstimatorConfig,
     MaskedDataset,
     MissingPattern,
@@ -56,21 +59,34 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(tau=-0.01)
 
-    def test_ball_radius_vs_gamma(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(ball_radius=1.0, gamma=4.0)
-        EstimatorConfig(ball_radius=3.0, gamma=4.0)
+    def test_fields_are_what_a_fit_reads(self):
+        assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["tau", "clip_level", "ball_radius"]
 
     def test_theory_config(self):
         rng = np.random.default_rng(0)
         data, _ = linear_dataset(rng, 200, 3, 0.0, np.ones(3), 0.1, 0.2)
         config = theory_config(data)
         assert config.tau == pytest.approx(3 / 200)
-        assert config.ball_radius is not None and config.gamma is not None
-        assert config.ball_radius > np.sqrt(config.gamma)
+        observed = ~data.mask
+        gamma = max(np.mean(data.values[observed[:, j], j] ** 2) for j in range(3))
+        assert config.ball_radius == default_ball_radius(gamma, 200)
         assert config.clip_level is None
         with_clip = theory_config(data, lipschitz_bound=3.0)
         assert with_clip.clip_level == pytest.approx((with_clip.ball_radius + 1.0) * 4.0)
+
+    def test_theory_config_on_one_row(self):
+        # at n = 1 the radius is exactly sqrt(gamma): log 1 = 0
+        data = MaskedDataset([[2.0, 0.0]], [[0, 1]], [1.0])
+        config = theory_config(data, lipschitz_bound=1.0)
+        assert config.ball_radius == default_ball_radius(4.0, 1) == 2.0
+        assert config.tau == 1.0 and config.clip_level == 6.0
+        assert len(fit_pbp(data, config).models) == 0
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    def test_theory_config_rejects_a_nonpositive_slope_bound(self, bound):
+        data, _ = linear_dataset(np.random.default_rng(0), 50, 2, 0.0, np.ones(2), 0.1, 0.2)
+        with pytest.raises(ValueError, match="lipschitz_bound must be positive"):
+            theory_config(data, lipschitz_bound=bound)
 
 
 class TestFitPbp:
@@ -627,8 +643,8 @@ class TestImputeArguments:
         [
             ({"tol": float("nan")}, "tol"),
             ({"tol": -1.0}, "tol"),
-            ({"damping": -1.0}, "damping"),
-            ({"damping": float("inf")}, "damping"),
+            ({"tol": True}, "tol"),
+            ({"rounds": -3}, "rounds"),
             ({"rounds": True}, "rounds"),
             ({"rounds": 2.5}, "rounds"),
             ({"rounds": 0}, "rounds"),
@@ -638,6 +654,9 @@ class TestImputeArguments:
         data, _ = linear_dataset(np.random.default_rng(1), 20, 2, 0.0, np.ones(2), 0.1, 0.1)
         with pytest.raises(ValueError, match=argument):
             fit_iterative_impute(data, **kwargs)
+
+    def test_only_rounds_and_tol_are_settable(self):
+        assert list(inspect.signature(fit_iterative_impute).parameters) == ["data", "rounds", "tol"]
 
     def test_numpy_integer_rounds_accepted(self):
         data, _ = linear_dataset(np.random.default_rng(1), 20, 2, 0.0, np.ones(2), 0.1, 0.1)
@@ -696,3 +715,38 @@ class TestBaselineComparison:
         pbp_risk = excess_risk(pbp, scenario, 10_000, rng)
         cst_risk = excess_risk(cst, scenario, 10_000, np.random.default_rng(32))
         assert cst_risk > pbp_risk
+
+
+class TestBatchShape:
+    """Every predictor checks a batch against its dimension and names the
+    (n, d) shape it needs. ``predict_one`` is a batch of one, so a pattern of
+    another dimension fails the same check."""
+
+    KINDS = ["pbp", "constant_impute", "iterative_impute", "bayes"]
+
+    @pytest.fixture(scope="class")
+    def predictors(self):
+        scenario = preset("mcar_a")
+        train = scenario.generate(300, np.random.default_rng(4), with_bayes=False).dataset
+        return {
+            "pbp": fit_pbp(train, EstimatorConfig(tau=0.0)),
+            "constant_impute": fit_constant_impute(train),
+            "iterative_impute": fit_iterative_impute(train, rounds=2),
+            "bayes": BayesPredictor(scenario),
+        }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "values_shape, mask_shape",
+        [((5, 3), (5, 3)), ((5, 8), (4, 8)), ((1, 8), (5, 8)), ((5, 8), (5, 3)), ((8,), (8,)), ((2, 5, 8), (2, 5, 8))],
+    )
+    def test_predict_masked(self, predictors, kind, values_shape, mask_shape):
+        with pytest.raises(ValueError, match=r"values and mask must both be \(n, 8\) matrices"):
+            predictors[kind].predict_masked(np.zeros(values_shape), np.zeros(mask_shape, dtype=bool))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("mask", ["010", "0" * 9])
+    def test_predict_one(self, predictors, kind, mask):
+        m = MissingPattern.from_string(mask)
+        with pytest.raises(ValueError, match=r"values and mask must both be \(n, 8\) matrices"):
+            predictors[kind].predict_one(np.zeros(m.n_observed), m)

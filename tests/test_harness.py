@@ -207,6 +207,15 @@ class TestRunExperiment:
         large = np.median([r.excess_risk for r in records if r.n == 2000])
         assert large < small
 
+    def test_cell_risk_is_the_excess_risk_of_its_fit(self):
+        config = self._config(n_grid=(60,), repetitions=1)
+        for spec, record in zip(config.estimators, run_experiment(config), strict=True):
+            seeds = [derive_seed(config.seed, spec.name, 60, 0, part) for part in ("train", "test")]
+            train = config.scenario.generate(60, np.random.default_rng(seeds[0]), with_bayes=False)
+            fit = spec.fit(train.dataset)
+            rng = np.random.default_rng(seeds[1])
+            assert excess_risk(fit, config.scenario, config.n_test, rng) == record.excess_risk
+
     def test_derive_seed_stability(self):
         assert derive_seed(1, "a", 2, 3) == derive_seed(1, "a", 2, 3)
         assert derive_seed(1, "a", 2, 3) != derive_seed(2, "a", 2, 3)
