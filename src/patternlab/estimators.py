@@ -23,6 +23,7 @@ from .patterns import (
     json_floats,
     key_groups,
     masked_batch,
+    positive_int,
     unpack_masks,
 )
 from .solver import AffineModel, clip, least_squares, lstsq_stack
@@ -193,14 +194,6 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     bank = PatternBank(data.d)
     bank.add(seen[kept], coef, intercepts)
     return PbpRegression(models=bank, config=config, seen_keys=seen, seen_counts=counts)
-
-
-def positive_int(name: str, value) -> int:
-    """``value`` as a positive integer count; a bool or a fraction is a
-    ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _zero_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -14,14 +14,15 @@ import csv
 import hashlib
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexity import pattern_complexity
-from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp, positive_int
-from .patterns import RowPredictor, json_field
+from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
+from .patterns import RowPredictor, json_field, positive_int
 from .simulate import NoClosedFormError, Scenario
 
 CSV_HEADER = (
@@ -150,9 +151,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        object.__setattr__(self, "n_grid", tuple(positive_int("each n_grid entry", n) for n in self.n_grid))
+        object.__setattr__(self, "repetitions", positive_int("repetitions", self.repetitions))
+        object.__setattr__(self, "n_test", positive_int("n_test", self.n_test))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.n_test < 100:
             raise ValueError("n_test must be >= 100")
         if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
@@ -167,10 +171,10 @@ def experiment_config_from_json(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(
         scenario=scenario_from_json(json_field(obj, "scenario", dict)),
         estimators=tuple(estimator_spec_from_json(e) for e in json_field(obj, "estimators", list)),
-        n_grid=json_field(obj, "n_grid", lambda grid: tuple(int(n) for n in grid)),
-        repetitions=json_field(obj, "repetitions", int),
-        n_test=json_field(obj, "n_test", int, 10_000),
-        seed=json_field(obj, "seed", int, 0),
+        n_grid=json_field(obj, "n_grid", list),
+        repetitions=json_field(obj, "repetitions", operator.index),
+        n_test=json_field(obj, "n_test", operator.index, 10_000),
+        seed=json_field(obj, "seed", operator.index, 0),
         record_timings=json_field(obj, "record_timings", bool, True),
     )
 

@@ -50,6 +50,14 @@ def json_field(obj, name: str, convert=None, default=_REQUIRED):
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as a positive integer count; a bool or a fraction is a
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def checked_dimension(d) -> int:
     """``d`` as an int in [1, MAX_DIMENSION]; any other value is a ValueError."""
     d = int(d)
@@ -136,10 +144,12 @@ def pack_mask_rows(mask: np.ndarray) -> np.ndarray:
 
 
 def unpack_masks(keys: np.ndarray, dimension: int) -> np.ndarray:
-    """Expand int64 pattern keys back into an (n, d) boolean mask matrix."""
-    keys = np.asarray(keys, dtype=np.int64)
-    shifts = np.arange(dimension, dtype=np.int64)
-    return ((keys[:, None] >> shifts) & 1).astype(bool)
+    """Expand int64 pattern keys back into an (n, d) boolean mask matrix.
+
+    Each key's eight little-endian bytes are unpacked least significant bit
+    first, so column j is bit j; only the first d bits are written."""
+    octets = np.ascontiguousarray(keys, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=dimension, bitorder="little").view(bool)
 
 
 def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ an affine model; self-masking only admits the sampling oracle.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .patterns import (
     masked_batch,
     one_row,
     pack_mask_rows,
+    positive_int,
     unpack_masks,
 )
 from .solver import AffineModel, GaussianParams, optimum_rows
@@ -94,7 +94,9 @@ class Scenario:
         return self.beta.size
 
     def _draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n rows of covariates and masks: (values, mask), both (n, d)."""
+        """Draw n rows of covariates and masks: (values, mask), both (n, d).
+        Both arrays are fresh, owned by no one else: ``generate`` takes
+        ``values`` over, freezes it and returns it as ``full_values``."""
         raise NotImplementedError
 
     def _draw_pattern(self, n: int, rng: np.random.Generator, m: MissingPattern) -> np.ndarray:
@@ -125,9 +127,8 @@ class Scenario:
         responses = self.beta0 + values @ self.beta + self.noise_sd * noise
         dataset = MaskedDataset(values, mask, responses)
         bayes = self._bayes_for(values, mask) if with_bayes and self.has_closed_form else None
-        full = np.array(values, dtype=float)
-        full.setflags(write=False)
-        return LabeledSample(dataset=dataset, full_values=full, bayes_values=bayes)
+        values.setflags(write=False)
+        return LabeledSample(dataset=dataset, full_values=values, bayes_values=bayes)
 
     def _learn(self, keys: np.ndarray) -> np.ndarray:
         """The optimum bank's table row of each packed key, after adding to
@@ -409,11 +410,17 @@ def bayes_oracle_mc(
 
     The oracle reads only the generative law: each chunk of at most 250,000
     joint draws yields the draws of pattern m through the scenario's
-    ``_draw_pattern``, and response noise is drawn for those rows only. A
-    non-finite observed value of such a draw, or a non-finite kept
-    response, raises ``ValueError`` as a ``MaskedDataset`` would. Too few
-    kept rows, or no more than the local fit's rank, raise
-    ``InsufficientSamplesError``.
+    ``_draw_pattern``, and response noise is drawn for those rows only. The
+    window is filtered column-first: the first observed coordinate's column
+    picks the candidate rows, each further observed column is read only on
+    the rows still kept, and offsets and responses are computed for the
+    kept rows alone. A non-finite observed
+    value of a draw of pattern m, or a non-finite kept response, raises
+    ``ValueError`` as a ``MaskedDataset`` would; the chunk's values are
+    summed first, and only a sum that is not finite leads to the exact
+    check of the observed block. ``samples`` and ``min_accepted`` must be
+    integers >= 1. Too few kept rows, or no more than the local fit's rank,
+    raise ``InsufficientSamplesError``.
     """
     if rng is None:
         raise ValueError("pass an explicit generator so oracle runs are reproducible")
@@ -426,12 +433,8 @@ def bayes_oracle_mc(
         raise ValueError("x_obs must be finite (no NaN or infinity)")
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    try:
-        remaining = operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer number of draws, got {samples!r}") from None
-    if remaining < 1:
-        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    remaining = positive_int("samples", samples)
+    min_accepted = positive_int("min_accepted", min_accepted)
     obs = np.array(m.observed_indices, dtype=int)
     offsets, responses = [], []
     while remaining > 0:
@@ -439,21 +442,31 @@ def bayes_oracle_mc(
         remaining -= chunk
         values = scenario._draw_pattern(chunk, rng, m)
         noise = rng.standard_normal(values.shape[0])
-        block = values[:, obs]
-        if not np.isfinite(block).all():
+        # a finite sum proves every entry finite; an overflowing sum, or a
+        # NaN at a missing coordinate, falls through to the exact check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values.sum()
+        if not np.isfinite(total) and not np.isfinite(values[:, obs]).all():
             raise ValueError("observed values must be finite (no NaN or infinity)")
         with np.errstate(over="ignore"):
-            offset = block - x_obs
-        near = np.abs(offset).max(axis=1, initial=0.0) <= bandwidth
+            if obs.size:
+                # the sup-norm window keeps a row when every observed
+                # coordinate does: the first column discards most draws, and
+                # each later column is read only on the rows still kept
+                rows = np.flatnonzero(np.abs(values[:, obs[0]] - x_obs[0]) <= bandwidth)
+                for j, x in zip(obs[1:], x_obs[1:]):
+                    rows = rows[np.abs(values[rows, j] - x) <= bandwidth]
+            else:
+                rows = np.arange(values.shape[0])
+            offsets.append(values[np.ix_(rows, obs)] - x_obs)
         with np.errstate(over="ignore", invalid="ignore"):
-            kept = scenario.beta0 + values[near] @ scenario.beta + scenario.noise_sd * noise[near]
+            kept = scenario.beta0 + values[rows] @ scenario.beta + scenario.noise_sd * noise[rows]
         if not np.isfinite(kept).all():
             raise ValueError("responses must be finite (no NaN or infinity)")
-        offsets.append(offset[near])
         responses.append(kept)
     responses = np.concatenate(responses)
     accepted = responses.size
-    if accepted < min_accepted or accepted == 0:
+    if accepted < min_accepted:
         raise InsufficientSamplesError(
             f"only {accepted} of {samples} draws fell in the acceptance window "
             f"(need {min_accepted}); widen the bandwidth or raise the budget",

@@ -148,8 +148,12 @@ class GaussianParams:
         return np.linalg.inv(self.covariance)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, self.dimension))
-        return self.mean + z @ self.factor.T
+        """``size`` fresh draws as a (size, d) array: mean + F @ z for rows z
+        of one ``standard_normal((size, d))`` call. The mean is added in
+        place to the product, whose bits are those of ``mean + z @ F.T``."""
+        out = rng.standard_normal((size, self.dimension)) @ self.factor.T
+        out += self.mean
+        return out
 
 
 def _validated_observed(observed, dimension: int) -> np.ndarray:

@@ -386,6 +386,30 @@ class TestMalformedInputs:
         change(config)
         assert message in self.bench_error(tmp_path, capsys, config)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("repetitions", 2.5),
+            ("repetitions", 0),
+            ("repetitions", "2"),
+            ("n_test", 1000.9),
+            ("n_test", -200),
+            ("seed", 3.7),
+            ("seed", "7"),
+            ("n_grid", [True, 100]),
+            ("n_grid", [100.7]),
+            ("n_grid", ["100"]),
+            ("n_grid", [0, 100]),
+            ("n_grid", [-5, 100]),
+        ],
+    )
+    def test_bench_counts_are_strict_integers(self, tmp_path, capsys, field, value):
+        config = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "cst_impute_lr"}]}
+        config.update(n_grid=[100], repetitions=1, n_test=200)
+        config[field] = value
+        err = self.bench_error(tmp_path, capsys, config)
+        assert field in err and "Traceback" not in err
+
     def test_pbp_model_bool_tau(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"preset": "mcar_a"}))

@@ -147,6 +147,35 @@ class TestExperimentConfig:
             ExperimentConfig(scenario, (), (100,), repetitions=1)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("repetitions", 2.5),
+            ("repetitions", True),
+            ("n_test", 1000.9),
+            ("n_test", np.float64(500.0)),
+            ("seed", 3.7),
+            ("seed", True),
+            ("n_grid", (True, 100)),
+            ("n_grid", (100.7,)),
+            ("n_grid", ("100",)),
+            ("n_grid", (0, 100)),
+            ("n_grid", (-5, 100)),
+        ],
+    )
+    def test_counts_are_strict_integers(self, field, value):
+        kwargs = {"n_grid": (100,), "repetitions": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(tiny_scenario(), (EstimatorSpec("pbp", "d_over_n"),), **kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        config = ExperimentConfig(
+            tiny_scenario(), (EstimatorSpec("cst_impute_lr"),), np.array([100, 200]), np.int64(2), seed=np.int32(-4)
+        )
+        assert (config.n_grid, config.repetitions, config.seed) == ((100, 200), 2, -4)
+        assert all(type(v) is int for v in (*config.n_grid, config.repetitions, config.n_test, config.seed))
+
+
 class TestRunExperiment:
     def _config(self, **kwargs):
         defaults = dict(

@@ -4,6 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternlab import MaskedDataset, MissingPattern, build_pattern_index, preset
+from patternlab.patterns import pack_mask_rows, unpack_masks
+
+
+def shifted_unpack(keys: np.ndarray, dimension: int) -> np.ndarray:
+    """The (n, d) int64 shift-and-mask expansion of packed keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    shifts = np.arange(dimension, dtype=np.int64)
+    return ((keys[:, None] >> shifts) & 1).astype(bool)
 
 
 class TestMissingPattern:
@@ -47,6 +55,27 @@ class TestMissingPattern:
         m = MissingPattern.from_bools(flags)
         assert [m.is_missing(j) for j in range(len(flags))] == flags
         assert MissingPattern.from_string(m.to_string()) == m
+
+
+class TestUnpackMasks:
+    @given(st.integers(1, 63).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.integers(0, 2**d - 1), max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_shift_expansion(self, case):
+        d, bits = case
+        keys = np.array(bits, dtype=np.int64)
+        got = unpack_masks(keys, d)
+        assert got.dtype == np.bool_ and got.shape == (keys.size, d)
+        assert np.array_equal(got, shifted_unpack(keys, d))
+        assert np.array_equal(pack_mask_rows(got), keys)
+
+    def test_every_dimension_at_its_extreme_keys(self):
+        for d in range(1, 64):
+            keys = np.array([0, 1, 2**d - 1, 2 ** (d - 1), (2**d - 1) // 3], dtype=np.int64)
+            assert np.array_equal(unpack_masks(keys, d), shifted_unpack(keys, d)), d
+
+    def test_strided_keys(self):
+        keys = np.arange(40, dtype=np.int64)[::3]
+        assert np.array_equal(unpack_masks(keys, 6), shifted_unpack(keys, 6))
 
 
 class TestMaskedDataset:

@@ -13,6 +13,7 @@ from patternlab import (
     McarGaussianScenario,
     MissingPattern,
     NoClosedFormError,
+    OracleEstimate,
     SelfMaskingScenario,
     bayes_oracle_mc,
     conditional_mean_map,
@@ -37,6 +38,19 @@ def small_mcar(noise_sd=0.3, miss=0.3, d=2, name="tiny"):
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: preset("mcar_a"), lambda: preset("mar_b"), lambda: preset("gpmm_c"), lambda: _self_masking_d3()],
+        ids=["mcar_a", "mar_b", "gpmm_c", "self_masking"],
+    )
+    def test_full_values_are_frozen_and_not_shared(self, make):
+        sample = make().generate(200, np.random.default_rng(7))
+        assert not sample.full_values.flags.writeable
+        assert sample.full_values.dtype == np.float64 and sample.full_values.flags.c_contiguous
+        assert not np.shares_memory(sample.full_values, sample.dataset.values)
+        with pytest.raises(ValueError):
+            sample.full_values[0, 0] = 1.0
+
     @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
     def test_identical_seed_identical_sample(self, name):
         scenario = preset(name)
@@ -561,6 +575,125 @@ class TestOracleReference:
             bayes_oracle_mc(
                 scenario, np.full(2, 1e308), MissingPattern(0, 2), samples=1000, bandwidth=0.1,
                 rng=np.random.default_rng(3),
+            )
+
+
+def full_block_oracle(scenario, x_obs, m, samples, bandwidth, rng, min_accepted=50):
+    """The oracle's chunk loop with the window filtered over the whole
+    observed block of every draw: (estimate, std_error, accepted)."""
+    x_obs = np.asarray(x_obs, dtype=float)
+    obs = np.array(m.observed_indices, dtype=int)
+    offsets, responses, remaining = [], [], samples
+    while remaining > 0:
+        chunk = min(250_000, remaining)
+        remaining -= chunk
+        values = scenario._draw_pattern(chunk, rng, m)
+        noise = rng.standard_normal(values.shape[0])
+        block = values[:, obs]
+        if not np.isfinite(block).all():
+            raise ValueError("observed values must be finite (no NaN or infinity)")
+        with np.errstate(over="ignore"):
+            offset = block - x_obs
+        near = np.abs(offset).max(axis=1, initial=0.0) <= bandwidth
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = scenario.beta0 + values[near] @ scenario.beta + scenario.noise_sd * noise[near]
+        if not np.isfinite(kept).all():
+            raise ValueError("responses must be finite (no NaN or infinity)")
+        offsets.append(offset[near])
+        responses.append(kept)
+    responses = np.concatenate(responses)
+    if responses.size < min_accepted:
+        raise InsufficientSamplesError("too few", accepted=responses.size)
+    estimate, std_error, _ = _local_linear(np.concatenate(offsets), responses)
+    return estimate, std_error, responses.size
+
+
+def _hex_outcome(call):
+    """A call's estimate, error and count in hex, or its error's type and text."""
+    try:
+        out = call()
+    except (ValueError, InsufficientSamplesError) as exc:
+        return type(exc).__name__, str(exc).split(";")[0] if isinstance(exc, ValueError) else exc.accepted
+    if isinstance(out, OracleEstimate):
+        out = (out.estimate, out.std_error, out.accepted)
+    return out[0].hex(), out[1].hex(), out[2]
+
+
+# (scenario, mask, budget, bandwidth): three presets, self-masking, a merge
+# law, and patterns with no observed coordinate; budgets above one chunk
+# exercise a short final chunk
+LEAN_ORACLE_CASES = {
+    "mcar_a": (lambda: preset("mcar_a"), "00100000", 300_000, 0.5),
+    "mcar_a_full": (lambda: preset("mcar_a"), "00000000", 260_000, 0.6),
+    "mar_b": (lambda: preset("mar_b"), "00001010", 300_000, 0.5),
+    "gpmm_c": (lambda: preset("gpmm_c"), "01010000", 300_000, 0.5),
+    "self_masking": (_self_masking_d3, "100", 300_000, 0.3),
+    "merge": (_merge_d4, "1100", 120_000, 0.2),
+    "mcar_none_observed": (lambda: small_mcar(d=2, miss=0.3), "11", 300_000, 0.1),
+    "self_masking_none_observed": (_self_masking_d3, "111", 270_000, 0.1),
+    "merge_none_observed": (_merge_d4, "1111", 120_000, 0.1),
+}
+
+
+WINDOW_00 = [[0.0, 0.0], [0.01, 0.02], [0.02, -0.01], [0.03, 0.01]]
+WINDOW_01 = [[0.0, 0.0], [0.01, 1.0], [0.02, -1.0], [0.03, 0.5]]
+
+
+class TestLeanOracle:
+    """The column-first window and the sum-first finiteness check against
+    the full-block filter, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(LEAN_ORACLE_CASES), ids=list(LEAN_ORACLE_CASES))
+    def test_estimates_equal_the_full_block_filter(self, case):
+        make, mask, budget, bandwidth = LEAN_ORACLE_CASES[case]
+        scenario, m = make(), MissingPattern.from_string(mask)
+        # probe at the median of the pattern's draws, inside its support
+        rows = scenario._draw_pattern(20_000, np.random.default_rng(61), m)
+        x_obs = np.median(rows[:, list(m.observed_indices)], axis=0)
+        got = _hex_outcome(lambda: bayes_oracle_mc(scenario, x_obs, m, budget, bandwidth, np.random.default_rng(62)))
+        want = _hex_outcome(lambda: full_block_oracle(scenario, x_obs, m, budget, bandwidth, np.random.default_rng(62)))
+        assert got == want
+        assert got[0].startswith(("0x", "-0x")) and got[2] >= 50
+
+    @pytest.mark.parametrize(
+        "rows, mask, message",
+        [
+            # four rows inside the window around 0, then one special row
+            (WINDOW_00 + [[np.nan, 0.0]], "00", "observed values must be finite"),
+            (WINDOW_00 + [[0.0, np.inf]], "00", "observed values must be finite"),
+            (WINDOW_01 + [[5.0, np.nan]], "01", None),
+            (WINDOW_01 + [[0.05, np.nan]], "01", "responses must be finite"),
+            (WINDOW_00 + [[1e308, 1e308], [1e308, 1.7e308]], "00", None),
+            (WINDOW_00 + [[-1e308, -1e308], [np.nan, 1e308]], "00", "observed values must be finite"),
+        ],
+        ids=["nan_observed", "inf_observed", "nan_missing", "nan_missing_kept", "sum_overflows", "overflow_and_nan"],
+    )
+    def test_finiteness_check_keeps_its_meaning(self, rows, mask, message):
+        scenario, m = FixedRows(rows), MissingPattern.from_string(mask)
+        x_obs = np.zeros(m.n_observed)
+
+        def lean():
+            return bayes_oracle_mc(scenario, x_obs, m, 10, 0.1, np.random.default_rng(5), min_accepted=1)
+
+        if message is None:
+            out = lean()
+            assert np.isfinite(out.estimate) and out.accepted == 4
+        else:
+            with pytest.raises(ValueError, match=message):
+                lean()
+        want = _hex_outcome(lambda: full_block_oracle(scenario, x_obs, m, 10, 0.1, np.random.default_rng(5), 1))
+        assert _hex_outcome(lean) == want
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [("samples", True), ("samples", False), ("samples", 2.0), ("min_accepted", 2.5), ("min_accepted", True),
+         ("min_accepted", -3), ("min_accepted", 0), ("min_accepted", "50")],
+    )
+    def test_counts_must_be_positive_integers(self, argument, value):
+        kwargs = {"samples": 1000, "min_accepted": 1, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            bayes_oracle_mc(
+                small_mcar(), np.zeros(2), MissingPattern(0, 2), bandwidth=0.5, rng=np.random.default_rng(0), **kwargs
             )
 
 

@@ -356,6 +356,31 @@ class TestGaussianParams:
         params = GaussianParams(np.zeros(3), cov)
         assert np.allclose(params.factor @ params.factor.T, cov, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            (np.zeros(3), np.ones((3, 3))),
+            (np.array([1.0, -2.0, 1e5]), np.ones((3, 3))),
+            (np.arange(8.0), paired_block_covariance(8)),
+            (
+                np.array([0.5, -1.0, 3.0, 2.0]),
+                np.array([[2.0, 0.6, 0.0, -0.3], [0.6, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [-0.3, 0.0, 0.4, 0.8]]),
+            ),
+            (np.full(5, -7.25), np.eye(5)),
+        ],
+        ids=["ones3", "ones3_shifted", "paired8", "dense4", "eye5"],
+    )
+    @pytest.mark.parametrize("size", [0, 1, 7, 4096])
+    def test_sample_adds_the_mean_in_place_bit_for_bit(self, mean, cov, size):
+        params = GaussianParams(mean, cov)
+        reference_rng, rng = np.random.default_rng(size), np.random.default_rng(size)
+        z = reference_rng.standard_normal((size, params.dimension))
+        reference = params.mean + z @ params.factor.T
+        got = params.sample(rng, size)
+        assert got.shape == (size, params.dimension) and got.flags.writeable
+        assert np.array_equal(got, reference)
+        assert rng.random() == reference_rng.random()
+
 
 class TestAffineModel:
     def test_batch_and_single_prediction(self):
