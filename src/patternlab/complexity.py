@@ -22,13 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import PatternDistribution
-
-
-def _validate_tau(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    return tau
+from .patterns import count, rate, threshold
 
 
 def _complexity(probs: np.ndarray, counts: np.ndarray, tau: float) -> float:
@@ -37,7 +31,7 @@ def _complexity(probs: np.ndarray, counts: np.ndarray, tau: float) -> float:
 
 def pattern_complexity(dist: PatternDistribution, tau: float) -> float:
     """Exact sum of min(p_m, tau) over all patterns, from the law's atoms."""
-    tau = _validate_tau(tau)
+    tau = threshold(tau, "tau")
     return _complexity(*dist.atoms(), tau)
 
 
@@ -45,7 +39,7 @@ def pattern_complexity_subset_form(dist: PatternDistribution, tau: float) -> flo
     """The same quantity through its best subset: keep the patterns with
     p_m > tau, pay tau for each kept pattern plus the probability outside.
     """
-    tau = _validate_tau(tau)
+    tau = threshold(tau, "tau")
     probs, counts = dist.atoms()
     kept = probs > tau
     return float(counts[kept].sum() * tau + (counts * probs)[~kept].sum())
@@ -62,8 +56,8 @@ def pattern_complexity_mc(
     dist: PatternDistribution, tau: float, samples: int, rng: np.random.Generator
 ) -> McEstimate:
     """Monte Carlo estimate: mean of min(1, tau / p_M) over draws M ~ dist."""
-    tau = _validate_tau(tau)
-    if samples < 2:
+    tau = threshold(tau, "tau")
+    if count(samples, "samples") < 2:
         raise ValueError(f"at least 2 samples required, got {samples}")
     keys = dist.sample_masks(rng, samples)
     probs = dist.mask_probabilities(keys)
@@ -143,7 +137,7 @@ def entropy_bound(dist: PatternDistribution, tau: float, kind: BoundKind) -> Bou
     guaranteed when every atom is at most 1/e and tau < 1/e, which the
     ``valid`` flag records.
     """
-    tau = _validate_tau(tau)
+    tau = threshold(tau, "tau")
     return _entropy_bound(*dist.atoms(), tau, kind)
 
 
@@ -169,7 +163,7 @@ def _entropy_bound(probs: np.ndarray, counts: np.ndarray, tau: float, kind: Boun
 def bound_report(dist: PatternDistribution, tau: float, alpha: float = 0.5) -> BoundReport:
     """The exact complexity and the four entropy bounds, from one pass over
     the law's atoms."""
-    tau = _validate_tau(tau)
+    tau = threshold(tau, "tau")
     kinds = (
         BoundKind.hartley(),
         BoundKind.shannon(),
@@ -191,11 +185,9 @@ def effective_missing_dimension(d: int, n: int, epsilon: float) -> int:
     Bernoulli masking at rate epsilon. Degenerate rates 0 and 1 are
     rejected since the ratio is undefined there.
     """
-    if not 1 <= d <= n:
+    if not count(d, "d") <= count(n, "n"):
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"rate must lie strictly inside (0, 1), got {epsilon}")
+    epsilon = rate(epsilon, "epsilon")
     raw = math.floor(math.log(n / d) / math.log(1.0 / epsilon))
     return min(max(1, raw), d)
 
@@ -248,8 +240,7 @@ def merge_complexity_bound(d: int, n: int, h: int, eta: float) -> float:
     The protocol count h enters linearly; the protocol patterns themselves
     do not matter.
     """
-    if h < 1:
-        raise ValueError(f"protocol count must be >= 1, got {h}")
+    count(h, "protocol count")
     s = effective_missing_dimension(d, n, eta)
     return (math.e * d / s) ** s * h * (d / n)
 
@@ -263,10 +254,9 @@ def binomial_inverse_bounds_check(n: int, p: float) -> bool:
     Sums run in exact rational arithmetic because the upper gap can shrink
     below float resolution.
     """
-    if not 1 <= n <= 30:
+    if count(n, "n") > 30:
         raise ValueError(f"exact enumeration capped at n <= 30, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    rate(p, "p")
     pf = Fraction(p)
     qf = 1 - pf
     pmf = [Fraction(math.comb(n, k)) * pf**k * qf ** (n - k) for k in range(n + 1)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import ConstantImputeRegression, IterativeImputeRegression, PbpRegression
-from .patterns import MaskedDataset, json_field, json_floats
+from .patterns import MaskedDataset, array, count, dimension, json_field, mask, numbers, unpack_masks, vector
 from .simulate import LabeledSample
 
 
@@ -32,30 +32,20 @@ def labeled_sample_to_json(sample: LabeledSample) -> dict:
 def dataset_from_json(obj: dict) -> MaskedDataset:
     """Rebuild a dataset; each mask is d characters of 0/1, each values row
     holds d entries, and ``null`` is allowed only at masked cells."""
-    n, d = json_field(obj, "n", int), json_field(obj, "d", int)
-    masks = json_field(obj, "mask", list)
-    for i, row in enumerate(masks):
-        if not isinstance(row, str) or len(row) != d or not set(row) <= {"0", "1"}:
-            raise ValueError(f"mask of row {i} (counting from 0) is {row!r}, expected {d} characters of 0/1")
-    mask = np.array([[c == "1" for c in row] for row in masks], dtype=bool)
-    if mask.shape != (n, d):
-        raise ValueError(f"mask shape {mask.shape} does not match n={n}, d={d}")
-    cells = json_field(obj, "values", list)
+    n, d = json_field(obj, "n", count), json_field(obj, "d", dimension)
+    masks, cells = json_field(obj, "mask", array), json_field(obj, "values", array)
+    if len(masks) != n or len(cells) != n:
+        raise ValueError(f"fields 'mask' and 'values' must hold n={n} rows, got {len(masks)} and {len(cells)}")
+    keys = [mask(row, f"mask of row {i} (counting from 0)", d).bits for i, row in enumerate(masks)]
+    missing = unpack_masks(np.array(keys, dtype=np.int64), d)
     for i, row in enumerate(cells):
         if not isinstance(row, list) or len(row) != d:
             raise ValueError(f"values row {i} (counting from 0) is {row!r}, expected a list of {d} numbers or nulls")
-    try:
-        values = np.array([[0.0 if cell is None else float(cell) for cell in row] for row in cells])
-    except TypeError as exc:
-        raise ValueError(f"field 'values': {exc}") from exc
-    if values.shape != (n, d):
-        raise ValueError(f"values shape {values.shape} does not match n={n}, d={d}")
-    for i, j in np.argwhere(~mask):
+    values = numbers([[0.0 if cell is None else cell for cell in row] for row in cells], "field 'values'")
+    for i, j in np.argwhere(~missing):
         if cells[i][j] is None:
-            raise ValueError(
-                f"value at row {i}, column {j} (counting from 0) is null but its mask marks it observed"
-            )
-    return MaskedDataset(values, mask, json_field(obj, "responses", json_floats))
+            raise ValueError(f"value at row {i}, column {j} (counting from 0) is null but its mask marks it observed")
+    return MaskedDataset(values, missing, json_field(obj, "responses", vector))
 
 
 def model_from_json(obj: dict):
@@ -67,4 +57,4 @@ def model_from_json(obj: dict):
         return ConstantImputeRegression.from_json(obj)
     if kind == "iterative_impute":
         return IterativeImputeRegression.from_json(obj)
-    raise ValueError(f"unrecognized model payload (kind={kind!r})")
+    raise ValueError(f"unrecognized model payload (kind={kind!r}, and no field 'models')")

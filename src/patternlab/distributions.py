@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .patterns import MissingPattern, checked_dimension, json_field, json_floats, pack_mask_rows, unpack_masks
+from .patterns import MissingPattern, json_field, pack_mask_rows, unpack_masks
+from .patterns import array, dimension, mask, probability, probability_vector, records, vector
 
 ENUMERATION_LIMIT = 20
 
@@ -75,22 +76,14 @@ class ExplicitPatterns(PatternDistribution):
     limit. Probabilities must be nonnegative and sum to 1 within 1e-12.
     """
 
-    def __init__(self, dimension: int, probabilities: dict):
-        self.dimension = checked_dimension(dimension)
-        items = []
-        for pattern, p in probabilities.items():
+    def __init__(self, d: int, probabilities: dict):
+        self.dimension = dimension(d, "dimension")
+        for pattern in probabilities:
             if not isinstance(pattern, MissingPattern):
                 raise TypeError("keys must be MissingPattern instances")
             self._check_dimension(pattern)
-            p = float(p)
-            if p < 0.0:
-                raise ValueError(f"negative probability {p} for {pattern}")
-            if p > 0.0:
-                items.append((pattern.bits, p))
-        total = float(np.sum([p for _, p in items], dtype=float)) if items else 0.0
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-12")
-        items.sort()
+        probs = probability_vector(list(probabilities.values()), "probabilities")
+        items = sorted((pattern.bits, p) for pattern, p in zip(probabilities, probs) if p > 0.0)
         self._keys = np.array([k for k, _ in items], dtype=np.int64)
         self._probs = np.array([p for _, p in items], dtype=float)
         self._cumulative = np.cumsum(self._probs)
@@ -121,12 +114,11 @@ class BernoulliPatterns(PatternDistribution):
     """Independent per-coordinate masking: coordinate j is missing w.p. eps_j."""
 
     def __init__(self, epsilons):
-        eps = np.array(epsilons, dtype=float)
+        eps = np.asarray(epsilons)
         if eps.ndim != 1 or eps.size == 0:
             raise ValueError("epsilons must be a nonempty 1-d sequence")
-        if ((eps < 0.0) | (eps > 1.0)).any():
-            raise ValueError("rates must lie in [0, 1]")
-        self.dimension = checked_dimension(eps.size)
+        eps = np.array([probability(e, f"epsilons[{j}]") for j, e in enumerate(eps)])
+        self.dimension = dimension(eps.size, "the number of rates")
         eps.setflags(write=False)
         self.epsilons = eps
 
@@ -142,10 +134,10 @@ class BernoulliPatterns(PatternDistribution):
 class HomogeneousBernoulli(BernoulliPatterns):
     """Bernoulli masking with one shared rate for every coordinate."""
 
-    def __init__(self, dimension: int, epsilon: float):
-        dimension = checked_dimension(dimension)
-        super().__init__(np.full(dimension, float(epsilon)))
-        self.epsilon = float(epsilon)
+    def __init__(self, d: int, epsilon: float):
+        epsilon = probability(epsilon, "epsilon")
+        super().__init__(np.full(dimension(d, "dimension"), epsilon))
+        self.epsilon = epsilon
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """d + 1 atoms eps**k (1 - eps)**(d - k), each shared by C(d, k)
@@ -179,17 +171,12 @@ class MergeModel(PatternDistribution):
         self.dimension = protocols[0].dimension
         if any(p.dimension != self.dimension for p in protocols):
             raise ValueError("protocols must share one dimension")
-        w = np.array(weights, dtype=float)
+        w = np.asarray(weights)
         if w.shape != (len(protocols),):
             raise ValueError("one weight per protocol required")
-        if (w < 0.0).any() or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
-        eta = float(eta)
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"failure rate must lie in [0, 1], got {eta}")
         self.protocols = tuple(protocols)
-        self.weights = w
-        self.eta = eta
+        self.weights = w = probability_vector(w, "weights")
+        self.eta = probability(eta, "eta")
         self._protocol_keys = np.array([p.bits for p in protocols], dtype=np.int64)
         self._cumulative = np.cumsum(w)
 
@@ -216,8 +203,8 @@ class MergeModel(PatternDistribution):
 class UniformPatterns(PatternDistribution):
     """The uniform law over all 2**d patterns."""
 
-    def __init__(self, dimension: int):
-        self.dimension = checked_dimension(dimension)
+    def __init__(self, d: int):
+        self.dimension = dimension(d, "dimension")
 
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
@@ -234,17 +221,14 @@ class UniformPatterns(PatternDistribution):
 
 def explicit_from_json(obj: dict) -> ExplicitPatterns:
     """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}."""
-    d = json_field(obj, "d", int)
-    mapping = {}
-    for entry in json_field(obj, "patterns", list):
-        mask = json_field(entry, "mask")
-        pattern = MissingPattern.from_string(mask)
-        if pattern.dimension != d:
-            raise ValueError(f"mask {mask!r} does not have {d} characters")
-        if pattern in mapping:
-            raise ValueError(f"duplicate mask {mask!r}")
-        mapping[pattern] = json_field(entry, "p", float)
-    return ExplicitPatterns(d, mapping)
+    d = json_field(obj, "d", dimension)
+    probs = {}
+    for entry in json_field(obj, "patterns", records):
+        pattern = mask(json_field(entry, "mask"), "field 'mask'", d)
+        if pattern in probs:
+            raise ValueError(f"duplicate mask {pattern.to_string()!r}")
+        probs[pattern] = json_field(entry, "p", probability)
+    return ExplicitPatterns(d, probs)
 
 
 def explicit_to_json(dist: ExplicitPatterns) -> dict:
@@ -254,18 +238,25 @@ def explicit_to_json(dist: ExplicitPatterns) -> dict:
     }
 
 
+def merge_from_json(obj: dict, d: int | None = None) -> MergeModel:
+    """Load a merge law from {"protocols": ["0110", ...], "weights": [...],
+    "eta": float}; each protocol mask has ``d`` characters when ``d`` is given."""
+    protocols = json_field(obj, "protocols", array)
+    protocols = [mask(s, f"entry {i} of field 'protocols'", d) for i, s in enumerate(protocols)]
+    return MergeModel(protocols, json_field(obj, "weights", vector), json_field(obj, "eta", probability))
+
+
 def distribution_from_json(obj: dict) -> PatternDistribution:
     """Load any supported family; a bare {"d", "patterns"} object is explicit."""
     kind = json_field(obj, "kind", default=None)
     if kind == "explicit" or (kind is None and "patterns" in obj):
         return explicit_from_json(obj)
     if kind == "homogeneous_bernoulli":
-        return HomogeneousBernoulli(json_field(obj, "d", int), json_field(obj, "epsilon", float))
+        return HomogeneousBernoulli(json_field(obj, "d", dimension), json_field(obj, "epsilon", probability))
     if kind == "heterogeneous_bernoulli":
-        return BernoulliPatterns(json_field(obj, "epsilons", json_floats))
+        return BernoulliPatterns(json_field(obj, "epsilons", vector))
     if kind == "merge":
-        protocols = [MissingPattern.from_string(s) for s in json_field(obj, "protocols", list)]
-        return MergeModel(protocols, json_field(obj, "weights", json_floats), json_field(obj, "eta", float))
+        return merge_from_json(obj)
     if kind == "uniform":
-        return UniformPatterns(json_field(obj, "d", int))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+        return UniformPatterns(json_field(obj, "d", dimension))
+    raise ValueError(f"unknown distribution kind {kind!r} (an explicit law has the field 'patterns')")

@@ -20,19 +20,17 @@ from .patterns import (
     PatternBank,
     RowPredictor,
     json_field,
-    json_floats,
     key_groups,
     masked_batch,
-    positive_int,
     unpack_masks,
 )
+from .patterns import array, count, dimension, mapping, number, positive, probability, records, vector
 from .solver import AffineModel, clip, least_squares, lstsq_stack
 
 
 def default_ball_radius(gamma: float, n: int) -> float:
     """sqrt(gamma) * (1 + sqrt(gamma * log n)), the recommended filter radius."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    positive(gamma, "gamma")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     return math.sqrt(gamma) * (1.0 + math.sqrt(gamma * math.log(n)))
@@ -55,12 +53,10 @@ class EstimatorConfig:
     ball_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if self.clip_level is not None and not self.clip_level > 0.0:
-            raise ValueError("clip_level must be positive")
-        if self.ball_radius is not None and not self.ball_radius > 0.0:
-            raise ValueError("ball_radius must be positive")
+        probability(self.tau, "tau")
+        for name in ("clip_level", "ball_radius"):
+            if getattr(self, name) is not None:
+                positive(getattr(self, name), name)
 
 
 def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> EstimatorConfig:
@@ -70,8 +66,8 @@ def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> 
     over observed entries. Without a slope bound, clipping stays off rather
     than guessing one; a slope bound must be positive.
     """
-    if lipschitz_bound is not None and not lipschitz_bound > 0.0:
-        raise ValueError("lipschitz_bound must be positive")
+    if lipschitz_bound is not None:
+        positive(lipschitz_bound, "lipschitz_bound")
     observed = ~data.mask
     second_moments = [
         float(np.mean(data.values[observed[:, j], j] ** 2))
@@ -132,17 +128,15 @@ class PbpRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "PbpRegression":
-        if "d" not in obj:
-            raise ValueError("per-pattern model payload lacks the field 'd' (the covariate dimension)")
         config = EstimatorConfig(
-            tau=json_field(obj, "tau", float), clip_level=json_field(obj, "clip", float, None)
+            tau=json_field(obj, "tau", probability), clip_level=json_field(obj, "clip", positive, None)
         )
-        bank = PatternBank.from_json(json_field(obj, "d", int), json_field(obj, "models", list))
+        bank = PatternBank.from_json(json_field(obj, "d", dimension), json_field(obj, "models", records))
         return cls(models=bank, config=config)
 
 
 def _affine_from_json(obj) -> AffineModel:
-    return AffineModel(json_field(obj, "intercept", float), json_field(obj, "coef", json_floats))
+    return AffineModel(json_field(obj, "intercept", number), json_field(obj, "coef", vector))
 
 
 def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
@@ -213,7 +207,7 @@ class ConstantImputeRegression(RowPredictor):
     regression: AffineModel
 
     def __post_init__(self) -> None:
-        d = positive_int("d", self.dimension)
+        d = dimension(self.dimension, "d")
         if self.regression.coefficients.shape != (2 * d,):
             raise ValueError(f"coef must hold 2d={2 * d} numbers, got {self.regression.coefficients.size}")
 
@@ -232,7 +226,7 @@ class ConstantImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantImputeRegression":
-        return cls(json_field(obj, "d", int), _affine_from_json(obj))
+        return cls(json_field(obj, "d", dimension), _affine_from_json(obj))
 
 
 def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
@@ -324,7 +318,7 @@ class IterativeImputeRegression(RowPredictor):
     round_deltas: tuple = ()
 
     def __post_init__(self) -> None:
-        d = positive_int("d", self.dimension)
+        d = dimension(self.dimension, "d")
         means = np.array(self.column_means, dtype=float)
         if means.shape != (d,):
             raise ValueError(f"column_means must hold d={d} numbers, got shape {means.shape}")
@@ -340,7 +334,7 @@ class IterativeImputeRegression(RowPredictor):
         means.setflags(write=False)
         object.__setattr__(self, "column_means", means)
         object.__setattr__(self, "column_models", tuple(self.column_models))
-        object.__setattr__(self, "rounds", positive_int("rounds", self.rounds))
+        object.__setattr__(self, "rounds", count(self.rounds, "rounds"))
 
     def complete(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         values, mask = masked_batch(values, mask, self.dimension)
@@ -377,12 +371,12 @@ class IterativeImputeRegression(RowPredictor):
     @classmethod
     def from_json(cls, obj: dict) -> "IterativeImputeRegression":
         models = tuple(
-            None if entry is None else _affine_from_json(entry)
-            for entry in json_field(obj, "column_models", list)
+            None if entry is None else _affine_from_json(mapping(entry, "an entry of field 'column_models'"))
+            for entry in json_field(obj, "column_models", array)
         )
         return cls(
-            dimension=json_field(obj, "d", int),
-            column_means=json_field(obj, "column_means", json_floats),
+            dimension=json_field(obj, "d", dimension),
+            column_means=json_field(obj, "column_means", vector),
             column_models=models,
             rounds=json_field(obj, "rounds"),
             regression=_affine_from_json(obj),
@@ -436,11 +430,11 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     falls below ``tol`` times the observed-value scale (set tol=0 to always
     run all sweeps); prediction replays the executed number of sweeps. The
     final regression of the response on the completed matrix is solved
-    without damping. ``rounds`` is an integer >= 1 and ``tol`` nonnegative;
+    without damping. ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0;
     the column models' ridge floor is the constant ``RIDGE_FLOOR``.
     """
-    rounds = positive_int("rounds", rounds)
-    if isinstance(tol, bool) or not tol >= 0.0:
+    rounds = count(rounds, "rounds")
+    if not number(tol, "tol") >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     observed = ~data.mask
     means = np.array(

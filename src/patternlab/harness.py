@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -22,8 +21,9 @@ import numpy as np
 
 from .complexity import pattern_complexity
 from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
-from .patterns import RowPredictor, json_field, positive_int
-from .simulate import NoClosedFormError, Scenario
+from .patterns import RowPredictor, json_field, json_object
+from .patterns import array, boolean, count, integer, is_number, positive, probability, records
+from .simulate import NoClosedFormError, Scenario, scenario_from_json
 
 CSV_HEADER = (
     "scenario",
@@ -90,12 +90,12 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("pbp", "cst_impute_lr", "iterative_impute_lr"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "pbp":
-            rule = self.tau_rule
-            numeric = isinstance(rule, (int, float)) and not isinstance(rule, bool)
-            if not (rule in ("d_over_n", "one_over_n") or numeric):
+        rule = self.tau_rule
+        if self.kind == "pbp" and rule not in ("d_over_n", "one_over_n"):
+            if not is_number(rule):
                 raise ValueError(f"invalid tau rule {rule!r}")
-        object.__setattr__(self, "rounds", positive_int("rounds", self.rounds))
+            probability(rule, "tau rule")
+        object.__setattr__(self, "rounds", count(self.rounds, "rounds"))
 
     @property
     def name(self) -> str:
@@ -134,8 +134,8 @@ def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
         kind=json_field(obj, "kind"),
         tau_rule=json_field(obj, "tau", default=None),
         rounds=json_field(obj, "rounds", default=10),
-        clip_level=json_field(obj, "clip", float, None),
-        ball_radius=json_field(obj, "ball_radius", float, None),
+        clip_level=json_field(obj, "clip", positive, None),
+        ball_radius=json_field(obj, "ball_radius", positive, None),
     )
 
 
@@ -151,12 +151,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "n_grid", tuple(positive_int("each n_grid entry", n) for n in self.n_grid))
-        object.__setattr__(self, "repetitions", positive_int("repetitions", self.repetitions))
-        object.__setattr__(self, "n_test", positive_int("n_test", self.n_test))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_grid", tuple(count(n, "each n_grid entry") for n in self.n_grid))
+        object.__setattr__(self, "repetitions", count(self.repetitions, "repetitions"))
+        object.__setattr__(self, "n_test", count(self.n_test, "n_test"))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if self.n_test < 100:
             raise ValueError("n_test must be >= 100")
         if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
@@ -166,16 +164,14 @@ class ExperimentConfig:
 
 
 def experiment_config_from_json(obj: dict) -> ExperimentConfig:
-    from .simulate import scenario_from_json
-
     return ExperimentConfig(
-        scenario=scenario_from_json(json_field(obj, "scenario", dict)),
-        estimators=tuple(estimator_spec_from_json(e) for e in json_field(obj, "estimators", list)),
-        n_grid=json_field(obj, "n_grid", list),
-        repetitions=json_field(obj, "repetitions", operator.index),
-        n_test=json_field(obj, "n_test", operator.index, 10_000),
-        seed=json_field(obj, "seed", operator.index, 0),
-        record_timings=json_field(obj, "record_timings", bool, True),
+        scenario=json_object(obj, "scenario", scenario_from_json),
+        estimators=tuple(estimator_spec_from_json(e) for e in json_field(obj, "estimators", records)),
+        n_grid=json_field(obj, "n_grid", array),
+        repetitions=json_field(obj, "repetitions", integer),
+        n_test=json_field(obj, "n_test", integer, 10_000),
+        seed=json_field(obj, "seed", integer, 0),
+        record_timings=json_field(obj, "record_timings", boolean, True),
     )
 
 

@@ -1,10 +1,12 @@
-"""Missingness patterns, masked datasets, per-pattern row indexing, and the
-bank of per-pattern affine predictors."""
+"""Missingness patterns, masked datasets, per-pattern row indexing, the
+bank of per-pattern affine predictors, and the field kinds that check every
+outside number."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -13,19 +15,98 @@ from .solver import AffineModel
 MAX_DIMENSION = 63
 
 _REQUIRED = object()
+_FLOAT_MAX = float(np.finfo(float).max)
+
+# Field kinds: one answer each to "what counts as a valid X" for an outside
+# number or JSON value. ``kind(value, name)`` returns the checked value or
+# raises ValueError("<name> must be ..., got ..."); constructors call kinds
+# directly and JSON readers through ``json_field``, so both meet one rule.
 
 
-def json_field(obj, name: str, convert=None, default=_REQUIRED):
-    """Field ``name`` of the JSON object ``obj``, passed through ``convert``.
+def _reject(name: str, wanted: str, value):
+    raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
-    ``convert`` is ``list`` or ``dict`` (the value must be a JSON array or
-    object), ``bool`` (the value must be a JSON boolean) or a callable such
-    as ``float``, which never receives a boolean. A field that is absent or null
-    takes ``default`` when one is given. An ``obj`` that is not an object, a
-    missing field without a default, and a value that ``convert`` rejects
-    are each a ValueError naming the field; the readers of every JSON input
-    go through here, so a malformed file is never reported as a KeyError or
-    TypeError.
+
+def is_number(value) -> bool:
+    """An int or a float, numpy's included; a bool is not a number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _kind(wanted: str, accepts, convert=None, numeric: bool = False):
+    """The kind of the values that ``accepts`` takes, numpy scalars read as
+    Python ones, returned through ``convert`` if given. A numeric kind reports
+    a non-number as such, and any other rejected value as not ``wanted``."""
+
+    def check(value, name: str):
+        value = value.item() if isinstance(value, np.generic) else value
+        if numeric and not is_number(value):
+            _reject(name, "a number", value)
+        if not accepts(value):
+            _reject(name, wanted, value)
+        return value if convert is None else convert(value)
+
+    return check
+
+
+number = _kind("finite", lambda v: abs(v) <= _FLOAT_MAX, float, numeric=True)
+integer = _kind("an integer", lambda v: isinstance(v, (int, np.integer)), int, numeric=True)
+probability = _kind("a probability in [0, 1]", lambda v: 0.0 <= v <= 1.0, float, numeric=True)
+threshold = _kind("in (0, 1]", lambda v: 0.0 < v <= 1.0, float, numeric=True)
+rate = _kind("strictly inside (0, 1)", lambda v: 0.0 < v < 1.0, float, numeric=True)
+positive = _kind("positive and finite", lambda v: 0.0 < v <= _FLOAT_MAX, float, numeric=True)
+noise_level = _kind("a finite, nonnegative noise level", lambda v: 0.0 <= v <= _FLOAT_MAX, float, numeric=True)
+count = _kind("an integer >= 1", lambda v: _whole(v) and v >= 1, int)
+dimension = _kind(f"an integer in [1, {MAX_DIMENSION}]", lambda v: _whole(v) and 1 <= v <= MAX_DIMENSION, int)
+boolean = _kind("a JSON boolean", lambda v: isinstance(v, bool))
+array = _kind("an array", lambda v: isinstance(v, list))
+records = _kind("an array of objects", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
+mapping = _kind("an object", lambda v: isinstance(v, dict))
+
+
+def probability_vector(values, name: str, tol: float = 1e-12) -> np.ndarray:
+    """A law's atom probabilities as a float array: each a ``probability``, summing to 1 within ``tol``."""
+    probs = np.array([probability(p, f"{name}[{i}]") for i, p in enumerate(values)], dtype=float)
+    if not abs(probs.sum() - 1.0) <= tol:
+        raise ValueError(f"{name} sum to {float(probs.sum())!r}, expected 1 within {tol:g}")
+    return probs
+
+
+def numbers(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """A JSON number or nested array of finite JSON numbers as a float array, of ``ndim`` dimensions if given."""
+    entries = np.asarray(value, dtype=object)
+    if ndim not in (None, entries.ndim):
+        _reject(name, "an array of numbers" if ndim == 1 else "a matrix of numbers", value)
+    for entry in entries.flat:
+        if type(entry) not in (int, float) or not abs(entry) <= _FLOAT_MAX:
+            _reject(name, "finite numbers", entry)
+    return entries.astype(float)
+
+
+vector = partial(numbers, ndim=1)
+matrix = partial(numbers, ndim=2)
+
+
+def mask(value, name: str, d: int | None = None) -> "MissingPattern":
+    """A mask string such as "0110", whose leftmost character is coordinate
+    1, of ``d`` characters when ``d`` is given, as a MissingPattern."""
+    if not isinstance(value, str) or not value or set(value) - {"0", "1"} or d not in (None, len(value)):
+        _reject(name, "a nonempty string of 0/1" if d is None else f"a string of {d} characters 0/1", value)
+    return MissingPattern(int(value[::-1], 2), len(value))
+
+
+def json_field(obj, name: str, kind=None, default=_REQUIRED):
+    """Field ``name`` of the JSON object ``obj``, checked by the field kind
+    ``kind`` (the raw value when no kind is given).
+
+    A field that is absent or null takes ``default`` when one is given. An
+    ``obj`` that is not an object, a missing field without a default, and a
+    value that ``kind`` rejects are each a ValueError naming the field; the
+    readers of every JSON input go through here, so a malformed file is
+    never reported as a KeyError or TypeError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object holding the field {name!r}, got {type(obj).__name__}")
@@ -34,41 +115,16 @@ def json_field(obj, name: str, convert=None, default=_REQUIRED):
         return default
     if name not in obj:
         raise ValueError(f"missing field {name!r}")
-    if convert in (list, dict):
-        if not isinstance(value, convert):
-            wanted = "an array" if convert is list else "an object"
-            raise ValueError(f"field {name!r} must be {wanted}, got {type(value).__name__}")
-        return value
-    if convert is None:
-        return value
-    if (convert is bool) != isinstance(value, bool):
-        wanted = "a JSON boolean" if convert is bool else "a number"
-        raise ValueError(f"field {name!r} must be {wanted}, got {value!r}")
+    return value if kind is None else kind(value, f"field {name!r}")
+
+
+def json_object(obj, name: str, read):
+    """``read`` of the JSON object in field ``name``; its ValueErrors name the field."""
+    value = json_field(obj, name, mapping)
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {name!r}: {exc}") from exc
-
-
-def positive_int(name: str, value) -> int:
-    """``value`` as a positive integer count; a bool or a fraction is a
-    ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def checked_dimension(d) -> int:
-    """``d`` as an int in [1, MAX_DIMENSION]; any other value is a ValueError."""
-    d = int(d)
-    if not 1 <= d <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
-    return d
-
-
-def json_floats(value) -> np.ndarray:
-    """A JSON number or nested array of numbers as a float array."""
-    return np.asarray(value, dtype=float)
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"in field {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -83,8 +139,8 @@ class MissingPattern:
     dimension: int
 
     def __post_init__(self) -> None:
-        checked_dimension(self.dimension)
-        if not 0 <= self.bits < (1 << self.dimension):
+        dimension(self.dimension, "dimension")
+        if not 0 <= integer(self.bits, "bits") < (1 << self.dimension):
             raise ValueError(f"bits {self.bits} outside a {self.dimension}-bit pattern")
 
     @classmethod
@@ -99,9 +155,7 @@ class MissingPattern:
     @classmethod
     def from_string(cls, text: str) -> "MissingPattern":
         """Parse a mask string such as "0110"; the leftmost character is coordinate 1."""
-        if not isinstance(text, str) or not text or set(text) - {"0", "1"}:
-            raise ValueError(f"mask string must be a nonempty run of 0/1, got {text!r}")
-        return cls.from_bools(c == "1" for c in text)
+        return mask(text, "mask string")
 
     @classmethod
     def all_missing(cls, dimension: int) -> "MissingPattern":
@@ -218,8 +272,7 @@ class MaskedDataset:
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         n, d = values.shape
-        if d > MAX_DIMENSION:
-            raise ValueError(f"at most {MAX_DIMENSION} covariates supported, got {d}")
+        dimension(d, "the number of covariates")
         if mask.shape != (n, d):
             raise ValueError(f"mask shape {mask.shape} does not match values shape {(n, d)}")
         if responses.shape != (n,):
@@ -315,7 +368,7 @@ class PatternBank(Mapping):
     """
 
     def __init__(self, d: int):
-        self.d = checked_dimension(d)
+        self.d = dimension(d, "d")
         self._keys = np.empty(0, dtype=np.int64)
         self._rows = np.empty(0, dtype=np.intp)
         self._coef = np.zeros((0, self.d))
@@ -393,15 +446,12 @@ class PatternBank(Mapping):
         coef = np.zeros((len(entries), bank.d))
         intercepts = np.zeros(len(entries))
         for i, entry in enumerate(entries):
-            mask = json_field(entry, "mask")
-            m = MissingPattern.from_string(mask)
-            if m.dimension != bank.d:
-                raise ValueError(f"mask {mask!r} does not have {bank.d} characters")
-            row = json_field(entry, "coef", json_floats)
+            m = mask(json_field(entry, "mask"), "field 'mask'", bank.d)
+            row = json_field(entry, "coef", vector)
             if row.shape != (m.n_observed,):
-                raise ValueError(f"mask {mask!r} needs {m.n_observed} coefficients, got {row.size}")
+                raise ValueError(f"mask {m.to_string()!r} needs {m.n_observed} coefficients, got {row.size}")
             keys.append(m.bits)
             coef[i, list(m.observed_indices)] = row
-            intercepts[i] = json_field(entry, "intercept", float)
+            intercepts[i] = json_field(entry, "intercept", number)
         bank.add(keys, coef, intercepts)
         return bank

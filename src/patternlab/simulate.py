@@ -22,19 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MergeModel, PatternDistribution
+from .distributions import MergeModel, PatternDistribution, distribution_from_json, merge_from_json
 from .patterns import (
     MaskedDataset,
     MissingPattern,
     PatternBank,
     json_field,
-    json_floats,
+    json_object,
     masked_batch,
     one_row,
     pack_mask_rows,
-    positive_int,
+    probability_vector,
     unpack_masks,
 )
+from .patterns import count, dimension, mask, matrix, noise_level, number, numbers, positive, probability, records
+from .patterns import vector
 from .solver import AffineModel, GaussianParams, optimum_rows
 
 
@@ -77,15 +79,12 @@ class Scenario:
         beta = np.array(beta, dtype=float)
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError("beta must be a nonempty vector")
-        if not np.isfinite(beta).all() or not np.isfinite(beta0):
+        if not np.isfinite(beta).all():
             raise ValueError("model coefficients must be finite")
-        noise_sd = float(noise_sd)
-        if not 0.0 <= noise_sd < np.inf:
-            raise ValueError(f"noise level must be finite and nonnegative, got {noise_sd!r}")
         beta.setflags(write=False)
-        self.beta0 = float(beta0)
+        self.beta0 = number(beta0, "beta0")
         self.beta = beta
-        self.noise_sd = noise_sd
+        self.noise_sd = noise_level(noise_sd, "noise_sd")
         self.name = name
         self._optimum = PatternBank(self.d)
 
@@ -120,8 +119,7 @@ class Scenario:
         response noise last, so samples are reproducible given the seed.
         ``with_bayes=False`` skips the exact-optimum column (the draw itself
         is unchanged)."""
-        if n < 1:
-            raise ValueError(f"sample size must be >= 1, got {n}")
+        n = count(n, "sample size")
         values, mask = self._draw(n, rng)
         noise = rng.standard_normal(n)
         responses = self.beta0 + values @ self.beta + self.noise_sd * noise
@@ -274,23 +272,19 @@ class GpmmScenario(Scenario):
 
     def __init__(self, beta0, beta, noise_sd: float, components, name: str = "gpmm"):
         super().__init__(beta0, beta, noise_sd, name)
-        comps = []
-        for prob, pattern, params in components:
-            prob = float(prob)
-            if prob <= 0.0:
-                raise ValueError("component probabilities must be positive")
+        components = list(components)
+        probs = probability_vector([prob for prob, _, _ in components], "component probabilities", tol=1e-9)
+        if not probs.all():
+            raise ValueError("component probabilities must be positive")
+        for _, pattern, params in components:
             if not isinstance(pattern, MissingPattern) or pattern.dimension != self.d:
                 raise ValueError("component patterns must match the scenario dimension")
             if params.dimension != self.d:
                 raise ValueError("component Gaussians must match the scenario dimension")
-            comps.append((prob, pattern, params))
-        total = sum(p for p, _, _ in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"component probabilities sum to {total!r}, expected 1")
-        if len({pattern for _, pattern, _ in comps}) != len(comps):
+        if len({pattern for _, pattern, _ in components}) != len(components):
             raise ValueError("component patterns must be distinct")
-        self.components = tuple(comps)
-        self._cumulative = np.cumsum([p for p, _, _ in comps])
+        self.components = tuple((float(p), pattern, params) for p, (_, pattern, params) in zip(probs, components))
+        self._cumulative = np.cumsum(probs)
 
     def pattern_probabilities(self) -> dict:
         return {pattern: prob for prob, pattern, _ in self.components}
@@ -355,10 +349,11 @@ class SelfMaskingScenario(Scenario):
         center = np.broadcast_to(np.asarray(mask_center, dtype=float), (self.d,)).copy()
         scale = np.broadcast_to(np.asarray(mask_scale, dtype=float), (self.d,)).copy()
         peak = np.broadcast_to(np.asarray(mask_peak_prob, dtype=float), (self.d,)).copy()
-        if (scale <= 0.0).any():
-            raise ValueError("mask scales must be positive")
-        if ((peak <= 0.0) | (peak > 1.0)).any():
-            raise ValueError("peak masking probabilities must lie in (0, 1]")
+        for j in range(self.d):
+            number(center[j], f"mask_center[{j}]")
+            positive(scale[j], f"mask_scale[{j}]")
+            if not probability(peak[j], f"mask_peak_prob[{j}]") > 0.0:
+                raise ValueError("peak masking probabilities must lie in (0, 1]")
         self.covariates = covariates
         self.mask_center = center
         self.mask_scale = scale
@@ -419,8 +414,8 @@ def bayes_oracle_mc(
     ``ValueError`` as a ``MaskedDataset`` would; the chunk's values are
     summed first, and only a sum that is not finite leads to the exact
     check of the observed block. ``samples`` and ``min_accepted`` must be
-    integers >= 1. Too few kept rows, or no more than the local fit's rank,
-    raise ``InsufficientSamplesError``.
+    integers >= 1, and ``bandwidth`` finite and > 0. Too few kept rows, or
+    no more than the local fit's rank, raise ``InsufficientSamplesError``.
     """
     if rng is None:
         raise ValueError("pass an explicit generator so oracle runs are reproducible")
@@ -431,10 +426,9 @@ def bayes_oracle_mc(
         raise ValueError("x_obs does not match the pattern's observed coordinates")
     if not np.isfinite(x_obs).all():
         raise ValueError("x_obs must be finite (no NaN or infinity)")
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    remaining = positive_int("samples", samples)
-    min_accepted = positive_int("min_accepted", min_accepted)
+    positive(bandwidth, "bandwidth")
+    remaining = count(samples, "samples")
+    min_accepted = count(min_accepted, "min_accepted")
     obs = np.array(m.observed_indices, dtype=int)
     offsets, responses = [], []
     while remaining > 0:
@@ -578,7 +572,7 @@ def preset(name: str):
 
 
 def _gaussian_from_json(obj) -> GaussianParams:
-    return GaussianParams(json_field(obj, "mu", json_floats), json_field(obj, "cov", json_floats))
+    return GaussianParams(json_field(obj, "mu", vector), json_field(obj, "cov", matrix))
 
 
 def scenario_from_json(obj: dict) -> Scenario:
@@ -590,24 +584,22 @@ def scenario_from_json(obj: dict) -> Scenario:
             raise ValueError(f"preset {name!r} is a pattern law, not a scenario")
         return built
     kind = json_field(obj, "kind", default=None)
-    d = json_field(obj, "d", int)
-    beta0 = json_field(obj, "beta0", float)
-    beta = json_field(obj, "beta", json_floats)
-    sigma = json_field(obj, "sigma", float)
+    d = json_field(obj, "d", dimension)
+    beta0 = json_field(obj, "beta0", number)
+    beta = json_field(obj, "beta", vector)
+    sigma = json_field(obj, "sigma", noise_level)
     if beta.shape != (d,):
         raise ValueError(f"beta must have length {d}")
     name = json_field(obj, "name", default=kind)
     if kind == "mcar_gaussian":
-        from .distributions import distribution_from_json
-
-        missingness = distribution_from_json(json_field(obj, "missingness", dict))
+        missingness = json_object(obj, "missingness", distribution_from_json)
         return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), missingness, name=name)
     if kind == "mar_block":
-        return MarBlockScenario(beta0, beta, sigma, json_field(obj, "block_cov", json_floats), name=name)
+        return MarBlockScenario(beta0, beta, sigma, json_field(obj, "block_cov", matrix), name=name)
     if kind == "gpmm":
         components = [
-            (json_field(c, "p", float), MissingPattern.from_string(json_field(c, "mask")), _gaussian_from_json(c))
-            for c in json_field(obj, "components", list)
+            (json_field(c, "p", probability), mask(json_field(c, "mask"), "field 'mask'", d), _gaussian_from_json(c))
+            for c in json_field(obj, "components", records)
         ]
         return GpmmScenario(beta0, beta, sigma, components, name=name)
     if kind == "self_masking":
@@ -616,14 +608,11 @@ def scenario_from_json(obj: dict) -> Scenario:
             beta,
             sigma,
             _gaussian_from_json(obj),
-            mask_center=json_field(obj, "mask_center", json_floats),
-            mask_scale=json_field(obj, "mask_scale", json_floats),
-            mask_peak_prob=json_field(obj, "mask_peak_prob", json_floats, 0.5),
+            mask_center=json_field(obj, "mask_center", numbers),
+            mask_scale=json_field(obj, "mask_scale", numbers),
+            mask_peak_prob=json_field(obj, "mask_peak_prob", numbers, 0.5),
             name=name,
         )
     if kind == "merge":
-        protocols = [MissingPattern.from_string(s) for s in json_field(obj, "protocols", list)]
-        weights = json_field(obj, "weights", json_floats)
-        eta = json_field(obj, "eta", float)
-        return merge_scenario(beta0, beta, sigma, _gaussian_from_json(obj), protocols, weights, eta, name=name)
+        return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), merge_from_json(obj, d), name=name)
     raise ValueError(f"unknown scenario kind {kind!r}")
