@@ -76,11 +76,15 @@ def probability_vector(values, name: str, tol: float = 1e-12) -> np.ndarray:
 
 
 def numbers(value, name: str, ndim: int | None = None) -> np.ndarray:
-    """A JSON number or nested array of finite JSON numbers as a float array, of ``ndim`` dimensions if given."""
+    """A JSON number or nested array of finite JSON numbers as a float array,
+    of ``ndim`` dimensions if given; numpy arrays and scalars are read as the
+    Python numbers they hold, so a boolean array is rejected as JSON ``true``
+    is."""
     entries = np.asarray(value, dtype=object)
     if ndim not in (None, entries.ndim):
         _reject(name, "an array of numbers" if ndim == 1 else "a matrix of numbers", value)
     for entry in entries.flat:
+        entry = entry.item() if isinstance(entry, np.generic) else entry
         if type(entry) not in (int, float) or not abs(entry) <= _FLOAT_MAX:
             _reject(name, "finite numbers", entry)
     return entries.astype(float)

@@ -37,7 +37,7 @@ from .patterns import (
 )
 from .patterns import count, dimension, mask, matrix, noise_level, number, numbers, positive, probability, records
 from .patterns import vector
-from .solver import AffineModel, GaussianParams, optimum_rows
+from .solver import AffineModel, GaussianParams, _normal_mass, _truncated_normal, optimum_rows
 
 
 class NoClosedFormError(RuntimeError):
@@ -69,18 +69,23 @@ class Scenario:
     ``generate`` makes: covariates and mask of every row. ``_draw_pattern``
     is what the sampling oracle reads: only the rows of one pattern among n
     joint draws, drawn pattern-first from P(M = m) and the law of X given
-    M = m where the scenario's generative law allows it. The two agree in
-    distribution, not in their random-number streams.
+    M = m where the scenario's generative law allows it. Given a window
+    (j, center, half) on the pattern's first observed coordinate, it may
+    also keep only the rows whose coordinate j can land in [center - half,
+    center + half], drawn window-first: the pattern's count is thinned by
+    the window's mass, so the rows kept are Binomial(n, P(M = m) P(window |
+    m)) and follow the law of X given the pattern and the window. The draws
+    agree in distribution, not in their random-number streams.
+
+    ``beta`` is read through the ``vector`` field kind.
     """
 
     has_closed_form = True
 
     def __init__(self, beta0: float, beta, noise_sd: float, name: str):
-        beta = np.array(beta, dtype=float)
-        if beta.ndim != 1 or beta.size == 0:
+        beta = vector(beta, "beta")
+        if beta.size == 0:
             raise ValueError("beta must be a nonempty vector")
-        if not np.isfinite(beta).all():
-            raise ValueError("model coefficients must be finite")
         beta.setflags(write=False)
         self.beta0 = number(beta0, "beta0")
         self.beta = beta
@@ -98,11 +103,21 @@ class Scenario:
         ``values`` over, freezes it and returns it as ``full_values``."""
         raise NotImplementedError
 
-    def _draw_pattern(self, n: int, rng: np.random.Generator, m: MissingPattern) -> np.ndarray:
+    def _draw_pattern(
+        self, n: int, rng: np.random.Generator, m: MissingPattern, window: tuple | None = None
+    ) -> np.ndarray:
         """The full covariates, (c, d), of the draws whose pattern is m among
         n joint draws, with c Binomial(n, P(M = m)). This base version makes
         the joint draw and filters it; subclasses whose law is pattern-first,
-        or can be read that way, draw c and then only those c rows."""
+        or can be read that way, draw c and then only those c rows.
+
+        ``window`` is None or (j, center, half) on m's first observed
+        coordinate j. A subclass that can draw that coordinate first thins c
+        by the window's mass and draws only rows that can land in it (up to
+        rounding, so the caller still filters); this base version ignores
+        the window and returns every row of the pattern, for the caller's
+        filter. The mask of a self-masking law depends on the values, so it
+        keeps this joint filter."""
         values, mask = self._draw(n, rng)
         return values[pack_mask_rows(mask) == m.bits]
 
@@ -184,10 +199,13 @@ class McarGaussianScenario(Scenario):
         values = self.covariates.sample(rng, n)
         return values, unpack_masks(self.missingness.sample_masks(rng, n), self.d)
 
-    def _draw_pattern(self, n, rng, m):
+    def _draw_pattern(self, n, rng, m, window=None):
         # the mask is independent of the values: count the pattern's draws,
-        # then draw only their covariates
-        return self.covariates.sample(rng, rng.binomial(n, self.missingness.probability(m)))
+        # then draw only their covariates, window-first when there is one
+        count = rng.binomial(n, self.missingness.probability(m))
+        if window is None:
+            return self.covariates.sample(rng, count)
+        return self.covariates.sample_within(rng, count, *window)
 
     def _optimum_rows(self, missing):
         return optimum_rows(self.covariates, self.beta0, self.beta, missing)
@@ -220,7 +238,7 @@ class MarBlockScenario(Scenario):
         if self.d % 2 != 0:
             raise ValueError("dimension must split into two equal blocks")
         k = self.d // 2
-        cov = np.asarray(block_cov, dtype=float)
+        cov = matrix(block_cov, "block_cov")
         if cov.shape != (k, k):
             raise ValueError(f"block covariance must be {k}x{k}, got {cov.shape}")
         self.block_size = k
@@ -235,7 +253,7 @@ class MarBlockScenario(Scenario):
         block2 = mask2.astype(float) + rng.standard_normal((n, k)) @ self._block2.factor.T
         return np.hstack([block1, block2]), np.hstack([np.zeros((n, k), dtype=bool), mask2])
 
-    def _draw_pattern(self, n, rng, m):
+    def _draw_pattern(self, n, rng, m, window=None):
         k = self.block_size
         missing = unpack_masks(np.array([m.bits]), self.d)[0]
         if missing[:k].any():
@@ -245,8 +263,22 @@ class MarBlockScenario(Scenario):
         # 1/2, and the signs fix block 2's mask: draw the count, then block 1
         # as |N(0, 1)| signed by the mask, then block 2 around its mask
         mask2 = missing[k:]
-        count = rng.binomial(n, 0.5**k)
-        block1 = np.abs(rng.standard_normal((count, k))) * np.where(mask2, 1.0, -1.0)
+        sign = np.where(mask2, 1.0, -1.0)
+        if window is None:
+            count = rng.binomial(n, 0.5**k)
+            block1 = np.abs(rng.standard_normal((count, k))) * sign
+        else:
+            # the window's coordinate j is in block 1 (always observed), a
+            # standard normal truncated to its sign's half-line: intersect
+            # the window with that half-line, thin the count by the mass of
+            # the intersection within the half-line, and truncate to it
+            j, center, half = window
+            lo, hi = max(sign[j] * center - half, 0.0), sign[j] * center + half
+            mass = 2.0 * _normal_mass(lo, hi) if lo < hi else 0.0
+            count = rng.binomial(n, 0.5**k * mass)
+            block1 = np.abs(rng.standard_normal((count, k)))
+            block1[:, j] = _truncated_normal(rng, count, lo, hi)
+            block1 *= sign
         block2 = mask2.astype(float) + rng.standard_normal((count, k)) @ self._block2.factor.T
         return np.hstack([block1, block2])
 
@@ -301,11 +333,12 @@ class GpmmScenario(Scenario):
             keys[rows] = pattern.bits
         return values, unpack_masks(keys, self.d)
 
-    def _draw_pattern(self, n, rng, m):
+    def _draw_pattern(self, n, rng, m, window=None):
         # each pattern belongs to one component; one outside the mixture has no rows
         for prob, pattern, params in self.components:
             if pattern == m:
-                return params.sample(rng, rng.binomial(n, prob))
+                count = rng.binomial(n, prob)
+                return params.sample(rng, count) if window is None else params.sample_within(rng, count, *window)
         return np.empty((0, self.d))
 
     def _optimum_rows(self, missing):
@@ -327,7 +360,8 @@ class SelfMaskingScenario(Scenario):
     value: P(missing | x) = peak_prob * exp(-(x - center)^2 / (2 scale^2)).
 
     No exact per-pattern predictor is exposed; validate predictions with
-    bayes_oracle_mc.
+    bayes_oracle_mc. The centre, scale and peak are each a number or a
+    vector of d, read through the ``numbers`` field kind.
     """
 
     has_closed_form = False
@@ -346,11 +380,10 @@ class SelfMaskingScenario(Scenario):
         super().__init__(beta0, beta, noise_sd, name)
         if covariates.dimension != self.d:
             raise ValueError("covariate dimension does not match beta")
-        center = np.broadcast_to(np.asarray(mask_center, dtype=float), (self.d,)).copy()
-        scale = np.broadcast_to(np.asarray(mask_scale, dtype=float), (self.d,)).copy()
-        peak = np.broadcast_to(np.asarray(mask_peak_prob, dtype=float), (self.d,)).copy()
+        center = np.broadcast_to(numbers(mask_center, "mask_center"), (self.d,)).copy()
+        scale = np.broadcast_to(numbers(mask_scale, "mask_scale"), (self.d,)).copy()
+        peak = np.broadcast_to(numbers(mask_peak_prob, "mask_peak_prob"), (self.d,)).copy()
         for j in range(self.d):
-            number(center[j], f"mask_center[{j}]")
             positive(scale[j], f"mask_scale[{j}]")
             if not probability(peak[j], f"mask_peak_prob[{j}]") > 0.0:
                 raise ValueError("peak masking probabilities must lie in (0, 1]")
@@ -403,13 +436,22 @@ def bayes_oracle_mc(
     std(ddof=1) / sqrt(accepted). Intended as a test oracle, not a
     production predictor.
 
-    The oracle reads only the generative law: each chunk of at most 250,000
+    The oracle reads only the generative law (mean, factor and noise, never
+    a conditional mean or a precision matrix): each chunk of at most 250,000
     joint draws yields the draws of pattern m through the scenario's
-    ``_draw_pattern``, and response noise is drawn for those rows only. The
-    window is filtered column-first: the first observed coordinate's column
-    picks the candidate rows, each further observed column is read only on
-    the rows still kept, and offsets and responses are computed for the
-    kept rows alone. A non-finite observed
+    ``_draw_pattern``, given the window on m's first observed coordinate,
+    and response noise is drawn for those rows only. Where the law given
+    the pattern is Gaussian, or is ``mar_block``'s signed half-normal, the
+    draw is window-first: the pattern's Binomial count is thinned by the
+    window's mass on that coordinate and only those rows are drawn, with
+    the coordinate truncated to the window. A Binomial thinned by a
+    Binomial is Binomial(n, P(M = m) P(window)), so ``samples`` still
+    counts joint draws and ``accepted`` keeps its law; other laws return
+    every row of the pattern. The window is then filtered column-first on
+    every observed column, the first one included: the first observed
+    coordinate's column picks the candidate rows, each further observed
+    column is read only on the rows still kept, and offsets and responses
+    are computed for the kept rows alone. A non-finite observed
     value of a draw of pattern m, or a non-finite kept response, raises
     ``ValueError`` as a ``MaskedDataset`` would; the chunk's values are
     summed first, and only a sum that is not finite leads to the exact
@@ -426,15 +468,16 @@ def bayes_oracle_mc(
         raise ValueError("x_obs does not match the pattern's observed coordinates")
     if not np.isfinite(x_obs).all():
         raise ValueError("x_obs must be finite (no NaN or infinity)")
-    positive(bandwidth, "bandwidth")
+    bandwidth = positive(bandwidth, "bandwidth")
     remaining = count(samples, "samples")
     min_accepted = count(min_accepted, "min_accepted")
     obs = np.array(m.observed_indices, dtype=int)
+    window = (int(obs[0]), float(x_obs[0]), bandwidth) if obs.size else None
     offsets, responses = [], []
     while remaining > 0:
         chunk = min(250_000, remaining)
         remaining -= chunk
-        values = scenario._draw_pattern(chunk, rng, m)
+        values = scenario._draw_pattern(chunk, rng, m, window)
         noise = rng.standard_normal(values.shape[0])
         # a finite sum proves every entry finite; an overflowing sum, or a
         # NaN at a missing coordinate, falls through to the exact check

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,23 +97,24 @@ def clip(value, level: float):
 class GaussianParams:
     """Mean and covariance of a d-dimensional Gaussian.
 
-    The covariance must be symmetric within 1e-12 and may be singular;
-    eigenvalues below -1e-10 are rejected.
+    Both are read through the ``vector`` and ``matrix`` field kinds, so they
+    hold finite numbers, never booleans or strings. The covariance must be
+    symmetric within 1e-12 and may be singular; eigenvalues below -1e-10 are
+    rejected.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.covariance, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError("mean must be 1-d")
+        # imported here: patterns imports AffineModel from this module
+        from .patterns import matrix, vector
+
+        mean = vector(self.mean, "mean")
+        cov = matrix(self.covariance, "covariance")
         d = mean.size
         if cov.shape != (d, d):
             raise ValueError(f"covariance shape {cov.shape} does not match dimension {d}")
-        if not np.isfinite(mean).all() or not np.isfinite(cov).all():
-            raise ValueError("Gaussian parameters must be finite")
         if np.abs(cov - cov.T).max(initial=0.0) > 1e-12:
             raise ValueError("covariance must be symmetric within 1e-12")
         if d and np.linalg.eigvalsh(cov).min() < -1e-10:
@@ -154,6 +156,107 @@ class GaussianParams:
         out = rng.standard_normal((size, self.dimension)) @ self.factor.T
         out += self.mean
         return out
+
+    def sample_within(self, rng: np.random.Generator, n: int, j: int, center: float, half: float) -> np.ndarray:
+        """The draws among ``n`` fresh ones of this Gaussian whose coordinate
+        j lies in the window [center - half, center + half], drawn window
+        first: a (c, d) array with c Binomial(n, P(window)).
+
+        One Householder reflection H maps the factor's row j to sigma_j e1,
+        where sigma_j is that row's norm. F H is a factor of the same
+        covariance, so coordinate j is mu_j + sigma_j w1 with w1 the first
+        standard normal alone. The count n is thinned by the window's normal
+        mass, w1 is drawn truncated to the window, and the other d - 1
+        normals are drawn as ``sample`` draws them. The standardized bounds
+        take the offset center - mu_j first, so a window at mu_j = 1e308
+        keeps its width. Rounding of mu_j + sigma_j w1 can put a row just
+        outside the window, so callers filter the rows as before. When
+        sigma_j is 0, coordinate j is constant and all n rows are drawn
+        plainly, for the caller's filter to keep or drop.
+        """
+        f = self.factor
+        sigma = math.sqrt(f[j] @ f[j])
+        if sigma == 0.0:
+            return self.sample(rng, n)
+        offset = center - float(self.mean[j])
+        a, b = (offset - half) / sigma, (offset + half) / sigma
+        size = rng.binomial(n, _normal_mass(a, b))
+        sign = math.copysign(1.0, f[j, 0])
+        v = f[j].copy()
+        v[0] += sign * sigma
+        reflected = f - np.outer(f @ v, v * (2.0 / (v @ v)))
+        # H maps row j to -sign * sigma e1; flipping the first column (still
+        # a factor of the covariance) makes it sigma e1, set exactly
+        reflected[:, 0] *= -sign
+        reflected[j] = 0.0
+        reflected[j, 0] = sigma
+        z = rng.standard_normal((size, self.dimension))
+        z[:, 0] = _truncated_normal(rng, size, a, b)
+        out = z @ reflected.T
+        out += self.mean
+        return out
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _normal_mass(a: float, b: float) -> float:
+    """P(a <= Z <= b) for a standard normal Z and a <= b. On one side of 0
+    the difference is taken between upper-tail ``erfc`` values, so a window
+    8 or more standard deviations out keeps its relative precision instead
+    of rounding to 0."""
+    if a >= 0.0:
+        return 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
+    if b <= 0.0:
+        return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
+    return 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
+
+
+def _truncated_normal(rng: np.random.Generator, size: int, a: float, b: float) -> np.ndarray:
+    """``size`` draws of a standard normal truncated to [a, b], a < b, by
+    rejection from one of the three proposals of Robert (1995), *Simulation
+    of truncated normal variables*, chosen from (a, b):
+
+    * uniform on [a, b], accepted with probability exp((m^2 - z^2) / 2)
+      where m is the point of [a, b] nearest 0, for narrow windows: around
+      0 narrower than sqrt(2 pi), and in a tail narrower than Robert's bound
+      2 sqrt(e) / (a + r) exp((a^2 - a r) / 4), r = sqrt(a^2 + 4);
+    * an exponential of rate alpha = (a + r) / 2 translated to a, accepted
+      with probability exp(-(z - alpha)^2 / 2) and z <= b, for wider windows
+      in a tail;
+    * a plain standard normal, accepted inside [a, b], for wide windows
+      around 0.
+
+    A window below 0 is drawn mirrored. Each round proposes twice the draws
+    still wanted, and accepted draws are kept in order until ``size`` are.
+    """
+    if b <= 0.0:
+        return -_truncated_normal(rng, size, -b, -a)
+    if a < 0.0:
+        uniform = b - a < math.sqrt(2.0 * math.pi)
+    else:
+        root = math.sqrt(a * a + 4.0)
+        uniform = b - a < 2.0 * math.sqrt(math.e) / (a + root) * math.exp((a * a - a * root) / 4.0)
+        rate = (a + root) / 2.0
+    nearest = max(a, 0.0)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        want = size - filled
+        proposals = 2 * want + 16
+        if uniform:
+            z = rng.uniform(a, b, proposals)
+            kept = z[rng.random(proposals) <= np.exp(0.5 * (nearest - z) * (nearest + z))]
+        elif a < 0.0:
+            z = rng.standard_normal(proposals)
+            kept = z[(a <= z) & (z <= b)]
+        else:
+            z = a + rng.exponential(1.0 / rate, proposals)
+            kept = z[(z <= b) & (rng.random(proposals) <= np.exp(-0.5 * (z - rate) ** 2))]
+        kept = kept[:want]
+        out[filled : filled + kept.size] = kept
+        filled += kept.size
+    return out
 
 
 def _validated_observed(observed, dimension: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Outside numbers that used to load silently: fractional dimensions that
-were truncated, a boolean bandwidth, and NaN rates and probabilities. Each
-is a ValueError naming the field or argument, and the CLI exits 2."""
+were truncated, a boolean bandwidth, NaN rates and probabilities, and
+booleans or strings in a constructor's arrays. Each is a ValueError naming
+the field or argument, and the CLI exits 2."""
 
 import json
 import os
@@ -17,6 +18,8 @@ from patternlab import (
     GaussianParams,
     GpmmScenario,
     HomogeneousBernoulli,
+    MarBlockScenario,
+    McarGaussianScenario,
     MergeModel,
     MissingPattern,
     SelfMaskingScenario,
@@ -159,6 +162,13 @@ def _gaussian():
         ),
         (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), [0.0, NAN], 1.0), "mask_center"),
         (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), 0.0, [NAN, 1.0]), "mask_scale"),
+        (lambda: GaussianParams(["0", False], [[1, 0], [0, 1]]), "mean"),
+        (lambda: GaussianParams([0, 0], [[1, 0], [0, True]]), "covariance"),
+        (lambda: McarGaussianScenario(0.0, [True, "2"], 0.1, _gaussian(), HomogeneousBernoulli(2, 0.1)), "beta"),
+        (lambda: MarBlockScenario(0.0, [1.0, 1.0], 0.1, [[True]]), "block_cov"),
+        (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), [True, 0.0], 1.0), "mask_center"),
+        (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), 0.0, ["1", 1.0]), "mask_scale"),
+        (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), 0.0, 1.0, [0.5, False]), "mask_peak_prob"),
     ],
     ids=[
         "fractional_d",
@@ -172,6 +182,13 @@ def _gaussian():
         "gpmm",
         "center",
         "scale",
+        "string_mean",
+        "boolean_covariance",
+        "string_beta",
+        "boolean_block_cov",
+        "boolean_center",
+        "string_scale",
+        "boolean_peak",
     ],
 )
 def test_constructors_reject_what_readers_reject(build, argument):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,9 @@ from patternlab import (
     preset,
     scenario_from_json,
 )
+from patternlab import simulate, solver
 from patternlab.patterns import pack_mask_rows
-from patternlab.simulate import _local_linear
+from patternlab.simulate import Scenario, _local_linear
 
 
 def small_mcar(noise_sd=0.3, miss=0.3, d=2, name="tiny"):
@@ -378,6 +381,23 @@ class TestOracle:
         assert out.std_error > 0.0
         assert out.accepted >= 50
 
+    @pytest.mark.parametrize("name, mask", [("mcar_a", "00100000"), ("mar_b", "00001010"), ("gpmm_c", "01010000")])
+    def test_reads_only_the_generative_law(self, monkeypatch, name, mask):
+        # the oracle checks the closed forms, so it must not call them
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the oracle called a closed form")
+
+        monkeypatch.setattr(simulate, "optimum_rows", closed_form)
+        monkeypatch.setattr(solver, "optimum_rows", closed_form)
+        monkeypatch.setattr(solver, "conditional_mean_map", closed_form)
+        monkeypatch.setattr(GaussianParams, "precision", property(closed_form))
+        monkeypatch.setattr(Scenario, "_learn", closed_form)
+        scenario, m = preset(name), MissingPattern.from_string(mask)
+        rows = scenario._draw_pattern(20_000, np.random.default_rng(71), m)
+        x_obs = np.median(rows[:, list(m.observed_indices)], axis=0)
+        out = bayes_oracle_mc(scenario, x_obs, m, 400_000, 0.5, np.random.default_rng(72))
+        assert np.isfinite(out.estimate) and out.accepted >= 50
+
     def test_insufficient_samples_error(self):
         scenario = small_mcar()
         with pytest.raises(InsufficientSamplesError):
@@ -438,6 +458,50 @@ PATTERN_DRAW_CASES = {
 AGREEMENT_SE = 5.0
 
 
+def _zero_variance_d3():
+    # coordinate 0 is constant at 0.5: the window-first draw falls back to the plain one
+    cov = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    covariates = GaussianParams([0.5, 0.0, 1.0], cov)
+    return McarGaussianScenario(0.2, [1.0, -1.0, 2.0], 0.3, covariates, HomogeneousBernoulli(3, 0.2))
+
+
+# window-first draws checked against the joint draw filtered to the pattern
+# and the window (j, center, half) on its first observed coordinate
+WINDOW_DRAW_CASES = {
+    "mcar_a": (lambda: preset("mcar_a"), "00100000", (0, 1.3, 0.2)),
+    "merge": (_merge_d4, "1100", (2, 1.5, 0.3)),
+    # block 2's coordinate 4 missing: block 1's coordinate 0 is positive
+    "mar_b_straddling_0": (lambda: preset("mar_b"), "00001010", (0, 0.1, 0.3)),
+    "mar_b_positive_side": (lambda: preset("mar_b"), "00001010", (0, 1.0, 0.3)),
+    "mar_b_negative_side": (lambda: preset("mar_b"), "00000000", (0, -1.0, 0.3)),
+    "gpmm_c_ones8": (lambda: preset("gpmm_c"), "10110000", (1, 3.2, 0.25)),
+    "gpmm_c_eye8": (lambda: preset("gpmm_c"), "01110000", (0, 0.4, 0.3)),
+    "zero_variance": (_zero_variance_d3, "010", (0, 0.45, 0.1)),
+}
+
+
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def window_probability(scenario, m, window):
+    """P(M = m, X_j in the window) from the scenario's generative law."""
+    j, center, half = window
+    if isinstance(scenario, MarBlockScenario):
+        # X_j = s |N(0, 1)|, with s = +1 where block 2's paired coordinate is missing
+        sign = 1.0 if m.is_missing(j + scenario.block_size) else -1.0
+        lo, hi = max(sign * center - half, 0.0), sign * center + half
+        return 0.5**scenario.block_size * 2.0 * max(0.0, _normal_cdf(hi) - _normal_cdf(lo))
+    if isinstance(scenario, GpmmScenario):
+        prob, params = next((p, g) for p, pattern, g in scenario.components if pattern == m)
+    else:
+        prob, params = scenario.missingness.probability(m), scenario.covariates
+    mu, sd = params.mean[j], math.sqrt(params.covariance[j, j])
+    if sd == 0.0:
+        return prob * float(abs(mu - center) <= half)
+    return prob * (_normal_cdf((center + half - mu) / sd) - _normal_cdf((center - half - mu) / sd))
+
+
 class TestPatternDraw:
     """The pattern-first draw and the joint draw filtered to the pattern
     agree in distribution."""
@@ -485,6 +549,35 @@ class TestPatternDraw:
         picked = scenario._draw_pattern(500, np.random.default_rng(4), m)
         assert np.array_equal(picked, values[pack_mask_rows(mask) == m.bits])
 
+    @pytest.mark.parametrize("name", list(WINDOW_DRAW_CASES))
+    def test_window_first_matches_joint_filtered(self, name):
+        make, mask, window = WINDOW_DRAW_CASES[name]
+        scenario, m = make(), MissingPattern.from_string(mask)
+        j, center, half = window
+        n = 100_000
+        drawn = scenario._draw_pattern(n, np.random.default_rng(13), m, window)
+        # rows leave the window by rounding at most; the oracle filters them
+        assert (np.abs(drawn[:, j] - center) <= half * (1.0 + 1e-12)).all(), name
+        first = drawn[np.abs(drawn[:, j] - center) <= half]
+        values, joint_mask = scenario._draw(n, np.random.default_rng(14))
+        joint = values[(pack_mask_rows(joint_mask) == m.bits) & (np.abs(values[:, j] - center) <= half)]
+        assert first.shape[1] == joint.shape[1] == scenario.d
+        # both counts are Binomial(n, P(M = m) P(window | m))
+        p = window_probability(scenario, m, window)
+        c1, c2 = first.shape[0], joint.shape[0]
+        assert min(c1, c2) >= 200, (name, c1, c2)
+        for c in (c1, c2):
+            assert abs(c - n * p) <= AGREEMENT_SE * np.sqrt(n * p * (1 - p)), (name, c, n * p)
+        # first and second moments, coordinate by coordinate; a coordinate
+        # constant on both sides must be equal
+        for f, g in ((first, joint), (first**2, joint**2)):
+            se = np.sqrt(f.var(axis=0, ddof=1) / c1 + g.var(axis=0, ddof=1) / c2)
+            gap = np.abs(f.mean(axis=0) - g.mean(axis=0))
+            assert (gap <= AGREEMENT_SE * se).all(), (name, gap, se)
+        if isinstance(scenario, MarBlockScenario):
+            mask2 = np.array([m.is_missing(k) for k in range(4, 8)])
+            assert ((first[:, :4] > 0.0) == mask2).all()
+
 
 class FixedRows(McarGaussianScenario):
     """A scenario whose pattern draws are the given rows, whatever the budget."""
@@ -493,7 +586,7 @@ class FixedRows(McarGaussianScenario):
         super().__init__(0.0, [1.0, 1.0], 0.1, GaussianParams(np.zeros(2), np.eye(2)), HomogeneousBernoulli(2, 0.3))
         self.rows = np.asarray(rows, dtype=float)
 
-    def _draw_pattern(self, n, rng, m):
+    def _draw_pattern(self, n, rng, m, window=None):
         return self.rows
 
 
@@ -583,11 +676,13 @@ def full_block_oracle(scenario, x_obs, m, samples, bandwidth, rng, min_accepted=
     observed block of every draw: (estimate, std_error, accepted)."""
     x_obs = np.asarray(x_obs, dtype=float)
     obs = np.array(m.observed_indices, dtype=int)
+    # the oracle's window on the first observed coordinate, so both draw the same rows
+    window = (int(obs[0]), float(x_obs[0]), bandwidth) if obs.size else None
     offsets, responses, remaining = [], [], samples
     while remaining > 0:
         chunk = min(250_000, remaining)
         remaining -= chunk
-        values = scenario._draw_pattern(chunk, rng, m)
+        values = scenario._draw_pattern(chunk, rng, m, window)
         noise = rng.standard_normal(values.shape[0])
         block = values[:, obs]
         if not np.isfinite(block).all():

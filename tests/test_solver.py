@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from patternlab import (
     paired_block_covariance,
 )
 from patternlab import solver
-from patternlab.solver import CONDITIONING_CHUNK, PRECISION_MAX_CONDITION, lstsq_stack
+from patternlab.solver import CONDITIONING_CHUNK, PRECISION_MAX_CONDITION, _normal_mass, _truncated_normal, lstsq_stack
 
 
 def pseudoinverse_solution_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -380,6 +382,107 @@ class TestGaussianParams:
         assert got.shape == (size, params.dimension) and got.flags.writeable
         assert np.array_equal(got, reference)
         assert rng.random() == reference_rng.random()
+
+
+def _phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def truncated_moments(a, b):
+    """Mean and variance of a standard normal truncated to [a, b], a < b and
+    b > 0, from the closed forms; the mass is a difference of upper tails."""
+    mass = 0.5 * (math.erfc(a / math.sqrt(2.0)) - math.erfc(b / math.sqrt(2.0)))
+    mean = (_phi(a) - _phi(b)) / mass
+    return mean, 1.0 + (a * _phi(a) - b * _phi(b)) / mass - mean * mean
+
+
+class SpyRng:
+    """A generator that records the names of the methods called on it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = set()
+
+    def __getattr__(self, name):
+        self.calls.add(name)
+        return getattr(self.rng, name)
+
+
+class TestTruncatedNormal:
+    # (a, b) >= 0 per regime, with the proposal Robert's rule picks for it;
+    # each window is also drawn mirrored to (-b, -a), below 0
+    REGIMES = {
+        "uniform_around_0": ((-0.5, 0.7), "uniform"),
+        "normal_around_0": ((-1.0, 3.0), "standard_normal"),
+        "uniform_in_the_tail": ((2.0, 2.3), "uniform"),
+        "exponential_in_the_tail": ((2.0, 5.0), "exponential"),
+        "exponential_far_out": ((8.0, 9.0), "exponential"),
+    }
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["as_given", "mirrored"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_draws_follow_the_truncated_law(self, regime, mirrored):
+        (a, b), proposal = self.REGIMES[regime]
+        mean, variance = truncated_moments(a, b)
+        if mirrored:
+            a, b, mean = -b, -a, -mean
+        rng = SpyRng(7)
+        size = 20_000
+        z = _truncated_normal(rng, size, a, b)
+        assert z.shape == (size,) and ((a <= z) & (z <= b)).all()
+        assert proposal in rng.calls and not {"uniform", "standard_normal", "exponential"} - {proposal} & rng.calls
+        centred = z - z.mean()
+        fourth = (centred**4).mean()
+        assert abs(z.mean() - mean) <= 5.0 * math.sqrt(variance / size), (regime, z.mean(), mean)
+        assert abs(z.var() - variance) <= 5.0 * math.sqrt((fourth - z.var() ** 2) / size), (regime, z.var(), variance)
+
+    def test_empty_draw(self):
+        assert _truncated_normal(np.random.default_rng(0), 0, 1.0, 2.0).shape == (0,)
+
+    def test_mass_far_out_keeps_its_precision(self):
+        # 1 - erf would round this window's mass (6e-16) to 0 or a multiple of 1e-16
+        want = 0.5 * (math.erfc(8.0 / math.sqrt(2.0)) - math.erfc(9.0 / math.sqrt(2.0)))
+        assert _normal_mass(8.0, 9.0) == pytest.approx(want, rel=1e-12)
+        assert _normal_mass(-9.0, -8.0) == pytest.approx(want, rel=1e-12)
+        assert _normal_mass(-1.0, 1.0) == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), rel=1e-15)
+
+
+class TestSampleWithin:
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            (np.arange(8.0), paired_block_covariance(8)),
+            (np.array([0.5, -1.0, 3.0]), np.array([[2.0, -0.6, 0.3], [-0.6, 1.0, 0.2], [0.3, 0.2, 1.5]])),
+            (np.zeros(4), np.ones((4, 4))),
+        ],
+        ids=["paired8", "dense3", "ones4"],
+    )
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_coordinate_j_is_exactly_the_truncated_normal(self, mean, cov, j):
+        params = GaussianParams(mean, cov)
+        sigma = math.sqrt(cov[j, j])
+        center, half = mean[j] + 0.4 * sigma, 0.3 * sigma
+        rows = params.sample_within(np.random.default_rng(j), 100_000, j, center, half)
+        assert rows.shape[1] == params.dimension and rows.shape[0] > 0
+        # the reflected factor's row j is sigma_j e1, so rounding is the only gap
+        assert (np.abs(rows[:, j] - center) <= half * (1.0 + 1e-12)).all()
+
+    def test_window_far_out_is_thinned_not_emptied(self):
+        # the window [8, 9] sigma out has mass 6e-16: n = 1e18 joint draws keep about 600 rows
+        params = GaussianParams(np.zeros(2), np.array([[4.0, 1.0], [1.0, 1.0]]))
+        rows = params.sample_within(np.random.default_rng(3), 10**18, 0, 17.0, 1.0)
+        assert 400 <= rows.shape[0] <= 900
+        assert ((16.0 <= rows[:, 0]) & (rows[:, 0] <= 18.0)).all()
+
+    def test_offset_is_taken_before_dividing(self):
+        params = GaussianParams(np.full(2, 1e308), np.eye(2))
+        rows = params.sample_within(np.random.default_rng(4), 10_000, 0, 1e308, 0.1)
+        assert 600 <= rows.shape[0] <= 1000 and (rows[:, 0] == 1e308).all()
+
+    def test_zero_variance_falls_back_to_the_plain_draw(self):
+        params = GaussianParams(np.array([2.0, 0.0]), np.array([[0.0, 0.0], [0.0, 1.0]]))
+        got = params.sample_within(np.random.default_rng(5), 1000, 0, 7.0, 0.1)
+        assert np.array_equal(got, params.sample(np.random.default_rng(5), 1000))
 
 
 class TestAffineModel:
