@@ -260,25 +260,24 @@ class MarBlockScenario(Scenario):
             # block 1 is never missing
             return np.empty((0, self.d))
         # each of block 1's k independent signs is positive with probability
-        # 1/2, and the signs fix block 2's mask: draw the count, then block 1
-        # as |N(0, 1)| signed by the mask, then block 2 around its mask
+        # 1/2, and the signs fix block 2's mask; block 1 is |N(0, 1)| signed
+        # by the mask. The window's coordinate j, a standard normal truncated
+        # to its sign's half-line, is drawn on the part of that half-line the
+        # window covers (the whole half-line without a window, coordinate 0):
+        # the count is thinned by the part's mass within the half-line, which
+        # is 0 for a window on the other side, and block 2 is drawn around
+        # its mask
         mask2 = missing[k:]
         sign = np.where(mask2, 1.0, -1.0)
-        if window is None:
-            count = rng.binomial(n, 0.5**k)
-            block1 = np.abs(rng.standard_normal((count, k))) * sign
-        else:
-            # the window's coordinate j is in block 1 (always observed), a
-            # standard normal truncated to its sign's half-line: intersect
-            # the window with that half-line, thin the count by the mass of
-            # the intersection within the half-line, and truncate to it
+        j, lo, hi = 0, 0.0, np.inf
+        if window is not None:
             j, center, half = window
             lo, hi = max(sign[j] * center - half, 0.0), sign[j] * center + half
-            mass = 2.0 * _normal_mass(lo, hi) if lo < hi else 0.0
-            count = rng.binomial(n, 0.5**k * mass)
-            block1 = np.abs(rng.standard_normal((count, k)))
-            block1[:, j] = _truncated_normal(rng, count, lo, hi)
-            block1 *= sign
+        mass = 2.0 * _normal_mass(lo, hi) if lo < hi else 0.0
+        count = rng.binomial(n, 0.5**k * mass)
+        block1 = np.abs(rng.standard_normal((count, k)))
+        block1[:, j] = _truncated_normal(rng, count, lo, hi)
+        block1 *= sign
         block2 = mask2.astype(float) + rng.standard_normal((count, k)) @ self._block2.factor.T
         return np.hstack([block1, block2])
 

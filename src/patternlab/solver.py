@@ -227,10 +227,14 @@ def _truncated_normal(rng: np.random.Generator, size: int, a: float, b: float) -
     * a plain standard normal, accepted inside [a, b], for wide windows
       around 0.
 
-    A window below 0 is drawn mirrored. Each round proposes twice the draws
-    still wanted, and accepted draws are kept in order until ``size`` are.
+    A window below 0 (a < 0 and b <= 0) is drawn mirrored. Each round
+    proposes twice the draws still wanted, and accepted draws are kept in
+    order until ``size`` are. No draw is wanted from an empty window, so a
+    size of 0 returns at once, whatever the bounds.
     """
-    if b <= 0.0:
+    if size == 0:
+        return np.empty(0)
+    if a < 0.0 and b <= 0.0:
         return -_truncated_normal(rng, size, -b, -a)
     if a < 0.0:
         uniform = b - a < math.sqrt(2.0 * math.pi)

@@ -579,6 +579,19 @@ class TestPatternDraw:
             assert ((first[:, :4] > 0.0) == mask2).all()
 
 
+    # block 2's coordinate 4 missing puts block 1's coordinate 0 on the
+    # positive half-line; these windows lie on the negative side or touch 0
+    @pytest.mark.parametrize("center", [-1.0, -0.3])
+    def test_window_beyond_the_sign_half_line_yields_no_rows(self, center):
+        scenario, m = preset("mar_b"), MissingPattern.from_string("00001010")
+        drawn = scenario._draw_pattern(100_000, np.random.default_rng(15), m, (0, center, 0.3))
+        assert drawn.shape == (0, 8)
+        with pytest.raises(InsufficientSamplesError) as err:
+            x_obs = np.array([center, 0.0, 0.0, 0.0, 0.0, 0.0])
+            bayes_oracle_mc(scenario, x_obs, m, 100_000, 0.3, np.random.default_rng(16))
+        assert err.value.accepted == 0
+
+
 class FixedRows(McarGaussianScenario):
     """A scenario whose pattern draws are the given rows, whatever the budget."""
 

@@ -436,8 +436,10 @@ class TestTruncatedNormal:
         assert abs(z.mean() - mean) <= 5.0 * math.sqrt(variance / size), (regime, z.mean(), mean)
         assert abs(z.var() - variance) <= 5.0 * math.sqrt((fourth - z.var() ** 2) / size), (regime, z.var(), variance)
 
-    def test_empty_draw(self):
-        assert _truncated_normal(np.random.default_rng(0), 0, 1.0, 2.0).shape == (0,)
+    # an empty window, or one whose bounds rounded to 0, is thinned to size 0
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (-2.0, -1.0), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_empty_draw(self, a, b):
+        assert _truncated_normal(np.random.default_rng(0), 0, a, b).shape == (0,)
 
     def test_mass_far_out_keeps_its_precision(self):
         # 1 - erf would round this window's mass (6e-16) to 0 or a multiple of 1e-16
@@ -478,6 +480,12 @@ class TestSampleWithin:
         params = GaussianParams(np.full(2, 1e308), np.eye(2))
         rows = params.sample_within(np.random.default_rng(4), 10_000, 0, 1e308, 0.1)
         assert 600 <= rows.shape[0] <= 1000 and (rows[:, 0] == 1e308).all()
+
+    def test_window_rounding_to_zero_width_yields_no_rows(self):
+        # sigma_j = 1e150 and half = 1e-200: both standardized bounds round to 0
+        params = GaussianParams(np.zeros(2), np.array([[1e300, 0.0], [0.0, 1.0]]))
+        rows = params.sample_within(np.random.default_rng(6), 1000, 0, 0.0, 1e-200)
+        assert rows.shape == (0, 2)
 
     def test_zero_variance_falls_back_to_the_plain_draw(self):
         params = GaussianParams(np.array([2.0, 0.0]), np.array([[0.0, 0.0], [0.0, 1.0]]))
