@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .patterns import MissingPattern, json_field, pack_mask_rows, unpack_masks
+from .patterns import MissingPattern, json_field, pack_mask_rows, sorted_find, unpack_masks
 from .patterns import array, dimension, mask, probability, probability_vector, records, vector
 
 ENUMERATION_LIMIT = 20
@@ -89,11 +89,8 @@ class ExplicitPatterns(PatternDistribution):
         self._cumulative = np.cumsum(self._probs)
 
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        pos = np.searchsorted(self._keys, keys)
-        pos = np.clip(pos, 0, self._keys.size - 1)
-        hit = self._keys[pos] == keys
-        return np.where(hit, self._probs[pos], 0.0)
+        positions = sorted_find(self._keys, keys)
+        return np.where(positions >= 0, self._probs[positions], 0.0)
 
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

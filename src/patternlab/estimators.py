@@ -306,7 +306,7 @@ class IterativeImputeRegression(RowPredictor):
     stored number of rounds, both while training and at prediction time.
     Columns never observed in training impute to 0 and carry no model.
 
-    Construction checks the shapes: d column means, d column models each
+    Construction checks d column means (a ``vector``), d column models each
     None or over d - 1 features, d regression coefficients and rounds >= 1.
     """
 
@@ -319,7 +319,7 @@ class IterativeImputeRegression(RowPredictor):
 
     def __post_init__(self) -> None:
         d = dimension(self.dimension, "d")
-        means = np.array(self.column_means, dtype=float)
+        means = vector(self.column_means, "column_means")
         if means.shape != (d,):
             raise ValueError(f"column_means must hold d={d} numbers, got shape {means.shape}")
         if len(self.column_models) != d:

@@ -76,18 +76,22 @@ def probability_vector(values, name: str, tol: float = 1e-12) -> np.ndarray:
 
 
 def numbers(value, name: str, ndim: int | None = None) -> np.ndarray:
-    """A JSON number or nested array of finite JSON numbers as a float array,
-    of ``ndim`` dimensions if given; numpy arrays and scalars are read as the
-    Python numbers they hold, so a boolean array is rejected as JSON ``true``
-    is."""
-    entries = np.asarray(value, dtype=object)
+    """A JSON number or nested array of finite JSON numbers as a new float
+    array, of ``ndim`` dimensions if given; numpy arrays and scalars are read
+    as the Python numbers they hold, so a boolean array is rejected as JSON
+    ``true`` is. A numpy integer or float array (long double aside) is cast
+    and checked in one pass, and only a non-finite entry is read alone."""
+    numeric = isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "iuf"
+    numeric = numeric and np.can_cast(value.dtype, float)
+    entries = np.array(value, dtype=float if numeric else object)
     if ndim not in (None, entries.ndim):
         _reject(name, "an array of numbers" if ndim == 1 else "a matrix of numbers", value)
-    for entry in entries.flat:
+    checked = np.asarray(value).flat[np.flatnonzero(~np.isfinite(entries))[:1]] if numeric else entries.flat
+    for entry in checked:
         entry = entry.item() if isinstance(entry, np.generic) else entry
         if type(entry) not in (int, float) or not abs(entry) <= _FLOAT_MAX:
             _reject(name, "finite numbers", entry)
-    return entries.astype(float)
+    return entries.astype(float, copy=False)
 
 
 vector = partial(numbers, ndim=1)
@@ -213,7 +217,7 @@ def unpack_masks(keys: np.ndarray, dimension: int) -> np.ndarray:
 def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
     """(values, mask) of a single row holding ``x_obs`` at m's observed
     coordinates (ascending order) and 0 at its missing ones."""
-    x_obs = np.asarray(x_obs, dtype=float)
+    x_obs = numbers(x_obs, "x_obs")
     if x_obs.shape != (m.n_observed,):
         raise ValueError(f"x_obs shape {x_obs.shape} does not match {m.n_observed} observed coordinates")
     mask = unpack_masks(np.array([m.bits]), m.dimension)
@@ -356,15 +360,22 @@ def build_pattern_index(data: MaskedDataset) -> PatternIndex:
     return PatternIndex(groups=groups, frequencies=frequencies, n=data.n)
 
 
+def sorted_find(table: np.ndarray, keys) -> np.ndarray:
+    """Position of each packed key in the ascending int64 array ``table``;
+    -1 where the table lacks the key."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if table.size == 0:
+        return np.full(keys.shape, -1, dtype=np.intp)
+    positions = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return np.where(table[positions] == keys, positions, -1)
+
+
 class PatternBank(Mapping):
     """One affine predictor per missing pattern: the "expanded" linear model.
 
-    The bank holds the patterns' packed keys in ascending order, a dense
-    coefficient table with one row of d entries per pattern (zero at the
-    pattern's missing coordinates) and one intercept per pattern. Table rows
-    stay in the order they were added and each sorted key points to its row,
-    so adding a pattern moves only the key index; the table's capacity
-    doubles when full.
+    The bank is one table in ascending key order: the patterns' packed keys,
+    a dense coefficient table with one row of d entries per pattern (zero at
+    the pattern's missing coordinates) and one intercept per pattern.
 
     Read as a Mapping, the bank sends each stored MissingPattern to an
     AffineModel over its observed coordinates (ascending order). A pattern
@@ -374,40 +385,29 @@ class PatternBank(Mapping):
     def __init__(self, d: int):
         self.d = dimension(d, "d")
         self._keys = np.empty(0, dtype=np.int64)
-        self._rows = np.empty(0, dtype=np.intp)
         self._coef = np.zeros((0, self.d))
         self._intercepts = np.zeros(0)
 
     def add(self, keys, coef: np.ndarray, intercepts: np.ndarray) -> None:
-        """Store new patterns: k packed keys, their (k, d) coefficient rows
-        with zeros at the missing coordinates, and k intercepts."""
-        keys = np.asarray(keys, dtype=np.int64)
-        k = keys.size
+        """Merge new patterns into the table by one stable sort: k packed
+        keys, their (k, d) coefficient rows with zeros at the missing
+        coordinates, and k intercepts. A non-finite entry or a pattern stored
+        twice is a ValueError that leaves the bank unchanged."""
         if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
             raise ValueError("affine model entries must be finite")
+        keys = np.concatenate([self._keys, np.asarray(keys, dtype=np.int64)])
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        if (np.diff(keys) == 0).any() or (self.find(keys) >= 0).any():
-            raise ValueError("each pattern may enter the bank once")
-        n = self._keys.size
-        if n + k > self._coef.shape[0]:
-            capacity = max(n + k, 2 * n)
-            grown_coef, grown_intercepts = np.zeros((capacity, self.d)), np.zeros(capacity)
-            grown_coef[:n], grown_intercepts[:n] = self._coef[:n], self._intercepts[:n]
-            self._coef, self._intercepts = grown_coef, grown_intercepts
-        self._coef[n : n + k] = coef[order]
-        self._intercepts[n : n + k] = intercepts[order]
-        positions = np.searchsorted(self._keys, keys)
-        self._keys = np.insert(self._keys, positions, keys)
-        self._rows = np.insert(self._rows, positions, np.arange(n, n + k))
+        twins = np.flatnonzero(keys[1:] == keys[:-1])
+        if twins.size:
+            raise ValueError(f"duplicate mask {MissingPattern(int(keys[twins[0]]), self.d).to_string()!r}")
+        self._coef = np.concatenate([self._coef, coef])[order]
+        self._intercepts = np.concatenate([self._intercepts, intercepts])[order]
+        self._keys = keys
 
     def find(self, keys) -> np.ndarray:
-        """Table row of each packed key; -1 where the bank lacks the pattern."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if self._keys.size == 0:
-            return np.full(keys.shape, -1, dtype=np.intp)
-        positions = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return np.where(self._keys[positions] == keys, self._rows[positions], -1)
+        """Table position of each packed key; -1 where the bank lacks the pattern."""
+        return sorted_find(self._keys, keys)
 
     def predict(self, values, mask, rows=None) -> np.ndarray:
         """Predictions for a batch of rows; masked cells of ``values`` are

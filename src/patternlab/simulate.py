@@ -144,16 +144,14 @@ class Scenario:
         return LabeledSample(dataset=dataset, full_values=values, bayes_values=bayes)
 
     def _learn(self, keys: np.ndarray) -> np.ndarray:
-        """The optimum bank's table row of each packed key, after adding to
-        the bank, in one batch, every pattern among ``keys`` that it lacks.
-        Keys are looked up once; only the cold ones are looked up again."""
+        """The optimum bank's position of each packed key, after adding every
+        pattern among ``keys`` that the bank lacks in one batch; adding
+        re-sorts the table, so all keys are then looked up again."""
         rows = self._optimum.find(keys)
-        cold = np.flatnonzero(rows < 0)
-        if cold.size:
-            new = np.unique(keys[cold])
-            coef, intercepts = self._optimum_rows(unpack_masks(new, self.d))
-            self._optimum.add(new, coef, intercepts)
-            rows[cold] = self._optimum.find(keys[cold])
+        if (rows < 0).any():
+            new = np.unique(keys[rows < 0])
+            self._optimum.add(new, *self._optimum_rows(unpack_masks(new, self.d)))
+            rows = self._optimum.find(keys)
         return rows
 
     def pattern_model(self, m: MissingPattern) -> AffineModel:
@@ -446,27 +444,21 @@ def bayes_oracle_mc(
     the coordinate truncated to the window. A Binomial thinned by a
     Binomial is Binomial(n, P(M = m) P(window)), so ``samples`` still
     counts joint draws and ``accepted`` keeps its law; other laws return
-    every row of the pattern. The window is then filtered column-first on
-    every observed column, the first one included: the first observed
-    coordinate's column picks the candidate rows, each further observed
-    column is read only on the rows still kept, and offsets and responses
-    are computed for the kept rows alone. A non-finite observed
-    value of a draw of pattern m, or a non-finite kept response, raises
-    ``ValueError`` as a ``MaskedDataset`` would; the chunk's values are
-    summed first, and only a sum that is not finite leads to the exact
-    check of the observed block. ``samples`` and ``min_accepted`` must be
-    integers >= 1, and ``bandwidth`` finite and > 0. Too few kept rows, or
-    no more than the local fit's rank, raise ``InsufficientSamplesError``.
+    every row of the pattern, and each chunk is filtered on its whole
+    observed block. A non-finite observed value of a draw of pattern m, or
+    a non-finite kept response, raises ``ValueError`` as a ``MaskedDataset``
+    would. ``x_obs`` is read through the ``numbers`` field kind, ``samples``
+    and ``min_accepted`` must be integers >= 1, and ``bandwidth`` finite and
+    > 0. Too few kept rows, or no more than the local fit's rank, raise
+    ``InsufficientSamplesError``.
     """
     if rng is None:
         raise ValueError("pass an explicit generator so oracle runs are reproducible")
     if m.dimension != scenario.d:
         raise ValueError("pattern dimension does not match the scenario")
-    x_obs = np.asarray(x_obs, dtype=float)
+    x_obs = numbers(x_obs, "x_obs")
     if x_obs.shape != (m.n_observed,):
         raise ValueError("x_obs does not match the pattern's observed coordinates")
-    if not np.isfinite(x_obs).all():
-        raise ValueError("x_obs must be finite (no NaN or infinity)")
     bandwidth = positive(bandwidth, "bandwidth")
     remaining = count(samples, "samples")
     min_accepted = count(min_accepted, "min_accepted")
@@ -478,27 +470,16 @@ def bayes_oracle_mc(
         remaining -= chunk
         values = scenario._draw_pattern(chunk, rng, m, window)
         noise = rng.standard_normal(values.shape[0])
-        # a finite sum proves every entry finite; an overflowing sum, or a
-        # NaN at a missing coordinate, falls through to the exact check
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = values.sum()
-        if not np.isfinite(total) and not np.isfinite(values[:, obs]).all():
+        block = values[:, obs]
+        if not np.isfinite(block).all():
             raise ValueError("observed values must be finite (no NaN or infinity)")
-        with np.errstate(over="ignore"):
-            if obs.size:
-                # the sup-norm window keeps a row when every observed
-                # coordinate does: the first column discards most draws, and
-                # each later column is read only on the rows still kept
-                rows = np.flatnonzero(np.abs(values[:, obs[0]] - x_obs[0]) <= bandwidth)
-                for j, x in zip(obs[1:], x_obs[1:]):
-                    rows = rows[np.abs(values[rows, j] - x) <= bandwidth]
-            else:
-                rows = np.arange(values.shape[0])
-            offsets.append(values[np.ix_(rows, obs)] - x_obs)
         with np.errstate(over="ignore", invalid="ignore"):
-            kept = scenario.beta0 + values[rows] @ scenario.beta + scenario.noise_sd * noise[rows]
+            offset = block - x_obs
+            near = np.abs(offset).max(axis=1, initial=0.0) <= bandwidth
+            kept = scenario.beta0 + values[near] @ scenario.beta + scenario.noise_sd * noise[near]
         if not np.isfinite(kept).all():
             raise ValueError("responses must be finite (no NaN or infinity)")
+        offsets.append(offset[near])
         responses.append(kept)
     responses = np.concatenate(responses)
     accepted = responses.size

@@ -19,20 +19,20 @@ from numpy.linalg import _umath_linalg
 
 @dataclass(frozen=True)
 class AffineModel:
-    """x -> intercept + coefficients @ x over a fixed feature index set."""
+    """x -> intercept + coefficients @ x over a fixed feature index set; the
+    intercept is read as a ``number`` and the coefficients as a ``vector``."""
 
     intercept: float
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coef = np.array(self.coefficients, dtype=float)
-        if coef.ndim != 1:
-            raise ValueError("coefficients must be 1-d")
-        if not np.isfinite(coef).all() or not np.isfinite(self.intercept):
-            raise ValueError("affine model entries must be finite")
+        # imported here: patterns imports AffineModel from this module
+        from .patterns import number, vector
+
+        coef = vector(self.coefficients, "coefficients")
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "intercept", float(self.intercept))
+        object.__setattr__(self, "intercept", number(self.intercept, "intercept"))
 
     def predict(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)

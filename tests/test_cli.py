@@ -175,6 +175,71 @@ class TestPipeline:
         assert not out.exists()
 
 
+_LINEAR = {"beta0": 0.5, "beta": [1.0, -1.0, 2.0, 0.5], "sigma": 0.3}
+_GAUSS = {"mu": [0.0, 1.0, 0.0, -1.0], "cov": np.eye(4).tolist()}
+ROUND_TRIP_SCENARIOS = {
+    "mcar_gaussian": {
+        "kind": "mcar_gaussian",
+        **_GAUSS,
+        "missingness": {"kind": "homogeneous_bernoulli", "d": 4, "epsilon": 0.2},
+    },
+    "mar_block": {"kind": "mar_block", "block_cov": [[1.0, 0.5], [0.5, 1.0]]},
+    "gpmm": {
+        "kind": "gpmm",
+        "components": [{"p": 0.7, "mask": "0000", **_GAUSS}, {"p": 0.3, "mask": "0110", **_GAUSS}],
+    },
+    "merge": {"kind": "merge", **_GAUSS, "protocols": ["0000", "0011"], "weights": [0.6, 0.4], "eta": 0.1},
+}
+ROUND_TRIP_FITS = {
+    "pbp_d_over_n": ["pbp", "--tau", "d_over_n"],
+    "pbp_one_over_n_clip": ["pbp", "--tau", "one_over_n", "--clip", "3.0"],
+    "pbp_fixed_tau_ball": ["pbp", "--tau", "0.05", "--ball-radius", "2.5", "--clip", "10"],
+    "cst_impute_lr": ["cst_impute_lr"],
+    "iterative_impute_lr": ["iterative_impute_lr", "--rounds", "3"],
+}
+
+
+def gen_fit_eval(tmp_path, spec: dict, fit: list) -> tuple:
+    """Write ``spec`` as a d = 4 scenario file, then run gen, fit and eval on
+    it: (the three exit codes, the dataset file, the model file)."""
+    scenario, data, model = tmp_path / "scenario.json", tmp_path / "data.json", tmp_path / "model.json"
+    scenario.write_text(json.dumps({"d": 4, **_LINEAR, **spec}))
+    codes = (
+        main(["gen", "--scenario", str(scenario), "--n", "200", "--seed", "3", "--out", str(data)]),
+        main(["fit", "--data", str(data), "--estimator", *fit, "--out", str(model)]),
+        main(["eval", "--model", str(model), "--scenario", str(scenario), "--n-test", "500", "--seed", "4"]),
+    )
+    return codes, data, model
+
+
+class TestArtifactsReadBack:
+    """Every artifact gen and fit write, fit and eval read back: the model
+    file's JSON unchanged, and the dataset bit for bit as drawn."""
+
+    @pytest.mark.parametrize("fit", list(ROUND_TRIP_FITS.values()), ids=list(ROUND_TRIP_FITS))
+    @pytest.mark.parametrize("kind", list(ROUND_TRIP_SCENARIOS))
+    def test_gen_fit_eval_round_trip(self, tmp_path, capsys, kind, fit):
+        from patternlab.datafiles import dataset_from_json, model_from_json
+        from patternlab.simulate import scenario_from_json
+
+        codes, data, model = gen_fit_eval(tmp_path, ROUND_TRIP_SCENARIOS[kind], fit)
+        assert codes == (0, 0, 0), capsys.readouterr().err
+        stored = json.loads(model.read_text())
+        assert model_from_json(stored).to_json() == stored
+        read = dataset_from_json(json.loads(data.read_text()))
+        scenario = scenario_from_json({"d": 4, **_LINEAR, **ROUND_TRIP_SCENARIOS[kind]})
+        drawn = scenario.generate(200, np.random.default_rng(3), with_bayes=False).dataset
+        for name in ("values", "mask", "responses"):
+            assert getattr(read, name).tobytes() == getattr(drawn, name).tobytes()
+
+    def test_self_masking_has_no_risk_to_eval(self, tmp_path, capsys):
+        masking = {"mask_center": [0.0] * 4, "mask_scale": [1.0] * 4}
+        spec = {"kind": "self_masking", **_GAUSS, **masking}
+        codes, _, _ = gen_fit_eval(tmp_path, spec, ROUND_TRIP_FITS["pbp_d_over_n"])
+        assert codes == (0, 0, 3)
+        assert "needs the exact optimum" in capsys.readouterr().err
+
+
 class TestComplexityCommand:
     def test_preset_curves(self, tmp_path):
         out = tmp_path / "cp.csv"

@@ -1,7 +1,7 @@
 """Outside numbers that used to load silently: fractional dimensions that
 were truncated, a boolean bandwidth, NaN rates and probabilities, and
-booleans or strings in a constructor's arrays. Each is a ValueError naming
-the field or argument, and the CLI exits 2."""
+booleans or strings in a constructor's arrays or a probe's observed values.
+Each is a ValueError naming the field or argument, and the CLI exits 2."""
 
 import json
 import os
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from patternlab import (
+    AffineModel,
     BernoulliPatterns,
     ExplicitPatterns,
     GaussianParams,
     GpmmScenario,
     HomogeneousBernoulli,
+    IterativeImputeRegression,
     MarBlockScenario,
     McarGaussianScenario,
     MergeModel,
@@ -140,6 +142,13 @@ def _gaussian():
     return GaussianParams(np.zeros(2), np.eye(2))
 
 
+def _iterative(column_means):
+    return IterativeImputeRegression(2, column_means, (None, None), 1, AffineModel(0.0, [1.0, 1.0]))
+
+
+LAST_MISSING = MissingPattern.from_string("00000001")
+
+
 @pytest.mark.parametrize(
     "build, argument",
     [
@@ -169,6 +178,16 @@ def _gaussian():
         (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), [True, 0.0], 1.0), "mask_center"),
         (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), 0.0, ["1", 1.0]), "mask_scale"),
         (lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), 0.0, 1.0, [0.5, False]), "mask_peak_prob"),
+        (lambda: AffineModel(0.0, [True, "1.5"]), "coefficients"),
+        (lambda: AffineModel(True, [1.0]), "intercept"),
+        (lambda: _iterative([True, "1"]), "column_means"),
+        (lambda: preset("mcar_a").bayes_predict([True, "0.5", 1, 1, 1, 1, 1], LAST_MISSING), "x_obs"),
+        (
+            lambda: bayes_oracle_mc(
+                preset("mcar_a"), [True, "0.5", 1, 1, 1, 1, 1], LAST_MISSING, 1000, rng=np.random.default_rng(0)
+            ),
+            "x_obs",
+        ),
     ],
     ids=[
         "fractional_d",
@@ -189,11 +208,25 @@ def _gaussian():
         "boolean_center",
         "string_scale",
         "boolean_peak",
+        "string_affine_coefficients",
+        "boolean_affine_intercept",
+        "string_column_means",
+        "string_bayes_x_obs",
+        "string_oracle_x_obs",
     ],
 )
 def test_constructors_reject_what_readers_reject(build, argument):
     with pytest.raises(ValueError, match=argument):
         build()
+
+
+def test_duplicated_model_mask_is_named(tmp_path, capsys):
+    """A model file listing a mask twice names the mask, as a pattern law does."""
+    entry = {"mask": "01", "intercept": 0.0, "coef": [1.0]}
+    payload = {**PBP, "models": [entry, PBP["models"][0], entry]}
+    with pytest.raises(ValueError, match="duplicate mask '01'"):
+        model_from_json(payload)
+    assert "duplicate mask '01'" in cli_error(tmp_path, capsys, "model", payload)
 
 
 def test_boolean_bandwidth_is_rejected():

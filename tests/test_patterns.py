@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patternlab import MaskedDataset, MissingPattern, build_pattern_index, preset
+from patternlab import MaskedDataset, MissingPattern, PatternBank, build_pattern_index, preset
 from patternlab.patterns import pack_mask_rows, unpack_masks
 
 
@@ -162,3 +162,92 @@ class TestBuildPatternIndex:
         for pattern, p in expected.items():
             slack = 3.0 * np.sqrt(p * (1.0 - p) / 10_000)
             assert abs(index.frequencies[pattern] - p) <= slack
+
+
+@st.composite
+def bank_batches(draw):
+    """(d, distinct keys split into batches, coefficient rows, intercepts):
+    keys in drawn order, rows zero at each key's missing coordinates."""
+    d = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.integers(0, 2**d - 1), unique=True, max_size=2**d))
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = np.array(keys, dtype=np.int64)
+    coef = rng.standard_normal((keys.size, d)) * ~unpack_masks(keys, d)
+    intercepts = rng.standard_normal(keys.size)
+    bounds = list(zip([0, *cuts], [*cuts, keys.size]))
+    return d, [(keys[a:b], coef[a:b], intercepts[a:b]) for a, b in bounds]
+
+
+def bank_state(bank, d):
+    """Everything a bank answers: its length, its JSON, which of the 2^d
+    keys it finds, and its predictions on fixed rows of every pattern, both
+    looked up by itself and through ``find``."""
+    keys = np.arange(2**d, dtype=np.int64)
+    mask = unpack_masks(keys, d)
+    values = np.random.default_rng(0).standard_normal(mask.shape)
+    found = bank.find(keys)
+    own = bank.predict(values, mask)
+    given_rows = bank.predict(values, mask, rows=found)
+    return len(bank), bank.to_json(), (found >= 0).tolist(), own.tobytes(), given_rows.tobytes()
+
+
+class TestPatternBank:
+    """Any split of a batch of patterns gives the bank the one-batch add
+    gives; a rejected add changes nothing."""
+
+    @given(bank_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batches_equal_one_batch(self, case):
+        d, batches = case
+        one = PatternBank(d)
+        one.add(*(np.concatenate(parts) for parts in zip(*batches)))
+        split = PatternBank(d)
+        for batch in batches:
+            split.add(*batch)
+        assert bank_state(split, d) == bank_state(one, d)
+        for key, coef, intercept in zip(*(np.concatenate(parts) for parts in zip(*batches))):
+            m = MissingPattern(int(key), d)
+            assert split[m].intercept == intercept
+            assert split[m].coefficients.tolist() == coef[list(m.observed_indices)].tolist()
+
+    @given(bank_batches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rejected_add_changes_nothing(self, case, data):
+        d, batches = case
+        bank = PatternBank(d)
+        for batch in batches:
+            bank.add(*batch)
+        before = bank_state(bank, d)
+        keys, coef, intercepts = (np.concatenate(parts) for parts in zip(*batches))
+        fresh = np.setdiff1d(np.arange(2**d), keys)
+        if keys.size:
+            # a stored key, alone or beside new ones
+            i = data.draw(st.integers(0, keys.size - 1))
+            with pytest.raises(ValueError):
+                bank.add(np.append(fresh, keys[i]), np.zeros((fresh.size + 1, d)), np.zeros(fresh.size + 1))
+        if fresh.size:
+            # a new key given twice in one batch
+            twice = np.repeat(fresh[:1], 2)
+            with pytest.raises(ValueError):
+                bank.add(twice, np.zeros((2, d)), np.zeros(2))
+            # a non-finite entry in an otherwise valid batch
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            where = data.draw(st.integers(0, d))
+            coef_new, intercepts_new = np.zeros((fresh.size, d)), np.zeros(fresh.size)
+            if where < d:
+                coef_new[0, where] = bad
+            else:
+                intercepts_new[0] = bad
+            with pytest.raises(ValueError):
+                bank.add(fresh, coef_new, intercepts_new)
+        assert bank_state(bank, d) == before
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_empty_bank(self, d):
+        bank = PatternBank(d)
+        keys = np.arange(2**d, dtype=np.int64)
+        assert bank.find(keys).tolist() == [-1] * keys.size
+        mask = unpack_masks(keys, d)
+        assert bank.predict(np.ones(mask.shape), mask).tolist() == [0.0] * keys.size
+        assert len(bank) == 0 and bank.to_json() == [] and MissingPattern(0, d) not in bank
