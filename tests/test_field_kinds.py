@@ -125,6 +125,20 @@ class TestKinds:
             vector(2.5, "x")
         with pytest.raises(ValueError, match=re.escape("x must be a matrix of numbers, got [1.0, 2.0]")):
             matrix([1.0, 2.0], "x")
+        # numpy integer and float arrays are cast in one pass, into a new array,
+        # and the first non-finite entry is named; booleans and long doubles
+        # are read entry by entry, as before
+        for dtype in (np.int64, np.uint8, np.float32, np.float64):
+            given = np.array([[1, 2], [3, 4]], dtype=dtype)
+            out = matrix(given, "x")
+            assert out.dtype == np.float64 and out.tolist() == numbers(given.tolist(), "x").tolist()
+            assert not np.shares_memory(out, given)
+        rejected = [(np.array([1.0, np.inf, np.nan]), "inf"), (np.float64("nan"), "nan"), (np.array([True]), "True")]
+        for value, shown in rejected:
+            with pytest.raises(ValueError, match=re.escape(f"x must be finite numbers, got {shown}")):
+                numbers(value, "x")
+        with pytest.raises(ValueError, match="x must be finite numbers"):
+            numbers(np.ones(2, dtype=np.longdouble), "x")
 
     def test_mask(self):
         assert mask("0110", "x") == MissingPattern(0b0110, 4)

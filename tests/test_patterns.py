@@ -166,8 +166,9 @@ class TestBuildPatternIndex:
 
 @st.composite
 def bank_batches(draw):
-    """(d, distinct keys split into batches, coefficient rows, intercepts):
-    keys in drawn order, rows zero at each key's missing coordinates."""
+    """(d, batches): distinct keys in drawn order, cut into (keys,
+    coefficient rows, intercepts) batches, some possibly empty; each row is
+    zero at its key's missing coordinates."""
     d = draw(st.integers(1, 5))
     keys = draw(st.lists(st.integers(0, 2**d - 1), unique=True, max_size=2**d))
     cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
@@ -200,16 +201,17 @@ class TestPatternBank:
     @settings(max_examples=60, deadline=None)
     def test_batches_equal_one_batch(self, case):
         d, batches = case
+        keys, coef, intercepts = (np.concatenate(parts) for parts in zip(*batches))
         one = PatternBank(d)
-        one.add(*(np.concatenate(parts) for parts in zip(*batches)))
+        one.add(keys, coef, intercepts)
         split = PatternBank(d)
         for batch in batches:
             split.add(*batch)
         assert bank_state(split, d) == bank_state(one, d)
-        for key, coef, intercept in zip(*(np.concatenate(parts) for parts in zip(*batches))):
+        for key, row, intercept in zip(keys, coef, intercepts):
             m = MissingPattern(int(key), d)
             assert split[m].intercept == intercept
-            assert split[m].coefficients.tolist() == coef[list(m.observed_indices)].tolist()
+            assert split[m].coefficients.tolist() == row[list(m.observed_indices)].tolist()
 
     @given(bank_batches(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -219,7 +221,7 @@ class TestPatternBank:
         for batch in batches:
             bank.add(*batch)
         before = bank_state(bank, d)
-        keys, coef, intercepts = (np.concatenate(parts) for parts in zip(*batches))
+        keys = np.concatenate([batch[0] for batch in batches])
         fresh = np.setdiff1d(np.arange(2**d), keys)
         if keys.size:
             # a stored key, alone or beside new ones
