@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .patterns import MissingPattern, json_field, pack_mask_rows, sorted_find, unpack_masks
+from .patterns import MissingPattern, json_field, pack_mask_rows, sorted_lookup, unpack_masks
 from .patterns import array, dimension, mask, probability, probability_vector, records, vector
 
 ENUMERATION_LIMIT = 20
@@ -89,8 +89,7 @@ class ExplicitPatterns(PatternDistribution):
         self._cumulative = np.cumsum(self._probs)
 
     def mask_probabilities(self, keys: np.ndarray) -> np.ndarray:
-        positions = sorted_find(self._keys, keys)
-        return np.where(positions >= 0, self._probs[positions], 0.0)
+        return sorted_lookup(self._keys, keys, self._probs, 0.0)
 
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

@@ -360,22 +360,25 @@ def build_pattern_index(data: MaskedDataset) -> PatternIndex:
     return PatternIndex(groups=groups, frequencies=frequencies, n=data.n)
 
 
-def sorted_find(table: np.ndarray, keys) -> np.ndarray:
-    """Position of each packed key in the ascending int64 array ``table``;
-    -1 where the table lacks the key."""
+def sorted_lookup(table: np.ndarray, keys, values: np.ndarray, default) -> np.ndarray:
+    """The entry of ``values`` at each packed key's position in the ascending
+    int64 array ``table``; ``default`` where the table lacks the key."""
     keys = np.asarray(keys, dtype=np.int64)
     if table.size == 0:
-        return np.full(keys.shape, -1, dtype=np.intp)
+        return np.full(keys.shape, default, dtype=values.dtype)
     positions = np.minimum(np.searchsorted(table, keys), table.size - 1)
-    return np.where(table[positions] == keys, positions, -1)
+    return np.where(table[positions] == keys, values[positions], default)
 
 
 class PatternBank(Mapping):
     """One affine predictor per missing pattern: the "expanded" linear model.
 
-    The bank is one table in ascending key order: the patterns' packed keys,
-    a dense coefficient table with one row of d entries per pattern (zero at
-    the pattern's missing coordinates) and one intercept per pattern.
+    The bank holds the patterns' packed keys in ascending order, a dense
+    coefficient table with one row of d entries per pattern (zero at the
+    pattern's missing coordinates) and one intercept per pattern. Table rows
+    stay in the order they were added and each sorted key points to its row,
+    so adding a pattern moves only the key index, not the table, and callers
+    may add patterns one at a time; the table's capacity doubles when full.
 
     Read as a Mapping, the bank sends each stored MissingPattern to an
     AffineModel over its observed coordinates (ascending order). A pattern
@@ -385,29 +388,40 @@ class PatternBank(Mapping):
     def __init__(self, d: int):
         self.d = dimension(d, "d")
         self._keys = np.empty(0, dtype=np.int64)
+        self._rows = np.empty(0, dtype=np.intp)
         self._coef = np.zeros((0, self.d))
         self._intercepts = np.zeros(0)
 
     def add(self, keys, coef: np.ndarray, intercepts: np.ndarray) -> None:
-        """Merge new patterns into the table by one stable sort: k packed
-        keys, their (k, d) coefficient rows with zeros at the missing
-        coordinates, and k intercepts. A non-finite entry or a pattern stored
-        twice is a ValueError that leaves the bank unchanged."""
+        """Store new patterns: k packed keys, their (k, d) coefficient rows
+        with zeros at the missing coordinates, and k intercepts. A non-finite
+        entry or a pattern stored twice is a ValueError, naming the first
+        duplicated mask in key order, that leaves the bank unchanged."""
+        keys = np.asarray(keys, dtype=np.int64)
+        k = keys.size
         if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
             raise ValueError("affine model entries must be finite")
-        keys = np.concatenate([self._keys, np.asarray(keys, dtype=np.int64)])
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        twins = np.flatnonzero(keys[1:] == keys[:-1])
+        stored = sorted_lookup(self._keys, keys, self._rows, -1) >= 0
+        twins = keys[stored | np.append(keys[1:] == keys[:-1], False)]
         if twins.size:
-            raise ValueError(f"duplicate mask {MissingPattern(int(keys[twins[0]]), self.d).to_string()!r}")
-        self._coef = np.concatenate([self._coef, coef])[order]
-        self._intercepts = np.concatenate([self._intercepts, intercepts])[order]
-        self._keys = keys
+            raise ValueError(f"duplicate mask {MissingPattern(int(twins[0]), self.d).to_string()!r}")
+        n = self._keys.size
+        if n + k > self._coef.shape[0]:
+            capacity = max(n + k, 2 * n)
+            grown_coef, grown_intercepts = np.zeros((capacity, self.d)), np.zeros(capacity)
+            grown_coef[:n], grown_intercepts[:n] = self._coef[:n], self._intercepts[:n]
+            self._coef, self._intercepts = grown_coef, grown_intercepts
+        self._coef[n : n + k] = coef[order]
+        self._intercepts[n : n + k] = intercepts[order]
+        positions = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, positions, keys)
+        self._rows = np.insert(self._rows, positions, np.arange(n, n + k))
 
     def find(self, keys) -> np.ndarray:
-        """Table position of each packed key; -1 where the bank lacks the pattern."""
-        return sorted_find(self._keys, keys)
+        """Table row of each packed key; -1 where the bank lacks the pattern."""
+        return sorted_lookup(self._keys, keys, self._rows, -1)
 
     def predict(self, values, mask, rows=None) -> np.ndarray:
         """Predictions for a batch of rows; masked cells of ``values`` are

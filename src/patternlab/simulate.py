@@ -144,9 +144,9 @@ class Scenario:
         return LabeledSample(dataset=dataset, full_values=values, bayes_values=bayes)
 
     def _learn(self, keys: np.ndarray) -> np.ndarray:
-        """The optimum bank's position of each packed key, after adding every
-        pattern among ``keys`` that the bank lacks in one batch; adding
-        re-sorts the table, so all keys are then looked up again."""
+        """The optimum bank's table row of each packed key, after adding
+        every pattern among ``keys`` that the bank lacks in one batch; the
+        keys are looked up once, and once more after such a batch."""
         rows = self._optimum.find(keys)
         if (rows < 0).any():
             new = np.unique(keys[rows < 0])

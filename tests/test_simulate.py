@@ -266,8 +266,8 @@ class TestBayesColumnLookups:
         monkeypatch.setattr(bank, "find", lambda self, keys: calls.append(np.size(keys)) or find(self, keys))
         BayesPredictor(scenario).predict_masked(values, mask)
         assert calls == [500]
-        # adding the new patterns re-sorts the table, so every row is looked
-        # up again; the bank's duplicate check makes no lookup
+        # after learning the new patterns every row is looked up again; the
+        # bank's duplicate check does not go through find
         fresh = preset("mcar_a")
         fresh.pattern_model(MissingPattern(0, fresh.d))
         calls.clear()
