@@ -51,7 +51,6 @@ from .harness import (
     EstimatorSpec,
     ExperimentConfig,
     RunRecord,
-    complexity_curves,
     derive_seed,
     excess_risk,
     run_experiment,
@@ -74,7 +73,6 @@ from .simulate import (
     Scenario,
     SelfMaskingScenario,
     bayes_oracle_mc,
-    merge_scenario,
     paired_block_covariance,
     preset,
     scenario_from_json,

@@ -4,7 +4,7 @@ Subcommands: bench (run a benchmark config to CSV), complexity (exact
 complexity plus entropy bounds on a tau grid, CSV), gen (sample a scenario
 to JSON), fit (train an estimator on a JSON dataset), eval (excess risk of
 a stored model on a scenario). Exit codes: 0 success, 2 bad configuration
-or arguments, 3 numeric failure.
+or arguments (a size too large to allocate among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ def _cmd_fit(args) -> None:
     from .harness import EstimatorSpec
 
     dataset = dataset_from_json(_load_json(args.data))
-    tau = args.tau
+    tau = "d_over_n" if args.tau is None and args.estimator == "pbp" else args.tau
     if tau not in (None, "d_over_n", "one_over_n"):
         tau = float(tau)
     spec = EstimatorSpec(
         kind=args.estimator,
-        tau_rule=tau if args.estimator == "pbp" else None,
+        tau_rule=tau,
         rounds=args.rounds,
         clip_level=args.clip,
         ball_radius=args.ball_radius,
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit an estimator on a JSON dataset")
     fit.add_argument("--data", required=True)
     fit.add_argument("--estimator", required=True, choices=["pbp", "cst_impute_lr", "iterative_impute_lr"])
-    fit.add_argument("--tau", default="d_over_n", help="pbp threshold: d_over_n, one_over_n, or a float")
+    fit.add_argument("--tau", help="pbp threshold: d_over_n (the default), one_over_n, or a float")
     fit.add_argument("--rounds", type=int, default=10)
     fit.add_argument("--clip", type=float)
     fit.add_argument("--ball-radius", type=float)
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

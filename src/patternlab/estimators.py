@@ -10,7 +10,7 @@ by linear regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -286,17 +286,6 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineMod
     return AffineModel(y_mean - float(x_mean @ solution), solution)
 
 
-def _others_index(rows: np.ndarray, j: int, n: int, d: int) -> np.ndarray:
-    """Flat positions, in C order, of ``rows`` at every column but j of an
-    (n, d) matrix: ``matrix.take(index)`` is ``matrix[np.ix_(rows, others)]``,
-    the same fresh C-ordered (r, d - 1) array, gathered in one pass (a
-    matrix stored in another order is first copied to C order). The
-    positions are int32 when they fit, which halves the memory a fit keeps
-    them in."""
-    index = rows[:, None] * d + np.delete(np.arange(d), j)
-    return index.astype(np.int32) if n * d <= np.iinfo(np.int32).max else index
-
-
 @dataclass(frozen=True)
 class IterativeImputeRegression(RowPredictor):
     """Chained-equations imputation followed by linear regression.
@@ -339,14 +328,8 @@ class IterativeImputeRegression(RowPredictor):
     def complete(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         values, mask = masked_batch(values, mask, self.dimension)
         completed = np.where(mask, self.column_means, values)
-        plan = []
-        for j, model in enumerate(self.column_models):
-            rows = np.flatnonzero(mask[:, j])
-            if model is not None and rows.size:
-                plan.append((j, model, rows, _others_index(rows, j, mask.shape[0], self.dimension)))
-        for _ in range(self.rounds):
-            for j, model, rows, others in plan:
-                completed[rows, j] = model.predict(completed.take(others))
+        modelled = [j for j, model in enumerate(self.column_models) if model is not None]
+        _replay(completed, _column_plan(mask, modelled), self.column_models, self.rounds)
         return completed
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -383,42 +366,32 @@ class IterativeImputeRegression(RowPredictor):
         )
 
 
-def _impute_sweeps(data: MaskedDataset, means: np.ndarray, rounds: int, tol: float) -> tuple[list, list]:
-    """Run up to ``rounds`` chained-equation sweeps from the column
-    ``means``; return the column models of the last sweep and each sweep's
-    mean imputed-cell change."""
-    d = data.d
-    observed = ~data.mask
-    completed = np.where(data.mask, means, data.values)
-    # per observed column: its observed and missing rows, and the flat
-    # positions of those rows' other columns, fixed for the whole fit
+def _column_plan(select: np.ndarray, columns) -> list:
+    """(j, rows, others) for each column j of ``columns``: the rows where
+    ``select[:, j]`` is set, and the flat positions, in C order, of those
+    rows at every column but j of an (n, d) matrix. ``matrix.take(others)``
+    is then ``matrix[np.ix_(rows, columns but j)]``, the same fresh C-ordered
+    (r, d - 1) array, gathered in one pass (a matrix stored in another order
+    is first copied to C order). The positions are int32 when they fit,
+    which halves the memory a fit keeps them in."""
+    n, d = select.shape
+    kind = np.int32 if n * d <= np.iinfo(np.int32).max else np.int64
     plan = []
-    for j in range(d):
-        rows_obs = np.flatnonzero(observed[:, j])
-        if rows_obs.size:
-            rows_mis = np.flatnonzero(data.mask[:, j])
-            plan.append(
-                (j, rows_obs, _others_index(rows_obs, j, data.n, d), rows_mis, _others_index(rows_mis, j, data.n, d))
-            )
-    cells = np.flatnonzero(data.mask)
-    value_scale = float(np.abs(completed[observed]).max()) if observed.any() else 0.0
-    column_models: list[AffineModel | None] = [None] * d
-    deltas = []
+    for j in columns:
+        rows = np.flatnonzero(select[:, j])
+        plan.append((j, rows, (rows[:, None] * d + np.delete(np.arange(d), j)).astype(kind, copy=False)))
+    return plan
+
+
+def _replay(completed: np.ndarray, plan: list, column_models, rounds: int) -> None:
+    """Run ``rounds`` sweeps of the stored column models over ``plan`` in
+    place: each column's planned rows get its model's prediction from the
+    row's other, currently completed, columns. Columns with no rows are
+    skipped."""
+    plan = [entry for entry in plan if entry[1].size]
     for _ in range(rounds):
-        before = completed.take(cells)
-        for j, rows_obs, obs_others, rows_mis, mis_others in plan:
-            model = _damped_column_model(completed.take(obs_others), completed[rows_obs, j])
-            column_models[j] = model
-            if rows_mis.size:
-                completed[rows_mis, j] = model.predict(completed.take(mis_others))
-        if not cells.size:
-            deltas.append(0.0)
-            break
-        changes = np.abs(completed.take(cells) - before)
-        deltas.append(float(changes.mean()))
-        if changes.max() < tol * value_scale:
-            break
-    return column_models, deltas
+        for j, rows, others in plan:
+            completed[rows, j] = column_models[j].predict(completed.take(others))
 
 
 def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-3) -> IterativeImputeRegression:
@@ -440,19 +413,40 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     means = np.array(
         [data.values[observed[:, j], j].mean() if observed[:, j].any() else 0.0 for j in range(data.d)]
     )
-    column_models, deltas = _impute_sweeps(data, means, rounds, tol)
-    fitted = IterativeImputeRegression(
-        dimension=data.d,
-        column_means=means,
-        column_models=tuple(column_models),
-        rounds=len(deltas),
-        regression=AffineModel(0.0, np.zeros(data.d)),
-        round_deltas=tuple(deltas),
-    )
+    # the observed columns' training rows and missing rows, fixed for the whole fit
+    columns = np.flatnonzero(observed.any(axis=0))
+    fit_plan = _column_plan(observed, columns)
+    impute_plan = _column_plan(data.mask, columns)
+    completed = np.where(data.mask, means, data.values)
+    cells = np.flatnonzero(data.mask)
+    value_scale = float(np.abs(completed[observed]).max()) if observed.any() else 0.0
+    column_models: list[AffineModel | None] = [None] * data.d
+    deltas = []
+    for _ in range(rounds):
+        before = completed.take(cells)
+        for (j, rows, others), imputed in zip(fit_plan, impute_plan):
+            column_models[j] = _damped_column_model(completed.take(others), completed[rows, j])
+            _replay(completed, [imputed], column_models, 1)
+        if not cells.size:
+            deltas.append(0.0)
+            break
+        changes = np.abs(completed.take(cells) - before)
+        deltas.append(float(changes.mean()))
+        if changes.max() < tol * value_scale:
+            break
     # Fit the response regression on the completion the stored models
     # reproduce, not on the training sweeps' evolving completion: training
     # and prediction then share one imputation map, without which the
     # regression's coefficients on nearly collinear imputed columns do not
-    # transfer to fresh data.
-    replayed = fitted.complete(np.where(data.mask, 0.0, data.values), data.mask)
-    return replace(fitted, regression=least_squares(replayed, data.responses))
+    # transfer to fresh data. The replay restarts from the column means, as
+    # ``complete`` does, in the sweeps' own buffer.
+    np.copyto(completed, means, where=data.mask)
+    _replay(completed, impute_plan, column_models, len(deltas))
+    return IterativeImputeRegression(
+        dimension=data.d,
+        column_means=means,
+        column_models=tuple(column_models),
+        rounds=len(deltas),
+        regression=least_squares(completed, data.responses),
+        round_deltas=tuple(deltas),
+    )

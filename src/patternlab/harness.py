@@ -1,4 +1,4 @@
-"""Excess-risk benchmarking: seeded experiment runs and complexity curves.
+"""Excess-risk benchmarking: seeded experiment runs and complexity bound reports.
 
 Every (estimator, training size, repetition) cell derives its own seeds
 from the root seed by hashing, trains on a fresh draw, and scores the mean
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import pattern_complexity
 from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
 from .patterns import RowPredictor, json_field, json_object
 from .patterns import array, boolean, count, integer, is_number, positive, probability, records
@@ -79,6 +78,9 @@ class EstimatorSpec:
     kind: "pbp", "cst_impute_lr", or "iterative_impute_lr".
     tau_rule: for pbp, "d_over_n", "one_over_n" (every pattern seen at
         least once), or a fixed float threshold.
+    rounds: for iterative_impute_lr, the number of sweeps.
+    clip_level, ball_radius: for pbp, the prediction clip and ball filter.
+        Other kinds reject these two and tau_rule: their fits read none.
     """
 
     kind: str
@@ -95,6 +97,10 @@ class EstimatorSpec:
             if not is_number(rule):
                 raise ValueError(f"invalid tau rule {rule!r}")
             probability(rule, "tau rule")
+        if self.kind != "pbp":
+            for label, value in (("tau", rule), ("clip", self.clip_level), ("ball_radius", self.ball_radius)):
+                if value is not None:
+                    raise ValueError(f"field {label!r} applies only to kind 'pbp', not to {self.kind!r}")
         object.__setattr__(self, "rounds", count(self.rounds, "rounds"))
 
     @property
@@ -242,15 +248,6 @@ def records_to_csv(records, record_timings: bool = True) -> str:
             [r.scenario, r.estimator, r.n, r.repetition, r.seed, repr(r.excess_risk), fit_s, pred_s]
         )
     return buffer.getvalue()
-
-
-def complexity_curves(named_distributions: dict, taus) -> list:
-    """Rows (name, tau, complexity) for each named law on the tau grid."""
-    rows = []
-    for name, dist in named_distributions.items():
-        for tau in taus:
-            rows.append((name, float(tau), pattern_complexity(dist, tau)))
-    return rows
 
 
 def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str:

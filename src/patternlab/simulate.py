@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MergeModel, PatternDistribution, distribution_from_json, merge_from_json
+from .distributions import PatternDistribution, distribution_from_json, merge_from_json
 from .patterns import (
     MaskedDataset,
     MissingPattern,
@@ -207,22 +207,6 @@ class McarGaussianScenario(Scenario):
 
     def _optimum_rows(self, missing):
         return optimum_rows(self.covariates, self.beta0, self.beta, missing)
-
-
-def merge_scenario(
-    beta0: float,
-    beta,
-    noise_sd: float,
-    covariates: GaussianParams,
-    protocols,
-    weights,
-    eta: float,
-    name: str = "merge",
-) -> McarGaussianScenario:
-    """Gaussian covariates masked by the protocol-plus-failure union model."""
-    return McarGaussianScenario(
-        beta0, beta, noise_sd, covariates, MergeModel(protocols, weights, eta), name=name
-    )
 
 
 class MarBlockScenario(Scenario):

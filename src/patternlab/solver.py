@@ -98,9 +98,18 @@ class GaussianParams:
     """Mean and covariance of a d-dimensional Gaussian.
 
     Both are read through the ``vector`` and ``matrix`` field kinds, so they
-    hold finite numbers, never booleans or strings. The covariance must be
-    symmetric within 1e-12 and may be singular; eigenvalues below -1e-10 are
-    rejected.
+    hold finite numbers, never booleans or strings. The mean must hold at
+    least one number. The covariance must be symmetric within 1e-12 and may
+    be singular; eigenvalues below -1e-10 are rejected.
+
+    Construction makes one eigendecomposition of the covariance, which gives
+    that check and two attributes:
+
+    * ``factor``, a read-only matrix F with F @ F.T equal to the covariance
+      (its spectral square root, valid for singular covariances); samples
+      are mean + F @ z with z standard normal;
+    * ``condition_number``, lambda_max / lambda_min of the covariance; inf
+      when it is singular.
     """
 
     mean: np.ndarray
@@ -113,36 +122,27 @@ class GaussianParams:
         mean = vector(self.mean, "mean")
         cov = matrix(self.covariance, "covariance")
         d = mean.size
+        if d == 0:
+            raise ValueError("mean must hold at least one number")
         if cov.shape != (d, d):
             raise ValueError(f"covariance shape {cov.shape} does not match dimension {d}")
-        if np.abs(cov - cov.T).max(initial=0.0) > 1e-12:
+        if np.abs(cov - cov.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric within 1e-12")
-        if d and np.linalg.eigvalsh(cov).min() < -1e-10:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        if eigvals[0] < -1e-10:
             raise ValueError("covariance has an eigenvalue below -1e-10")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
+        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        for array in (mean, cov, factor):
+            array.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "factor", factor)
+        condition = float(eigvals[-1] / eigvals[0]) if eigvals[0] > 0.0 else float("inf")
+        object.__setattr__(self, "condition_number", condition)
 
     @property
     def dimension(self) -> int:
         return self.mean.size
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """A matrix F with F @ F.T equal to the covariance (spectral square root).
-
-        Valid for singular covariances; samples are mean + F @ z with z
-        standard normal.
-        """
-        eigvals, eigvecs = np.linalg.eigh(self.covariance)
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-    @cached_property
-    def condition_number(self) -> float:
-        """lambda_max / lambda_min of the covariance; inf when it is singular."""
-        eigvals = np.linalg.eigvalsh(self.covariance)
-        return float(eigvals[-1] / eigvals[0]) if eigvals[0] > 0.0 else float("inf")
 
     @cached_property
     def precision(self) -> np.ndarray:

@@ -106,6 +106,26 @@ class TestPipeline:
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", "0.25", "--out", str(model)]) == 0
         assert json.loads(model.read_text())["tau"] == 0.25
 
+    def test_pbp_tau_defaults_to_d_over_n(self, tmp_path, tiny_scenario_file):
+        data = tmp_path / "data.json"
+        model = tmp_path / "model.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "200", "--seed", "5", "--out", str(data)])
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["tau"] == 2 / 200
+
+    @pytest.mark.parametrize("estimator", ["cst_impute_lr", "iterative_impute_lr"])
+    @pytest.mark.parametrize("option, value", [("--tau", "0.3"), ("--clip", "5"), ("--ball-radius", "2")])
+    def test_pbp_options_on_other_estimators_are_config_errors(
+        self, tmp_path, tiny_scenario_file, capsys, estimator, option, value
+    ):
+        data = tmp_path / "data.json"
+        model = tmp_path / "model.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "50", "--seed", "5", "--out", str(data)])
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--estimator", estimator, option, value, "--out", str(model)]) == 2
+        assert f"applies only to kind 'pbp', not to '{estimator}'" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_fit_keeping_no_pattern_round_trips(self, tmp_path, tiny_scenario_file, capsys):
         data = tmp_path / "data.json"
         model = tmp_path / "model.json"
@@ -363,6 +383,24 @@ class TestExitCodes:
         assert done.stdout == ""
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+
+    # 10^15 rows fail to allocate on any machine, before anything is allocated
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen", "--scenario", "{scenario}", "--n", "1000000000000000", "--seed", "1", "--out", "{out}"],
+            ["complexity", "--preset", "bern_pA", "--tau-grid", "0.001:1:log1000000000000000", "--out", "{out}"],
+        ],
+        ids=["gen", "complexity"],
+    )
+    def test_oversized_size_is_config_error(self, tmp_path, tiny_scenario_file, capsys, command):
+        out = tmp_path / "out"
+        argv = [arg.format(scenario=tiny_scenario_file, out=out) for arg in command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

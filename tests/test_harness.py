@@ -12,7 +12,6 @@ from patternlab import (
     SelfMaskingScenario,
     UniformPatterns,
     clip,
-    complexity_curves,
     derive_seed,
     excess_risk,
     pattern_complexity,
@@ -131,6 +130,13 @@ class TestEstimatorSpec:
     def test_bool_tau_rejected(self, flag):
         with pytest.raises(ValueError, match="tau rule"):
             EstimatorSpec("pbp", flag)
+
+    @pytest.mark.parametrize("kind", ["cst_impute_lr", "iterative_impute_lr"])
+    @pytest.mark.parametrize("field, value", [("tau", "garbage"), ("tau", 0.3), ("clip", 5.0), ("ball_radius", 3.0)])
+    def test_pbp_fields_rejected_on_other_kinds(self, kind, field, value):
+        # no fit of these kinds reads the field, so setting it is a config error
+        with pytest.raises(ValueError, match=f"'{field}'.*'{kind}'"):
+            estimator_spec_from_json({"kind": kind, field: value})
 
 
 class TestExperimentConfig:
@@ -258,12 +264,6 @@ class TestRunExperiment:
 
 
 class TestComplexityCurves:
-    def test_rows_and_values(self):
-        taus = [0.01, 0.1]
-        rows = complexity_curves({"u3": UniformPatterns(3)}, taus)
-        assert len(rows) == 2
-        assert rows[0] == ("u3", 0.01, pattern_complexity(UniformPatterns(3), 0.01))
-
     def test_bound_report_csv_header(self):
         text = bound_report_csv({"u3": UniformPatterns(3)}, [0.01], alpha=0.5)
         header = text.splitlines()[0]

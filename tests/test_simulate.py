@@ -13,13 +13,13 @@ from patternlab import (
     InsufficientSamplesError,
     MarBlockScenario,
     McarGaussianScenario,
+    MergeModel,
     MissingPattern,
     NoClosedFormError,
     OracleEstimate,
     SelfMaskingScenario,
     bayes_oracle_mc,
     conditional_mean_map,
-    merge_scenario,
     paired_block_covariance,
     preset,
     scenario_from_json,
@@ -433,8 +433,8 @@ class TestOracle:
 def _merge_d4():
     cov = np.array([[2.0, 0.6, 0.0, -0.3], [0.6, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [-0.3, 0.0, 0.4, 0.8]])
     protocols = [MissingPattern.from_string(s) for s in ("1100", "0011", "0000")]
-    return merge_scenario(
-        0.3, [1.0, -2.0, 0.5, 1.5], 0.2, GaussianParams(np.arange(4.0), cov), protocols, [0.3, 0.3, 0.4], 0.1
+    return McarGaussianScenario(
+        0.3, [1.0, -2.0, 0.5, 1.5], 0.2, GaussianParams(np.arange(4.0), cov), MergeModel(protocols, [0.3, 0.3, 0.4], 0.1)
     )
 
 
@@ -909,14 +909,12 @@ class TestScenarioJson:
 class TestMergeScenario:
     def test_union_masking_distribution(self):
         protocols = [MissingPattern.from_string("1100"), MissingPattern.from_string("0000")]
-        scenario = merge_scenario(
+        scenario = McarGaussianScenario(
             beta0=0.0,
             beta=np.ones(4),
             noise_sd=0.1,
             covariates=GaussianParams(np.zeros(4), np.eye(4)),
-            protocols=protocols,
-            weights=[0.5, 0.5],
-            eta=0.05,
+            missingness=MergeModel(protocols=protocols, weights=[0.5, 0.5], eta=0.05),
         )
         sample = scenario.generate(100_000, np.random.default_rng(21))
         # coordinate 1 is masked by protocol 1 or by a failure

@@ -353,6 +353,18 @@ class TestGaussianParams:
         with pytest.raises(ValueError):
             GaussianParams(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    def test_arrays_are_read_only(self):
+        # a write to the factor would change every later draw but not the covariance
+        params = GaussianParams(np.zeros(2), np.eye(2))
+        for array in (params.mean, params.covariance, params.factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, ...] = 1.0
+
+    def test_rejects_an_empty_mean(self):
+        # an empty Gaussian has no condition number, factor rows or optima
+        with pytest.raises(ValueError, match="mean must hold at least one number"):
+            GaussianParams(np.zeros(0), np.zeros((0, 0)))
+
     def test_singular_factor_reproduces_covariance(self):
         cov = np.ones((3, 3))
         params = GaussianParams(np.zeros(3), cov)
