@@ -103,9 +103,7 @@ def _cmd_fit(args) -> None:
     from .harness import EstimatorSpec
 
     dataset = dataset_from_json(_load_json(args.data))
-    tau = "d_over_n" if args.tau is None and args.estimator == "pbp" else args.tau
-    if tau not in (None, "d_over_n", "one_over_n"):
-        tau = float(tau)
+    tau = args.tau if args.tau in (None, "d_over_n", "one_over_n") else float(args.tau)
     spec = EstimatorSpec(
         kind=args.estimator,
         tau_rule=tau,
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True)
     fit.add_argument("--estimator", required=True, choices=["pbp", "cst_impute_lr", "iterative_impute_lr"])
     fit.add_argument("--tau", help="pbp threshold: d_over_n (the default), one_over_n, or a float")
-    fit.add_argument("--rounds", type=int, default=10)
+    fit.add_argument("--rounds", type=int, help="iterative_impute_lr sweeps (default 10)")
     fit.add_argument("--clip", type=float)
     fit.add_argument("--ball-radius", type=float)
     fit.add_argument("--out", required=True)

@@ -190,8 +190,10 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     return PbpRegression(models=bank, config=config, seen_keys=seen, seen_counts=counts)
 
 
-def _zero_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.where(mask, 0.0, values)
+def _impute_features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The (n, 2d) features of the constant-imputation baseline: zero-filled
+    values, then the mask as 0/1."""
+    return np.concatenate([np.where(mask, 0.0, values), mask], axis=1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -213,8 +215,7 @@ class ConstantImputeRegression(RowPredictor):
 
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         values, mask = masked_batch(values, mask, self.dimension)
-        features = np.hstack([_zero_filled(values, mask), mask.astype(float)])
-        return self.regression.predict(features)
+        return self.regression.predict(_impute_features(values, mask))
 
     def to_json(self) -> dict:
         return {
@@ -230,8 +231,7 @@ class ConstantImputeRegression(RowPredictor):
 
 
 def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
-    features = np.hstack([_zero_filled(data.values, data.mask), data.mask.astype(float)])
-    return ConstantImputeRegression(data.d, least_squares(features, data.responses))
+    return ConstantImputeRegression(data.d, least_squares(_impute_features(data.values, data.mask), data.responses))
 
 
 # the column models' ridge floor, relative to the feature scale

@@ -76,32 +76,34 @@ class EstimatorSpec:
     """One estimator entry of an experiment.
 
     kind: "pbp", "cst_impute_lr", or "iterative_impute_lr".
-    tau_rule: for pbp, "d_over_n", "one_over_n" (every pattern seen at
-        least once), or a fixed float threshold.
-    rounds: for iterative_impute_lr, the number of sweeps.
+    tau_rule: for pbp, "d_over_n" (the default), "one_over_n" (every
+        pattern seen at least once), or a fixed float threshold.
+    rounds: for iterative_impute_lr, the number of sweeps (default 10).
     clip_level, ball_radius: for pbp, the prediction clip and ball filter.
-        Other kinds reject these two and tau_rule: their fits read none.
+        A field that the kind's fit does not read must be left None.
     """
 
     kind: str
     tau_rule: str | float | None = None
-    rounds: int = 10
+    rounds: int | None = None
     clip_level: float | None = None
     ball_radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("pbp", "cst_impute_lr", "iterative_impute_lr"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        rule = self.tau_rule
+        rule = "d_over_n" if self.tau_rule is None and self.kind == "pbp" else self.tau_rule
         if self.kind == "pbp" and rule not in ("d_over_n", "one_over_n"):
             if not is_number(rule):
                 raise ValueError(f"invalid tau rule {rule!r}")
             probability(rule, "tau rule")
-        if self.kind != "pbp":
-            for label, value in (("tau", rule), ("clip", self.clip_level), ("ball_radius", self.ball_radius)):
-                if value is not None:
-                    raise ValueError(f"field {label!r} applies only to kind 'pbp', not to {self.kind!r}")
-        object.__setattr__(self, "rounds", count(self.rounds, "rounds"))
+        fields = (("tau", rule, "pbp"), ("clip", self.clip_level, "pbp"), ("ball_radius", self.ball_radius, "pbp"))
+        for label, value, owner in fields + (("rounds", self.rounds, "iterative_impute_lr"),):
+            if value is not None and owner != self.kind:
+                raise ValueError(f"field {label!r} applies only to kind {owner!r}, not to {self.kind!r}")
+        object.__setattr__(self, "tau_rule", rule)
+        if self.kind == "iterative_impute_lr":
+            object.__setattr__(self, "rounds", 10 if self.rounds is None else count(self.rounds, "rounds"))
 
     @property
     def name(self) -> str:
@@ -139,7 +141,7 @@ def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
     return EstimatorSpec(
         kind=json_field(obj, "kind"),
         tau_rule=json_field(obj, "tau", default=None),
-        rounds=json_field(obj, "rounds", default=10),
+        rounds=json_field(obj, "rounds", default=None),
         clip_level=json_field(obj, "clip", positive, None),
         ball_radius=json_field(obj, "ball_radius", positive, None),
     )

@@ -373,12 +373,10 @@ def sorted_lookup(table: np.ndarray, keys, values: np.ndarray, default) -> np.nd
 class PatternBank(Mapping):
     """One affine predictor per missing pattern: the "expanded" linear model.
 
-    The bank holds the patterns' packed keys in ascending order, a dense
-    coefficient table with one row of d entries per pattern (zero at the
-    pattern's missing coordinates) and one intercept per pattern. Table rows
-    stay in the order they were added and each sorted key points to its row,
-    so adding a pattern moves only the key index, not the table, and callers
-    may add patterns one at a time; the table's capacity doubles when full.
+    The bank is one table in ascending key order: the patterns' packed keys,
+    a dense coefficient table with one row of d entries per pattern (zero at
+    the pattern's missing coordinates) and one intercept per pattern. Each
+    ``add`` copies the table once, so callers add patterns in batches.
 
     Read as a Mapping, the bank sends each stored MissingPattern to an
     AffineModel over its observed coordinates (ascending order). A pattern
@@ -388,40 +386,32 @@ class PatternBank(Mapping):
     def __init__(self, d: int):
         self.d = dimension(d, "d")
         self._keys = np.empty(0, dtype=np.int64)
-        self._rows = np.empty(0, dtype=np.intp)
         self._coef = np.zeros((0, self.d))
         self._intercepts = np.zeros(0)
 
     def add(self, keys, coef: np.ndarray, intercepts: np.ndarray) -> None:
-        """Store new patterns: k packed keys, their (k, d) coefficient rows
-        with zeros at the missing coordinates, and k intercepts. A non-finite
-        entry or a pattern stored twice is a ValueError, naming the first
-        duplicated mask in key order, that leaves the bank unchanged."""
+        """Merge new patterns into the table: k packed keys, their (k, d)
+        coefficient rows with zeros at the missing coordinates, and k
+        intercepts. A non-finite entry or a pattern stored twice is a
+        ValueError, naming the first duplicated mask in key order, that
+        leaves the bank unchanged."""
         keys = np.asarray(keys, dtype=np.int64)
-        k = keys.size
         if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
             raise ValueError("affine model entries must be finite")
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        stored = sorted_lookup(self._keys, keys, self._rows, -1) >= 0
+        stored = sorted_lookup(self._keys, keys, np.ones(self._keys.size, dtype=bool), False)
         twins = keys[stored | np.append(keys[1:] == keys[:-1], False)]
         if twins.size:
             raise ValueError(f"duplicate mask {MissingPattern(int(twins[0]), self.d).to_string()!r}")
-        n = self._keys.size
-        if n + k > self._coef.shape[0]:
-            capacity = max(n + k, 2 * n)
-            grown_coef, grown_intercepts = np.zeros((capacity, self.d)), np.zeros(capacity)
-            grown_coef[:n], grown_intercepts[:n] = self._coef[:n], self._intercepts[:n]
-            self._coef, self._intercepts = grown_coef, grown_intercepts
-        self._coef[n : n + k] = coef[order]
-        self._intercepts[n : n + k] = intercepts[order]
         positions = np.searchsorted(self._keys, keys)
         self._keys = np.insert(self._keys, positions, keys)
-        self._rows = np.insert(self._rows, positions, np.arange(n, n + k))
+        self._coef = np.insert(self._coef, positions, coef[order], axis=0)
+        self._intercepts = np.insert(self._intercepts, positions, intercepts[order])
 
     def find(self, keys) -> np.ndarray:
-        """Table row of each packed key; -1 where the bank lacks the pattern."""
-        return sorted_lookup(self._keys, keys, self._rows, -1)
+        """Table position of each packed key; -1 where the bank lacks the pattern."""
+        return sorted_lookup(self._keys, keys, np.arange(self._keys.size), -1)
 
     def predict(self, values, mask, rows=None) -> np.ndarray:
         """Predictions for a batch of rows; masked cells of ``values`` are

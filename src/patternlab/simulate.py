@@ -144,9 +144,10 @@ class Scenario:
         return LabeledSample(dataset=dataset, full_values=values, bayes_values=bayes)
 
     def _learn(self, keys: np.ndarray) -> np.ndarray:
-        """The optimum bank's table row of each packed key, after adding
+        """The optimum bank's table position of each packed key, after adding
         every pattern among ``keys`` that the bank lacks in one batch; the
-        keys are looked up once, and once more after such a batch."""
+        keys are looked up once, and once more after such a batch. This is
+        the only writer of the bank."""
         rows = self._optimum.find(keys)
         if (rows < 0).any():
             new = np.unique(keys[rows < 0])
@@ -156,11 +157,12 @@ class Scenario:
 
     def pattern_model(self, m: MissingPattern) -> AffineModel:
         """The optimum predictor for pattern m as an affine model over the
-        observed coordinates (ascending order)."""
+        observed coordinates (ascending order). It is computed afresh and
+        not stored: the bank is written in batches, by the Bayes column."""
         if m.dimension != self.d:
             raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
-        self._learn(np.array([m.bits], dtype=np.int64))
-        return self._optimum[m]
+        coef, intercepts = self._optimum_rows(unpack_masks([m.bits], self.d))
+        return AffineModel(intercepts[0], coef[0, list(m.observed_indices)])
 
     def bayes_predict(self, x_obs, m: MissingPattern) -> float:
         """Exact E[Y | observed values, pattern m]."""

@@ -93,8 +93,9 @@ class TestPipeline:
     def test_fit_eval_impute_models(self, tmp_path, tiny_scenario_file, estimator, capsys):
         data = tmp_path / "data.json"
         model = tmp_path / "model.json"
+        rounds = ["--rounds", "2"] if estimator == "iterative_impute_lr" else []
         main(["gen", "--scenario", str(tiny_scenario_file), "--n", "300", "--seed", "3", "--out", str(data)])
-        assert main(["fit", "--data", str(data), "--estimator", estimator, "--rounds", "2", "--out", str(model)]) == 0
+        assert main(["fit", "--data", str(data), "--estimator", estimator, *rounds, "--out", str(model)]) == 0
         assert main(["eval", "--model", str(model), "--scenario", str(tiny_scenario_file), "--n-test", "1000", "--seed", "4"]) == 0
         result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert np.isfinite(result["excess_risk"])
@@ -124,6 +125,17 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["fit", "--data", str(data), "--estimator", estimator, option, value, "--out", str(model)]) == 2
         assert f"applies only to kind 'pbp', not to '{estimator}'" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("estimator", ["pbp", "cst_impute_lr"])
+    @pytest.mark.parametrize("rounds", ["0", "3"])
+    def test_rounds_on_other_estimators_is_config_error(self, tmp_path, tiny_scenario_file, capsys, estimator, rounds):
+        data = tmp_path / "data.json"
+        model = tmp_path / "model.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "50", "--seed", "5", "--out", str(data)])
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--estimator", estimator, "--rounds", rounds, "--out", str(model)]) == 2
+        assert f"field 'rounds' applies only to kind 'iterative_impute_lr', not to '{estimator}'" in capsys.readouterr().err
         assert not model.exists()
 
     def test_fit_keeping_no_pattern_round_trips(self, tmp_path, tiny_scenario_file, capsys):

@@ -138,6 +138,24 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError, match=f"'{field}'.*'{kind}'"):
             estimator_spec_from_json({"kind": kind, field: value})
 
+    @pytest.mark.parametrize("kind", ["pbp", "cst_impute_lr"])
+    @pytest.mark.parametrize("rounds", [3, 10, 0])
+    def test_rounds_rejected_on_other_kinds(self, kind, rounds):
+        # only the iterative fit sweeps, so no other kind takes rounds, not even the default
+        message = f"field 'rounds' applies only to kind 'iterative_impute_lr', not to '{kind}'"
+        with pytest.raises(ValueError, match=message):
+            EstimatorSpec(kind, rounds=rounds)
+        with pytest.raises(ValueError, match=message):
+            estimator_spec_from_json({"kind": kind, "rounds": rounds})
+
+    def test_kind_defaults(self):
+        assert estimator_spec_from_json({"kind": "pbp"}).tau_rule == "d_over_n"
+        assert EstimatorSpec("pbp").name == "pbp_tau_d_over_n"
+        assert estimator_spec_from_json({"kind": "iterative_impute_lr"}).rounds == 10
+        assert estimator_spec_from_json({"kind": "iterative_impute_lr", "rounds": None}).rounds == 10
+        assert EstimatorSpec("iterative_impute_lr").name == "iterative_impute_lr_10"
+        assert EstimatorSpec("cst_impute_lr").rounds is None
+
 
 class TestExperimentConfig:
     def test_validation(self):

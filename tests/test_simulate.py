@@ -239,6 +239,24 @@ class TestBayesColumn:
             assert abs(batch[i] - model.predict(x_obs)) <= 1e-12 * scale
 
 
+class TestPatternModelLeavesTheBank:
+    @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
+    def test_single_optimum_matches_the_batch(self, name):
+        scenario = preset(name)
+        mask = scenario.generate(3000, np.random.default_rng(12), with_bayes=False).dataset.mask
+        patterns = [MissingPattern(int(key), scenario.d) for key in np.unique(pack_mask_rows(mask))]
+        alone = {m: scenario.pattern_model(m) for m in patterns}
+        # the bank is written only in batches, never by a single pattern's optimum
+        assert len(scenario._optimum) == 0
+        scenario._learn(np.unique(pack_mask_rows(mask)))
+        assert len(scenario._optimum) == len(patterns)
+        for m, model in alone.items():
+            stored = scenario._optimum[m]
+            assert stored.coefficients.tobytes() == model.coefficients.tobytes()
+            assert float(stored.intercept).hex() == float(model.intercept).hex()
+            assert scenario.pattern_model(m).coefficients.tobytes() == model.coefficients.tobytes()
+
+
 class TestBayesColumnLookups:
     """The Bayes column looks each row's pattern up once, and once more
     after learning the optima the bank lacked."""
@@ -250,8 +268,7 @@ class TestBayesColumnLookups:
         cold = BayesPredictor(preset(name)).predict_masked(values, mask)
         warm = preset(name)
         keys = np.unique(pack_mask_rows(mask))
-        for key in keys[::2]:
-            warm.pattern_model(MissingPattern(int(key), warm.d))
+        warm._learn(keys[::2])
         assert len(warm._optimum) == keys[::2].size < keys.size
         assert BayesPredictor(warm).predict_masked(values, mask).tobytes() == cold.tobytes()
 
@@ -269,7 +286,7 @@ class TestBayesColumnLookups:
         # after learning the new patterns every row is looked up again; the
         # bank's duplicate check does not go through find
         fresh = preset("mcar_a")
-        fresh.pattern_model(MissingPattern(0, fresh.d))
+        fresh._learn(np.array([0], dtype=np.int64))
         calls.clear()
         BayesPredictor(fresh).predict_masked(values, mask)
         assert calls == [500, 500]
