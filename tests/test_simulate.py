@@ -244,12 +244,12 @@ class TestPatternModelLeavesTheBank:
     def test_single_optimum_matches_the_batch(self, name):
         scenario = preset(name)
         mask = scenario.generate(3000, np.random.default_rng(12), with_bayes=False).dataset.mask
-        patterns = [MissingPattern(int(key), scenario.d) for key in np.unique(pack_mask_rows(mask))]
-        alone = {m: scenario.pattern_model(m) for m in patterns}
+        keys = np.unique(pack_mask_rows(mask))
+        alone = {m: scenario.pattern_model(m) for m in (MissingPattern(int(key), scenario.d) for key in keys)}
         # the bank is written only in batches, never by a single pattern's optimum
         assert len(scenario._optimum) == 0
-        scenario._learn(np.unique(pack_mask_rows(mask)))
-        assert len(scenario._optimum) == len(patterns)
+        scenario._learn(keys)
+        assert len(scenario._optimum) == keys.size
         for m, model in alone.items():
             stored = scenario._optimum[m]
             assert stored.coefficients.tobytes() == model.coefficients.tobytes()
