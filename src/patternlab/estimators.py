@@ -25,7 +25,7 @@ from .patterns import (
     unpack_masks,
 )
 from .patterns import array, count, dimension, mapping, number, positive, probability, records, vector
-from .solver import AffineModel, clip, least_squares, lstsq_stack
+from .solver import AffineModel, clip, least_squares, lstsq_stack, solve_design
 
 
 def default_ball_radius(gamma: float, n: int) -> float:
@@ -190,10 +190,17 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     return PbpRegression(models=bank, config=config, seen_keys=seen, seen_counts=counts)
 
 
-def _impute_features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _impute_features(values: np.ndarray, mask: np.ndarray, intercept: bool = False) -> np.ndarray:
     """The (n, 2d) features of the constant-imputation baseline: zero-filled
-    values, then the mask as 0/1."""
-    return np.concatenate([np.where(mask, 0.0, values), mask], axis=1, dtype=float)
+    values, then the mask as 0/1. With ``intercept``, the fit's (n, 2d + 1)
+    design: a column of ones follows. Built in one buffer."""
+    n, d = mask.shape
+    features = np.empty((n, 2 * d + intercept))
+    np.copyto(features[:, :d], values)
+    np.copyto(features[:, :d], 0.0, where=mask)
+    features[:, d : 2 * d] = mask
+    features[:, 2 * d :] = 1.0
+    return features
 
 
 @dataclass(frozen=True)
@@ -231,7 +238,11 @@ class ConstantImputeRegression(RowPredictor):
 
 
 def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
-    return ConstantImputeRegression(data.d, least_squares(_impute_features(data.values, data.mask), data.responses))
+    """Least squares on the design [zero-filled values | mask | 1], built
+    once: ``least_squares`` on the (n, 2d) features, bit for bit, without
+    its copies of the feature matrix."""
+    design = _impute_features(data.values, data.mask, intercept=True)
+    return ConstantImputeRegression(data.d, solve_design(design, data.responses))
 
 
 # the column models' ridge floor, relative to the feature scale
@@ -249,16 +260,20 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineMod
     compensating coefficients. ``RIDGE_FLOOR`` floors the ridge on the
     normal equations, relative to the feature scale, for exact-collinearity
     safety.
+
+    The function consumes ``features``: it is centred in place, so callers
+    pass a fresh array.
     """
     n, k = features.shape
     x_mean = features.mean(axis=0) if n else np.zeros(k)
     y_mean = float(targets.mean()) if n else 0.0
-    centered = features - x_mean
+    centered = np.subtract(features, x_mean, out=features)
     residual_y = targets - y_mean
     gram = centered.T @ centered
+    moment = centered.T @ residual_y
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
-    projected = eigvecs.T @ (centered.T @ residual_y)
+    projected = eigvecs.T @ moment
     y_var = float(residual_y @ residual_y) / max(n, 1)
     alpha = 1.0 / (y_var + 1e-12)
     lam = 1.0
@@ -282,7 +297,7 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineMod
             break
     scale = float(np.trace(gram)) / k if k else 1.0
     ridge = max(lam / alpha, RIDGE_FLOOR * scale, 1e-300)
-    solution = np.linalg.solve(gram + ridge * np.eye(k), centered.T @ residual_y)
+    solution = np.linalg.solve(gram + ridge * np.eye(k), moment)
     return AffineModel(y_mean - float(x_mean @ solution), solution)
 
 
@@ -399,11 +414,14 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
 
     Each sweep refits column j on the other, currently completed, columns
     using the rows where j is observed, then overwrites j's missing cells
-    with predictions. Sweeps stop early once the largest imputed-cell change
-    falls below ``tol`` times the observed-value scale (set tol=0 to always
-    run all sweeps); prediction replays the executed number of sweeps. The
-    final regression of the response on the completed matrix is solved
-    without damping. ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0;
+    with predictions. A fully observed column has no missing cell, so no
+    sweep reads its model and only the last sweep's model is kept: it is
+    fitted once, after the sweeps, on the state the last sweep had at its
+    position, the same inputs and so the same model bit for bit. Sweeps
+    stop early once the largest imputed-cell change falls below ``tol``
+    times the observed-value scale (set tol=0 to always run all sweeps);
+    prediction replays the executed number of sweeps. The final regression
+    of the response on the completed matrix is solved without damping. ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0;
     the column models' ridge floor is the constant ``RIDGE_FLOOR``.
     """
     rounds = count(rounds, "rounds")
@@ -422,9 +440,12 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     value_scale = float(np.abs(completed[observed]).max()) if observed.any() else 0.0
     column_models: list[AffineModel | None] = [None] * data.d
     deltas = []
+    # a fully observed column imputes no cell, so no sweep reads its model
+    swept = [(fit, imputed) for fit, imputed in zip(fit_plan, impute_plan) if imputed[1].size]
+    once = [fit for fit, imputed in zip(fit_plan, impute_plan) if not imputed[1].size]
     for _ in range(rounds):
         before = completed.take(cells)
-        for (j, rows, others), imputed in zip(fit_plan, impute_plan):
+        for (j, rows, others), imputed in swept:
             column_models[j] = _damped_column_model(completed.take(others), completed[rows, j])
             _replay(completed, [imputed], column_models, 1)
         if not cells.size:
@@ -434,6 +455,15 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
         deltas.append(float(changes.mean()))
         if changes.max() < tol * value_scale:
             break
+    # Only the last sweep's model of a fully observed column is kept: fit
+    # it once, on the state that sweep had at its position. Earlier columns
+    # hold their final values; later ones get back the sweep's starting
+    # values (``before``), restored in place in descending column order.
+    cell_columns = cells % data.d
+    for j, rows, others in reversed(once):
+        later = cell_columns > j
+        completed.put(cells[later], before[later])
+        column_models[j] = _damped_column_model(completed.take(others), completed[rows, j])
     # Fit the response regression on the completion the stored models
     # reproduce, not on the training sweeps' evolving completion: training
     # and prediction then share one imputation map, without which the

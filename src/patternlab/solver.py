@@ -80,8 +80,15 @@ def least_squares(features, targets) -> AffineModel:
         raise ValueError("at least one observation required")
     if not np.isfinite(features).all() or not np.isfinite(targets).all():
         raise ValueError("least squares requires finite inputs")
-    augmented = np.column_stack([features, np.ones(n)])
-    solution = lstsq_stack(augmented[None], targets[None])[0]
+    return solve_design(np.column_stack([features, np.ones(n)]), targets)
+
+
+def solve_design(design: np.ndarray, targets: np.ndarray) -> AffineModel:
+    """The affine model of ``least_squares`` from a finite (n, c + 1) design
+    whose last column already holds the intercept's ones: one
+    ``lstsq_stack`` call on a stack of one, with no checks and no copy
+    before the kernel's own."""
+    solution = lstsq_stack(design[None], targets[None])[0]
     return AffineModel(float(solution[-1]), solution[:-1])
 
 

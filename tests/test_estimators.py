@@ -25,6 +25,8 @@ from patternlab import (
     preset,
     theory_config,
 )
+from patternlab import estimators
+from patternlab.estimators import _impute_features
 from patternlab.solver import AffineModel
 from patternlab.patterns import group_rows_by_key
 
@@ -443,6 +445,33 @@ class TestConstantImpute:
         assert np.allclose(fit.predict_masked(probe, mask), again.predict_masked(probe, mask))
 
 
+class TestConstantImputeDesign:
+    """The fit on its one-buffer design equals ``least_squares`` on the
+    (n, 2d) features, bit for bit."""
+
+    @staticmethod
+    def assert_same_regression(data):
+        fit = fit_constant_impute(data).regression
+        expected = least_squares(_impute_features(data.values, data.mask), data.responses)
+        assert fit.intercept == expected.intercept
+        assert np.array_equal(fit.coefficients, expected.coefficients)
+
+    @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_presets(self, name, n):
+        self.assert_same_regression(preset(name).generate(n, np.random.default_rng(n), with_bayes=False).dataset)
+
+    def test_fortran_ordered_input(self):
+        sample = preset("mcar_a").generate(300, np.random.default_rng(4), with_bayes=False)
+        mask = np.asfortranarray(sample.dataset.mask)
+        self.assert_same_regression(MaskedDataset(np.asfortranarray(sample.full_values), mask, sample.dataset.responses))
+
+    @given(baseline_cases.filter(lambda case: case[0] == "constant"))
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_cases(self, case):
+        self.assert_same_regression(_baseline_data(*case[1:])[0])
+
+
 class TestIterativeImpute:
     def test_no_missing_equals_plain_regression(self):
         rng = np.random.default_rng(10)
@@ -635,6 +664,65 @@ class TestIterativeImputeMatchesReference:
     def test_baseline_cases(self, case):
         data, values, mask = _baseline_data(*case[1:])
         assert_same_fit(data, values, mask, rounds=3)
+
+    @staticmethod
+    def _with_observed_columns(data, columns, full=None):
+        """``data`` with ``columns`` observed in every row; their masked
+        cells are filled from ``full``, or with standard normals."""
+        fill = np.random.default_rng(len(columns)).normal(size=data.values.shape) if full is None else full
+        mask = data.mask.copy()
+        mask[:, columns] = False
+        return MaskedDataset(np.where(data.mask, fill, data.values), mask, data.responses)
+
+    @pytest.mark.parametrize("columns", [[0, 1], [3, 4], [6, 7], [0, 4, 7]], ids=["first", "middle", "last", "spread"])
+    @pytest.mark.parametrize(
+        "kwargs", [{"rounds": 4, "tol": 0.0}, {}, {"rounds": 1}], ids=["all_sweeps", "early_stop", "one_round"]
+    )
+    def test_fully_observed_columns_fit_once(self, columns, kwargs):
+        """Fully observed columns, first, in the middle, last or spread out,
+        get the model the last sweep would have fitted them."""
+        sample = preset("mcar_a").generate(400, np.random.default_rng(17), with_bayes=False)
+        data = self._with_observed_columns(sample.dataset, columns, sample.full_values)
+        if not kwargs:
+            assert 1 < fit_iterative_impute(data).rounds < 10
+        assert_same_fit(data, sample.full_values, sample.dataset.mask, **kwargs)
+
+    def test_every_cell_observed(self):
+        sample = preset("gpmm_c").generate(300, np.random.default_rng(21), with_bayes=False)
+        data = MaskedDataset(sample.full_values, np.zeros_like(sample.dataset.mask), sample.dataset.responses)
+        assert_same_fit(data, sample.full_values, sample.dataset.mask, rounds=4, tol=0.0)
+
+    @given(
+        st.integers(2, 6),
+        st.integers(3, 60),
+        st.integers(0, 2**32 - 1),
+        st.sets(st.integers(0, 5)),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_fully_observed_columns(self, d, n, seed, columns, rounds, tol):
+        # the presets only put fully observed columns before (mar_b) or
+        # after (gpmm_c) the imputed ones; here they sit anywhere
+        data, values, mask = _baseline_data(d, n, seed, False)
+        data = self._with_observed_columns(data, sorted(j for j in columns if j < d))
+        assert_same_fit(data, values, mask, rounds=rounds, tol=tol)
+
+    @pytest.mark.parametrize("rounds", [1, 3, 10])
+    def test_fully_observed_columns_fitted_once(self, monkeypatch, rounds):
+        """On mar_b, block 1 is never masked: its 4 columns are fitted once
+        per fit, block 2's 4 columns once per sweep."""
+        calls = []
+        fit_column = estimators._damped_column_model
+
+        def counted(features, targets):
+            calls.append(features.shape)
+            return fit_column(features, targets)
+
+        monkeypatch.setattr(estimators, "_damped_column_model", counted)
+        data = preset("mar_b").generate(500, np.random.default_rng(3), with_bayes=False).dataset
+        assert fit_iterative_impute(data, rounds=rounds, tol=0.0).rounds == rounds
+        assert len(calls) == 4 * rounds + 4
 
 
 class TestImputeArguments:
