@@ -421,8 +421,9 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     stop early once the largest imputed-cell change falls below ``tol``
     times the observed-value scale (set tol=0 to always run all sweeps);
     prediction replays the executed number of sweeps. The final regression
-    of the response on the completed matrix is solved without damping. ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0;
-    the column models' ridge floor is the constant ``RIDGE_FLOOR``.
+    of the response on the completed matrix is solved without damping.
+    ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0; the column
+    models' ridge floor is the constant ``RIDGE_FLOOR``.
     """
     rounds = count(rounds, "rounds")
     if not number(tol, "tol") >= 0.0:
@@ -455,10 +456,9 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
         deltas.append(float(changes.mean()))
         if changes.max() < tol * value_scale:
             break
-    # Only the last sweep's model of a fully observed column is kept: fit
-    # it once, on the state that sweep had at its position. Earlier columns
-    # hold their final values; later ones get back the sweep's starting
-    # values (``before``), restored in place in descending column order.
+    # Descending, so that each fully observed column sees the last sweep's
+    # state at its position: later columns get back the sweep's starting
+    # values, earlier ones keep their final values.
     cell_columns = cells % data.d
     for j, rows, others in reversed(once):
         later = cell_columns > j

@@ -678,7 +678,7 @@ class TestIterativeImputeMatchesReference:
     @pytest.mark.parametrize(
         "kwargs", [{"rounds": 4, "tol": 0.0}, {}, {"rounds": 1}], ids=["all_sweeps", "early_stop", "one_round"]
     )
-    def test_fully_observed_columns_fit_once(self, columns, kwargs):
+    def test_fully_observed_column_positions(self, columns, kwargs):
         """Fully observed columns, first, in the middle, last or spread out,
         get the model the last sweep would have fitted them."""
         sample = preset("mcar_a").generate(400, np.random.default_rng(17), with_bayes=False)
@@ -686,11 +686,6 @@ class TestIterativeImputeMatchesReference:
         if not kwargs:
             assert 1 < fit_iterative_impute(data).rounds < 10
         assert_same_fit(data, sample.full_values, sample.dataset.mask, **kwargs)
-
-    def test_every_cell_observed(self):
-        sample = preset("gpmm_c").generate(300, np.random.default_rng(21), with_bayes=False)
-        data = MaskedDataset(sample.full_values, np.zeros_like(sample.dataset.mask), sample.dataset.responses)
-        assert_same_fit(data, sample.full_values, sample.dataset.mask, rounds=4, tol=0.0)
 
     @given(
         st.integers(2, 6),
@@ -709,7 +704,7 @@ class TestIterativeImputeMatchesReference:
         assert_same_fit(data, values, mask, rounds=rounds, tol=tol)
 
     @pytest.mark.parametrize("rounds", [1, 3, 10])
-    def test_fully_observed_columns_fitted_once(self, monkeypatch, rounds):
+    def test_column_model_calls_on_mar_b(self, monkeypatch, rounds):
         """On mar_b, block 1 is never masked: its 4 columns are fitted once
         per fit, block 2's 4 columns once per sweep."""
         calls = []
