@@ -694,12 +694,14 @@ class TestIterativeImputeMatchesReference:
         st.sets(st.integers(0, 5)),
         st.integers(1, 4),
         st.sampled_from([0.0, 0.5]),
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_fully_observed_columns(self, d, n, seed, columns, rounds, tol):
+    def test_random_fully_observed_columns(self, d, n, seed, columns, rounds, tol, never_observed):
         # the presets only put fully observed columns before (mar_b) or
-        # after (gpmm_c) the imputed ones; here they sit anywhere
-        data, values, mask = _baseline_data(d, n, seed, False)
+        # after (gpmm_c) the imputed ones; here they sit anywhere, also
+        # beside a never observed column 0
+        data, values, mask = _baseline_data(d, n, seed, never_observed)
         data = self._with_observed_columns(data, sorted(j for j in columns if j < d))
         assert_same_fit(data, values, mask, rounds=rounds, tol=tol)
 
