@@ -16,14 +16,14 @@ from patternlab import (
     MissingPattern,
     bernoulli_complexity_bound,
     entropy_bound,
+    law_preset,
     merge_complexity_bound,
     pattern_complexity,
-    preset,
 )
 from patternlab.harness import bound_report_csv
 
 names = ("bern_pA", "bern_pB", "bern_pC", "bern_pD")
-laws = {name: preset(name) for name in names}
+laws = {name: law_preset(name) for name in names}
 taus = np.geomspace(1e-3, 1.0, 40)
 
 print("complexity sum(min(p_m, tau)) on a 40-point log grid (selected rows)")
@@ -40,7 +40,7 @@ flip = int(np.flatnonzero(np.sign(gap[:-1]) != np.sign(gap[1:]))[0])
 print(f"\npB and pC swap order near tau = {taus[flip]:.4f}")
 
 print("\nentropy-style upper bounds at tau = 0.01 for pB")
-for kind in (BoundKind.hartley(), BoundKind.shannon(), BoundKind.renyi(0.5), BoundKind.bertrand(0.5)):
+for kind in (BoundKind("hartley"), BoundKind("shannon"), BoundKind("renyi", 0.5), BoundKind("bertrand", 0.5)):
     out = entropy_bound(laws["bern_pB"], 0.01, kind)
     print(f"  {kind.name:>8}: {out.value:8.4f}  valid={out.valid}")
 print(f"  exact    : {pattern_complexity(laws['bern_pB'], 0.01):8.4f}")

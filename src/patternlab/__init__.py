@@ -33,7 +33,7 @@ from .distributions import (
     UniformPatterns,
     distribution_from_json,
     explicit_from_json,
-    explicit_to_json,
+    law_preset,
 )
 from .estimators import (
     ConstantImputeRegression,
@@ -80,7 +80,6 @@ from .simulate import (
 from .solver import (
     AffineModel,
     GaussianParams,
-    clip,
     conditional_mean_map,
     least_squares,
     lstsq_stack,

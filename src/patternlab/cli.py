@@ -65,17 +65,13 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
-    from .distributions import distribution_from_json
+    from .distributions import distribution_from_json, law_preset
     from .harness import bound_report_csv
-    from .simulate import Scenario, preset
 
     named = {}
     if args.preset:
         for name in args.preset.split(","):
-            built = preset(name.strip())
-            if isinstance(built, Scenario):
-                raise ConfigError(f"preset {name!r} is a scenario, not a pattern law")
-            named[name.strip()] = built
+            named[name.strip()] = law_preset(name.strip())
     if args.dist:
         named[args.dist] = distribution_from_json(_load_json(args.dist))
     if not named:
@@ -140,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     complexity = sub.add_parser("complexity", help="complexity and entropy bounds on a tau grid")
-    complexity.add_argument("--preset", help="comma separated pattern-law presets, e.g. bern_pA,bern_pB")
+    complexity.add_argument("--preset", help="comma separated pattern-law presets: bern_pA, bern_pB, bern_pC, bern_pD")
     complexity.add_argument("--dist", help="JSON file with a pattern distribution")
     complexity.add_argument("--tau-grid", default="0.001:1:log40")
     complexity.add_argument("--alpha", type=float, default=0.5)

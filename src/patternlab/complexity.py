@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import PatternDistribution
+from .distributions import BernoulliPatterns, PatternDistribution
 from .patterns import count, rate, threshold
 
 
@@ -76,7 +76,9 @@ def pattern_complexity_mc(
 
 @dataclass(frozen=True)
 class BoundKind:
-    """One of the entropy-style upper bounds: hartley, shannon, renyi, bertrand."""
+    """One of the entropy-style upper bounds: ``BoundKind("hartley")``,
+    ``BoundKind("shannon")``, ``BoundKind("renyi", alpha)`` or
+    ``BoundKind("bertrand", alpha)``, with alpha a ``rate``, stored as a float."""
 
     name: str
     alpha: float | None = None
@@ -86,28 +88,10 @@ class BoundKind:
     def __post_init__(self) -> None:
         if self.name not in self._NAMES:
             raise ValueError(f"unknown bound kind {self.name!r}")
-        needs_alpha = self.name in ("renyi", "bertrand")
-        if needs_alpha:
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"{self.name} needs alpha strictly inside (0, 1)")
+        if self.name in ("renyi", "bertrand"):
+            object.__setattr__(self, "alpha", rate(self.alpha, "alpha"))
         elif self.alpha is not None:
             raise ValueError(f"{self.name} takes no alpha")
-
-    @classmethod
-    def hartley(cls) -> "BoundKind":
-        return cls("hartley")
-
-    @classmethod
-    def shannon(cls) -> "BoundKind":
-        return cls("shannon")
-
-    @classmethod
-    def renyi(cls, alpha: float) -> "BoundKind":
-        return cls("renyi", float(alpha))
-
-    @classmethod
-    def bertrand(cls, alpha: float) -> "BoundKind":
-        return cls("bertrand", float(alpha))
 
 
 @dataclass(frozen=True)
@@ -164,12 +148,7 @@ def bound_report(dist: PatternDistribution, tau: float, alpha: float = 0.5) -> B
     """The exact complexity and the four entropy bounds, from one pass over
     the law's atoms."""
     tau = threshold(tau, "tau")
-    kinds = (
-        BoundKind.hartley(),
-        BoundKind.shannon(),
-        BoundKind.renyi(alpha),
-        BoundKind.bertrand(alpha),
-    )
+    kinds = (BoundKind("hartley"), BoundKind("shannon"), BoundKind("renyi", alpha), BoundKind("bertrand", alpha))
     probs, counts = dist.atoms()
     return BoundReport(
         tau=tau,
@@ -225,7 +204,7 @@ class HeterogeneousComplexityBound:
 
 
 def heterogeneous_complexity_bound(d: int, n: int, epsilons) -> HeterogeneousComplexityBound:
-    eps = np.asarray(epsilons, dtype=float)
+    eps = BernoulliPatterns(epsilons).epsilons
     if eps.shape != (d,):
         raise ValueError(f"expected {d} rates, got shape {eps.shape}")
     mean_rate = float(eps.mean())

@@ -4,6 +4,8 @@ Families: explicit laws stored sparsely on their support, independent
 per-coordinate Bernoulli masking (homogeneous or per-coordinate rates), the
 merge model (a categorical protocol mask OR-ed with independent
 per-coordinate failures), and the uniform law over all 2**d patterns.
+``law_preset`` builds the four d = 4 Bernoulli laws of the complexity
+curves by name.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ class PatternDistribution(abc.ABC):
     @abc.abstractmethod
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` packed pattern keys."""
-
-    def sample(self, rng: np.random.Generator) -> MissingPattern:
-        return MissingPattern(int(self.sample_masks(rng, 1)[0]), self.dimension)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, multiplicities) of the law's positive atoms.
@@ -227,13 +226,6 @@ def explicit_from_json(obj: dict) -> ExplicitPatterns:
     return ExplicitPatterns(d, probs)
 
 
-def explicit_to_json(dist: ExplicitPatterns) -> dict:
-    return {
-        "d": dist.dimension,
-        "patterns": [{"mask": m.to_string(), "p": p} for m, p in dist.items()],
-    }
-
-
 def merge_from_json(obj: dict, d: int | None = None) -> MergeModel:
     """Load a merge law from {"protocols": ["0110", ...], "weights": [...],
     "eta": float}; each protocol mask has ``d`` characters when ``d`` is given."""
@@ -256,3 +248,18 @@ def distribution_from_json(obj: dict) -> PatternDistribution:
     if kind == "uniform":
         return UniformPatterns(json_field(obj, "d", dimension))
     raise ValueError(f"unknown distribution kind {kind!r} (an explicit law has the field 'patterns')")
+
+
+LAW_PRESETS = {
+    "bern_pA": lambda: HomogeneousBernoulli(4, 0.5),
+    "bern_pB": lambda: HomogeneousBernoulli(4, 0.15),
+    "bern_pC": lambda: BernoulliPatterns((0.3, 0.2, 0.05, 0.05)),
+    "bern_pD": lambda: HomogeneousBernoulli(4, 0.10),
+}
+
+
+def law_preset(name: str) -> PatternDistribution:
+    """A fresh copy of the built-in d = 4 Bernoulli pattern law ``name``."""
+    if name not in LAW_PRESETS:
+        raise ValueError(f"unknown law preset {name!r}; choose one of {', '.join(LAW_PRESETS)}")
+    return LAW_PRESETS[name]()

@@ -25,7 +25,7 @@ from .patterns import (
     unpack_masks,
 )
 from .patterns import array, count, dimension, mapping, number, positive, probability, records, vector
-from .solver import AffineModel, clip, least_squares, lstsq_stack, solve_design
+from .solver import AffineModel, least_squares, lstsq_stack, solve_design
 
 
 def default_ball_radius(gamma: float, n: int) -> float:
@@ -116,7 +116,7 @@ class PbpRegression(RowPredictor):
     def predict_masked(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Predictions for a batch of rows; masked cells of ``values`` are never read."""
         out = self.models.predict(values, mask)
-        return out if self.config.clip_level is None else clip(out, self.config.clip_level)
+        return out if self.config.clip_level is None else np.clip(out, -self.config.clip_level, self.config.clip_level)
 
     def to_json(self) -> dict:
         return {
@@ -241,6 +241,8 @@ def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
     """Least squares on the design [zero-filled values | mask | 1], built
     once: ``least_squares`` on the (n, 2d) features, bit for bit, without
     its copies of the feature matrix."""
+    if data.n < 1:
+        raise ValueError("dataset is empty")
     design = _impute_features(data.values, data.mask, intercept=True)
     return ConstantImputeRegression(data.d, solve_design(design, data.responses))
 
@@ -425,6 +427,8 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0; the column
     models' ridge floor is the constant ``RIDGE_FLOOR``.
     """
+    if data.n < 1:
+        raise ValueError("dataset is empty")
     rounds = count(rounds, "rounds")
     if not number(tol, "tol") >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")

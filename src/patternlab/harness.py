@@ -276,18 +276,18 @@ def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str
         for tau in taus:
             report = bound_report(dist, tau, alpha=alpha)
             bounds = report.bounds
-            shannon = bounds[BoundKind.shannon()]
-            bertrand = bounds[BoundKind.bertrand(alpha)]
+            shannon = bounds[BoundKind("shannon")]
+            bertrand = bounds[BoundKind("bertrand", alpha)]
             writer.writerow(
                 [
                     name,
                     repr(float(tau)),
                     repr(report.cp_exact),
-                    repr(bounds[BoundKind.hartley()].value),
+                    repr(bounds[BoundKind("hartley")].value),
                     repr(shannon.value),
                     str(shannon.valid).lower(),
                     repr(float(alpha)),
-                    repr(bounds[BoundKind.renyi(alpha)].value),
+                    repr(bounds[BoundKind("renyi", alpha)].value),
                     repr(bertrand.value),
                     str(bertrand.valid).lower(),
                 ]

@@ -152,22 +152,9 @@ class MissingPattern:
             raise ValueError(f"bits {self.bits} outside a {self.dimension}-bit pattern")
 
     @classmethod
-    def from_bools(cls, missing) -> "MissingPattern":
-        flags = [bool(f) for f in missing]
-        bits = 0
-        for j, flag in enumerate(flags):
-            if flag:
-                bits |= 1 << j
-        return cls(bits, len(flags))
-
-    @classmethod
     def from_string(cls, text: str) -> "MissingPattern":
         """Parse a mask string such as "0110"; the leftmost character is coordinate 1."""
         return mask(text, "mask string")
-
-    @classmethod
-    def all_missing(cls, dimension: int) -> "MissingPattern":
-        return cls((1 << dimension) - 1, dimension)
 
     def to_string(self) -> str:
         return "".join("1" if self.is_missing(j) else "0" for j in range(self.dimension))
@@ -320,7 +307,7 @@ class MaskedDataset:
         return self._values.shape[1]
 
     def pattern(self, i: int) -> MissingPattern:
-        return MissingPattern.from_bools(self._mask[i])
+        return MissingPattern(int(pack_mask_rows(self._mask[i : i + 1])[0]), self.d)
 
     def mask_keys(self) -> np.ndarray:
         return pack_mask_rows(self._mask)

@@ -13,7 +13,9 @@ noise) on top of a covariate law and a masking mechanism:
   probability in its own value.
 
 The first three expose the exact optimum predictor pattern by pattern as
-an affine model; self-masking only admits the sampling oracle.
+an affine model; self-masking only admits the sampling oracle. ``preset``
+builds the three built-in scenarios (mcar_a, mar_b, gpmm_c) by name; the
+built-in pattern laws are ``distributions.law_preset``'s.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PatternDistribution, distribution_from_json, merge_from_json
+from .distributions import HomogeneousBernoulli, PatternDistribution, distribution_from_json, merge_from_json
 from .patterns import (
     MaskedDataset,
     MissingPattern,
@@ -301,9 +303,6 @@ class GpmmScenario(Scenario):
         self.components = tuple((float(p), pattern, params) for p, (_, pattern, params) in zip(probs, components))
         self._cumulative = np.cumsum(probs)
 
-    def pattern_probabilities(self) -> dict:
-        return {pattern: prob for prob, pattern, _ in self.components}
-
     def _draw(self, n, rng):
         choice = np.searchsorted(self._cumulative, rng.random(n), side="right")
         choice = np.minimum(choice, len(self.components) - 1)
@@ -507,13 +506,13 @@ def _local_linear(offsets: np.ndarray, responses: np.ndarray) -> tuple[float, fl
     return float(weights @ projected), float(np.sqrt(variance * (weights @ weights))), rank
 
 
-def paired_block_covariance(d: int, block: int = 2) -> np.ndarray:
-    """Block-diagonal covariance made of all-ones blocks of the given size."""
-    if d % block != 0:
-        raise ValueError(f"dimension {d} is not a multiple of the block size {block}")
+def paired_block_covariance(d: int) -> np.ndarray:
+    """Block-diagonal covariance made of 2 x 2 all-ones blocks; d must be even."""
+    if d % 2 != 0:
+        raise ValueError(f"dimension {d} is not a multiple of the block size 2")
     out = np.zeros((d, d))
-    for start in range(0, d, block):
-        out[start : start + block, start : start + block] = 1.0
+    for start in range(0, d, 2):
+        out[start : start + 2, start : start + 2] = 1.0
     return out
 
 
@@ -536,14 +535,12 @@ def _gpmm_preset_components() -> list:
     ]
 
 
-PRESET_NAMES = ("mcar_a", "mar_b", "gpmm_c", "bern_pA", "bern_pB", "bern_pC", "bern_pD")
+PRESET_NAMES = ("mcar_a", "mar_b", "gpmm_c")
 
 
-def preset(name: str):
-    """Built-in scenarios (mcar_a, mar_b, gpmm_c) and d=4 Bernoulli pattern
-    laws (bern_pA, bern_pB, bern_pC, bern_pD)."""
-    from .distributions import BernoulliPatterns, HomogeneousBernoulli
-
+def preset(name: str) -> Scenario:
+    """A fresh copy of the built-in scenario ``name``: mcar_a, mar_b or
+    gpmm_c. The pattern laws are ``distributions.law_preset``'s."""
     if name == "mcar_a":
         return McarGaussianScenario(
             beta0=0.0,
@@ -569,15 +566,7 @@ def preset(name: str):
             components=_gpmm_preset_components(),
             name="gpmm_c",
         )
-    if name == "bern_pA":
-        return HomogeneousBernoulli(4, 0.5)
-    if name == "bern_pB":
-        return HomogeneousBernoulli(4, 0.15)
-    if name == "bern_pC":
-        return BernoulliPatterns((0.3, 0.2, 0.05, 0.05))
-    if name == "bern_pD":
-        return HomogeneousBernoulli(4, 0.10)
-    raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
+    raise ValueError(f"unknown scenario preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
 
 
 def _gaussian_from_json(obj) -> GaussianParams:
@@ -588,10 +577,7 @@ def scenario_from_json(obj: dict) -> Scenario:
     """Build a scenario from its JSON description or a {"preset": name} reference."""
     name = json_field(obj, "preset", default=None)
     if name is not None:
-        built = preset(name)
-        if not isinstance(built, Scenario):
-            raise ValueError(f"preset {name!r} is a pattern law, not a scenario")
-        return built
+        return preset(name)
     kind = json_field(obj, "kind", default=None)
     d = json_field(obj, "d", dimension)
     beta0 = json_field(obj, "beta0", number)

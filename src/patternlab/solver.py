@@ -92,14 +92,6 @@ def solve_design(design: np.ndarray, targets: np.ndarray) -> AffineModel:
     return AffineModel(float(solution[-1]), solution[:-1])
 
 
-def clip(value, level: float):
-    """Truncate to [-level, level]; level must be positive."""
-    if not level > 0.0:
-        raise ValueError(f"clip level must be positive, got {level}")
-    out = np.minimum(level, np.maximum(-level, value))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Mean and covariance of a d-dimensional Gaussian.

@@ -36,6 +36,7 @@ from patternlab import (
     pattern_complexity,
     pattern_complexity_mc,
     pattern_complexity_subset_form,
+    law_preset,
     preset,
     run_experiment,
 )
@@ -162,7 +163,7 @@ def test_03_entropy_bound_dominance():
 
         for d in range(1, 13):
             for tau in (1e-4, 1e-2, 0.2):
-                hartley = entropy_bound(UniformPatterns(d), tau, BoundKind.hartley())
+                hartley = entropy_bound(UniformPatterns(d), tau, BoundKind("hartley"))
                 assert hartley.value == (1 << d) * tau
             # threshold 1/n stays at or below the uniform atom once n >= 2**d
             for n in (2**d, 2**d * 3, 2**d * 100):
@@ -184,7 +185,7 @@ def test_05_complexity_curve_shapes():
         start = time.perf_counter()
         taus = np.geomspace(1e-3, 1.0, 40)
         curves = {
-            name: np.array([pattern_complexity(preset(name), t) for t in taus])
+            name: np.array([pattern_complexity(law_preset(name), t) for t in taus])
             for name in ("bern_pA", "bern_pB", "bern_pC", "bern_pD")
         }
         assert (curves["bern_pA"] >= curves["bern_pB"] - 1e-12).all()

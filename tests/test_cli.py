@@ -348,8 +348,18 @@ class TestExitCodes:
     def test_bad_tau_grid_is_config_error(self, tmp_path):
         assert main(["complexity", "--preset", "bern_pA", "--tau-grid", "junk", "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_unknown_preset_is_config_error(self, tmp_path):
-        assert main(["complexity", "--preset", "bern_pZ", "--out", str(tmp_path / "x.csv")]) == 2
+    def test_unknown_preset_is_config_error(self, tmp_path, capsys):
+        """Each preset lookup refuses the other's names and lists its own."""
+        law_names, scenario_names = "bern_pA, bern_pB, bern_pC, bern_pD", "mcar_a, mar_b, gpmm_c"
+        for name in ("bern_pZ", "mcar_a"):
+            assert main(["complexity", "--preset", name, "--out", str(tmp_path / "x.csv")]) == 2
+            assert f"unknown law preset {name!r}; choose one of {law_names}" in capsys.readouterr().err
+        for name in ("bern_pZ", "bern_pA"):
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps({"preset": name}))
+            argv = ["gen", "--scenario", str(scenario), "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.json")]
+            assert main(argv) == 2
+            assert f"unknown scenario preset {name!r}; choose one of {scenario_names}" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         scenario = {

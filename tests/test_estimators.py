@@ -28,7 +28,7 @@ from patternlab import (
 from patternlab import estimators
 from patternlab.estimators import _impute_features
 from patternlab.solver import AffineModel
-from patternlab.patterns import group_rows_by_key
+from patternlab.patterns import group_rows_by_key, pack_mask_rows
 
 
 def linear_dataset(rng, n, d, beta0, beta, noise_sd, miss_rate):
@@ -120,7 +120,7 @@ class TestFitPbp:
         responses = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
         data = MaskedDataset(values, mask, responses)
         fit = fit_pbp(data, EstimatorConfig(tau=0.0))
-        model = fit.models[MissingPattern.all_missing(2)]
+        model = fit.models[MissingPattern(0b11, 2)]
         assert model.coefficients.size == 0
         assert model.intercept == pytest.approx(responses.mean())
 
@@ -244,8 +244,9 @@ class TestPbpProperties:
     def test_batch_equals_single_rows(self, case):
         fit, values, mask = _pbp_case(*case)
         batch = fit.predict_masked(values, mask)
+        keys = pack_mask_rows(mask)
         for i in range(values.shape[0]):
-            m = MissingPattern.from_bools(mask[i])
+            m = MissingPattern(int(keys[i]), mask.shape[1])
             x_obs = values[i][~mask[i]]
             assert batch[i] == fit.predict_one(x_obs, m)
             # reference: the pattern's own affine model, clipped
@@ -344,10 +345,14 @@ class TestStackedFit:
         assert fit.models[MissingPattern.from_string("111")].intercept == pytest.approx(0.5)
         assert_fit_matches_per_pattern(data, EstimatorConfig(tau=1 / 11))
 
-    def test_empty_dataset_rejected(self):
+    @pytest.mark.parametrize(
+        "fit", [lambda data: fit_pbp(data, EstimatorConfig()), fit_constant_impute, fit_iterative_impute],
+        ids=["pbp", "constant_impute", "iterative_impute"],
+    )
+    def test_empty_dataset_rejected(self, fit):
         data = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0))
-        with pytest.raises(ValueError, match="empty"):
-            fit_pbp(data, EstimatorConfig())
+        with pytest.raises(ValueError, match="dataset is empty"):
+            fit(data)
 
 
 def _baseline_data(d, n, seed, never_observed):
@@ -389,8 +394,9 @@ class TestImputationBaselineProperties:
         filled = np.where(mask, 0.0, values)
         features = fit.complete(filled, mask) if case[0] == "iterative" else np.hstack([filled, mask])
         scale = 1.0 + abs(fit.regression.intercept) + np.abs(features) @ np.abs(fit.regression.coefficients)
+        keys = pack_mask_rows(mask)
         for i in range(values.shape[0]):
-            single = fit.predict_one(values[i][~mask[i]], MissingPattern.from_bools(mask[i]))
+            single = fit.predict_one(values[i][~mask[i]], MissingPattern(int(keys[i]), mask.shape[1]))
             assert abs(batch[i] - single) <= 1e-12 * scale[i]
 
     @given(baseline_cases)

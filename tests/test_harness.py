@@ -11,7 +11,6 @@ from patternlab import (
     NoClosedFormError,
     SelfMaskingScenario,
     UniformPatterns,
-    clip,
     derive_seed,
     excess_risk,
     pattern_complexity,
@@ -48,7 +47,7 @@ class ClippedBayes:
         self.level = level
 
     def predict_masked(self, values, mask):
-        return clip(self.inner.predict_masked(values, mask), self.level)
+        return np.clip(self.inner.predict_masked(values, mask), -self.level, self.level)
 
 
 class TestExcessRisk:

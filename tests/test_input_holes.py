@@ -26,6 +26,7 @@ from patternlab import (
     MissingPattern,
     SelfMaskingScenario,
     bayes_oracle_mc,
+    heterogeneous_complexity_bound,
     preset,
 )
 from patternlab.cli import main
@@ -188,6 +189,7 @@ LAST_MISSING = MissingPattern.from_string("00000001")
             ),
             "x_obs",
         ),
+        (lambda: heterogeneous_complexity_bound(2, 100, ["0.1", True]), r"epsilons\[0\] must be a number"),
     ],
     ids=[
         "fractional_d",
@@ -213,6 +215,7 @@ LAST_MISSING = MissingPattern.from_string("00000001")
         "string_column_means",
         "string_bayes_x_obs",
         "string_oracle_x_obs",
+        "string_heterogeneous_bound_rates",
     ],
 )
 def test_constructors_reject_what_readers_reject(build, argument):

@@ -52,7 +52,7 @@ class TestMissingPattern:
     @given(st.lists(st.booleans(), min_size=1, max_size=63))
     @settings(max_examples=50, deadline=None)
     def test_bool_round_trip(self, flags):
-        m = MissingPattern.from_bools(flags)
+        m = MissingPattern(sum(1 << j for j, flag in enumerate(flags) if flag), len(flags))
         assert [m.is_missing(j) for j in range(len(flags))] == flags
         assert MissingPattern.from_string(m.to_string()) == m
 
@@ -156,7 +156,7 @@ class TestBuildPatternIndex:
         sample = scenario.generate(10_000, np.random.default_rng(2024))
         index = build_pattern_index(sample.dataset)
         expected = {
-            pattern: p for pattern, p in scenario.pattern_probabilities().items()
+            pattern: p for p, pattern, _ in scenario.components
         }
         assert len(index.groups) == 7
         for pattern, p in expected.items():

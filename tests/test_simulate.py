@@ -20,6 +20,7 @@ from patternlab import (
     SelfMaskingScenario,
     bayes_oracle_mc,
     conditional_mean_map,
+    law_preset,
     paired_block_covariance,
     preset,
     scenario_from_json,
@@ -823,7 +824,7 @@ class TestLeanOracle:
 class TestPresets:
     def test_gpmm_component_count_and_mass(self):
         scenario = preset("gpmm_c")
-        probs = scenario.pattern_probabilities()
+        probs = {pattern: p for p, pattern, _ in scenario.components}
         assert len(probs) == 7
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert probs[MissingPattern.from_string("01010000")] == 0.6
@@ -843,22 +844,26 @@ class TestPresets:
         assert np.array_equal(scenario.block_cov, paired_block_covariance(4))
 
     def test_bernoulli_presets(self):
-        assert preset("bern_pA").epsilon == 0.5
-        assert preset("bern_pB").epsilon == 0.15
-        assert preset("bern_pD").epsilon == 0.10
-        assert preset("bern_pC").epsilons.mean() == pytest.approx(0.15)
+        assert law_preset("bern_pA").epsilon == 0.5
+        assert law_preset("bern_pB").epsilon == 0.15
+        assert law_preset("bern_pD").epsilon == 0.10
+        assert law_preset("bern_pC").epsilons.mean() == pytest.approx(0.15)
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scenario preset 'nope'; choose one of mcar_a, mar_b, gpmm_c"):
             preset("nope")
+        with pytest.raises(ValueError, match="unknown law preset 'nope'; choose one of bern_pA, bern_pB"):
+            law_preset("nope")
 
 
 class TestScenarioJson:
     def test_preset_reference(self):
         scenario = scenario_from_json({"preset": "mcar_a"})
         assert scenario.name == "mcar_a"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scenario preset 'bern_pA'; choose one of mcar_a, mar_b, gpmm_c$"):
             scenario_from_json({"preset": "bern_pA"})
+        with pytest.raises(ValueError, match="unknown law preset 'mcar_a'; choose one of bern_pA, bern_pB, bern_pC, bern_pD$"):
+            law_preset("mcar_a")
 
     def test_mcar_gaussian_round_trip(self):
         obj = {

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from patternlab import (
     AffineModel,
     GaussianParams,
-    clip,
     conditional_mean_map,
     least_squares,
     optimum_rows,
@@ -80,27 +79,6 @@ class TestLeastSquares:
             least_squares(np.array([[np.nan]]), np.array([1.0]))
         with pytest.raises(ValueError):
             least_squares(np.array([[1.0]]), np.array([np.inf]))
-
-
-class TestClip:
-    @pytest.mark.parametrize("value,level,expected", [(0.5, 1.0, 0.5), (-7.0, 2.0, -2.0), (3.0, 3.0, 3.0)])
-    def test_examples(self, value, level, expected):
-        assert clip(value, level) == expected
-
-    def test_requires_positive_level(self):
-        with pytest.raises(ValueError):
-            clip(1.0, 0.0)
-
-    @given(
-        st.floats(-1e6, 1e6),
-        st.floats(-1e6, 1e6),
-        st.floats(1e-3, 1e3),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_idempotent_and_monotone(self, v1, v2, level):
-        assert clip(clip(v1, level), level) == clip(v1, level)
-        lo, hi = sorted((v1, v2))
-        assert clip(lo, level) <= clip(hi, level)
 
 
 def conditional_mean(params, observed, x_obs):
