@@ -32,11 +32,11 @@ from patternlab import (
     effective_missing_dimension,
     excess_risk,
     fit_pbp,
+    law_preset,
     merge_complexity_bound,
     pattern_complexity,
     pattern_complexity_mc,
     pattern_complexity_subset_form,
-    law_preset,
     preset,
     run_experiment,
 )
