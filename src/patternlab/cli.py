@@ -15,6 +15,8 @@ import sys
 
 import numpy as np
 
+from .patterns import count, is_number, number
+
 
 class ConfigError(Exception):
     pass
@@ -34,19 +36,32 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _literal(text: str):
+    """The JSON number that ``text`` spells, else ``text`` itself, for a field kind to check."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if is_number(value) else text
+
+
 def parse_tau_grid(text: str) -> list:
-    """Grids: "start:stop:logK" or "start:stop:linK", or a comma list."""
+    """Grids: "start:stop:logK" or "start:stop:linK", or a comma list. The
+    bounds are read through the ``number`` field kind and K through ``count``."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or not (parts[2].startswith("log") or parts[2].startswith("lin")):
             raise ConfigError(f"bad tau grid {text!r}; expected start:stop:logK or start:stop:linK")
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2][3:])
-        if count < 2 or start <= 0 or stop <= start:
+        try:
+            start, stop = (number(_literal(part), f"tau grid {text!r} bound") for part in parts[:2])
+            points = count(_literal(parts[2][3:]), f"tau grid {text!r} point count")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if points < 2 or start <= 0 or stop <= start:
             raise ConfigError(f"bad tau grid {text!r}")
         if parts[2].startswith("log"):
-            return list(np.geomspace(start, stop, count))
-        return list(np.linspace(start, stop, count))
+            return list(np.geomspace(start, stop, points))
+        return list(np.linspace(start, stop, points))
     try:
         values = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
@@ -99,7 +114,9 @@ def _cmd_fit(args) -> None:
     from .harness import EstimatorSpec
 
     dataset = dataset_from_json(_load_json(args.data))
-    tau = args.tau if args.tau in (None, "d_over_n", "one_over_n") else float(args.tau)
+    tau = None if args.tau is None else _literal(args.tau)
+    if isinstance(tau, str) and tau not in ("d_over_n", "one_over_n"):
+        raise ConfigError(f"--tau must be d_over_n, one_over_n or a number, got {tau!r}")
     spec = EstimatorSpec(
         kind=args.estimator,
         tau_rule=tau,

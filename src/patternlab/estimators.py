@@ -185,8 +185,7 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
         solutions = lstsq_stack(systems, data.responses[take])
         coef[ids[:, None], obs] = solutions[:, :k]
         intercepts[ids] = solutions[:, k]
-    bank = PatternBank(data.d)
-    bank.add(seen[kept], coef, intercepts)
+    bank = PatternBank(data.d, seen[kept], coef, intercepts)
     return PbpRegression(models=bank, config=config, seen_keys=seen, seen_counts=counts)
 
 
@@ -267,8 +266,8 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineMod
     pass a fresh array.
     """
     n, k = features.shape
-    x_mean = features.mean(axis=0) if n else np.zeros(k)
-    y_mean = float(targets.mean()) if n else 0.0
+    x_mean = features.mean(axis=0)
+    y_mean = float(targets.mean())
     centered = np.subtract(features, x_mean, out=features)
     residual_y = targets - y_mean
     gram = centered.T @ centered
@@ -276,7 +275,7 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineMod
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
     projected = eigvecs.T @ moment
-    y_var = float(residual_y @ residual_y) / max(n, 1)
+    y_var = float(residual_y @ residual_y) / n
     alpha = 1.0 / (y_var + 1e-12)
     lam = 1.0
     hyper = 1e-6

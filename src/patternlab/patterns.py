@@ -357,62 +357,48 @@ def sorted_lookup(table: np.ndarray, keys, values: np.ndarray, default) -> np.nd
     return np.where(table[positions] == keys, values[positions], default)
 
 
+def affine_rows(values, mask, rows, coef, intercepts) -> np.ndarray:
+    """Per-pattern affine maps on a batch: row i predicts ``intercepts[r] +
+    values[i] @ coef[r]``, r = ``rows[i]``, masked cells read as 0; 0 if r is -1."""
+    filled = np.where(mask, 0.0, values)
+    hit = np.flatnonzero(rows >= 0)
+    rows = rows[hit]
+    out = np.zeros(mask.shape[0])
+    out[hit] = intercepts[rows] + np.einsum("ij,ij->i", filled[hit], coef[rows])
+    return out
+
+
 class PatternBank(Mapping):
     """One affine predictor per missing pattern: the "expanded" linear model.
 
-    The bank is one table in ascending key order: the patterns' packed keys,
-    a dense coefficient table with one row of d entries per pattern (zero at
-    the pattern's missing coordinates) and one intercept per pattern. Each
-    ``add`` copies the table once, so callers add patterns in batches.
+    Built once from a batch, as one table in ascending key order: P packed
+    ``keys``, their (P, d) ``coef`` rows, zero at the missing coordinates,
+    and P ``intercepts``. A non-finite entry or a pattern given twice is a
+    ValueError, naming the first duplicated mask in key order.
 
     Read as a Mapping, the bank sends each stored MissingPattern to an
     AffineModel over its observed coordinates (ascending order). A pattern
     not in the bank predicts 0.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, keys, coef: np.ndarray, intercepts: np.ndarray):
         self.d = dimension(d, "d")
-        self._keys = np.empty(0, dtype=np.int64)
-        self._coef = np.zeros((0, self.d))
-        self._intercepts = np.zeros(0)
-
-    def add(self, keys, coef: np.ndarray, intercepts: np.ndarray) -> None:
-        """Merge new patterns into the table: k packed keys, their (k, d)
-        coefficient rows with zeros at the missing coordinates, and k
-        intercepts. A non-finite entry or a pattern stored twice is a
-        ValueError, naming the first duplicated mask in key order, that
-        leaves the bank unchanged."""
-        keys = np.asarray(keys, dtype=np.int64)
         if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
             raise ValueError("affine model entries must be finite")
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        stored = sorted_lookup(self._keys, keys, np.ones(self._keys.size, dtype=bool), False)
-        twins = keys[stored | np.append(keys[1:] == keys[:-1], False)]
+        self._keys, self._coef, self._intercepts = np.asarray(keys, np.int64)[order], coef[order], intercepts[order]
+        twins = self._keys[1:][self._keys[1:] == self._keys[:-1]]
         if twins.size:
             raise ValueError(f"duplicate mask {MissingPattern(int(twins[0]), self.d).to_string()!r}")
-        positions = np.searchsorted(self._keys, keys)
-        self._keys = np.insert(self._keys, positions, keys)
-        self._coef = np.insert(self._coef, positions, coef[order], axis=0)
-        self._intercepts = np.insert(self._intercepts, positions, intercepts[order])
 
     def find(self, keys) -> np.ndarray:
         """Table position of each packed key; -1 where the bank lacks the pattern."""
         return sorted_lookup(self._keys, keys, np.arange(self._keys.size), -1)
 
-    def predict(self, values, mask, rows=None) -> np.ndarray:
-        """Predictions for a batch of rows; masked cells of ``values`` are
-        never read. ``rows``, when given, is ``find`` of the rows' packed
-        masks, which the caller has already looked up."""
+    def predict(self, values, mask) -> np.ndarray:
+        """Predictions for a batch of rows; masked cells of ``values`` are never read."""
         values, mask = masked_batch(values, mask, self.d)
-        filled = np.where(mask, 0.0, values)
-        if rows is None:
-            rows = self.find(pack_mask_rows(mask))
-        hit = np.flatnonzero(rows >= 0)
-        rows = rows[hit]
-        out = np.zeros(mask.shape[0])
-        out[hit] = self._intercepts[rows] + np.einsum("ij,ij->i", filled[hit], self._coef[rows])
-        return out
+        return affine_rows(values, mask, self.find(pack_mask_rows(mask)), self._coef, self._intercepts)
 
     def __getitem__(self, m: MissingPattern) -> AffineModel:
         row = self.find(m.bits) if isinstance(m, MissingPattern) and m.dimension == self.d else -1
@@ -436,17 +422,16 @@ class PatternBank(Mapping):
 
     @classmethod
     def from_json(cls, d: int, entries) -> "PatternBank":
-        bank = cls(d)
+        d = dimension(d, "d")
         keys = []
-        coef = np.zeros((len(entries), bank.d))
+        coef = np.zeros((len(entries), d))
         intercepts = np.zeros(len(entries))
         for i, entry in enumerate(entries):
-            m = mask(json_field(entry, "mask"), "field 'mask'", bank.d)
+            m = mask(json_field(entry, "mask"), "field 'mask'", d)
             row = json_field(entry, "coef", vector)
             if row.shape != (m.n_observed,):
                 raise ValueError(f"mask {m.to_string()!r} needs {m.n_observed} coefficients, got {row.size}")
             keys.append(m.bits)
             coef[i, list(m.observed_indices)] = row
             intercepts[i] = json_field(entry, "intercept", number)
-        bank.add(keys, coef, intercepts)
-        return bank
+        return cls(d, keys, coef, intercepts)

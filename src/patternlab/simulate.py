@@ -28,13 +28,14 @@ from .distributions import HomogeneousBernoulli, PatternDistribution, distributi
 from .patterns import (
     MaskedDataset,
     MissingPattern,
-    PatternBank,
+    affine_rows,
     json_field,
     json_object,
     masked_batch,
     one_row,
     pack_mask_rows,
     probability_vector,
+    sorted_lookup,
     unpack_masks,
 )
 from .patterns import count, dimension, mask, matrix, noise_level, number, numbers, positive, probability, records
@@ -79,6 +80,9 @@ class Scenario:
     m)) and follow the law of X given the pattern and the window. The draws
     agree in distribution, not in their random-number streams.
 
+    A scenario writes no attribute after construction: the exact-optimum
+    column of a batch depends on the batch alone.
+
     ``beta`` is read through the ``vector`` field kind.
     """
 
@@ -93,7 +97,6 @@ class Scenario:
         self.beta = beta
         self.noise_sd = noise_level(noise_sd, "noise_sd")
         self.name = name
-        self._optimum = PatternBank(self.d)
 
     @property
     def d(self) -> int:
@@ -145,22 +148,10 @@ class Scenario:
         values.setflags(write=False)
         return LabeledSample(dataset=dataset, full_values=values, bayes_values=bayes)
 
-    def _learn(self, keys: np.ndarray) -> np.ndarray:
-        """The optimum bank's table position of each packed key, after adding
-        every pattern among ``keys`` that the bank lacks in one batch; the
-        keys are looked up once, and once more after such a batch. This is
-        the only writer of the bank."""
-        rows = self._optimum.find(keys)
-        if (rows < 0).any():
-            new = np.unique(keys[rows < 0])
-            self._optimum.add(new, *self._optimum_rows(unpack_masks(new, self.d)))
-            rows = self._optimum.find(keys)
-        return rows
-
     def pattern_model(self, m: MissingPattern) -> AffineModel:
         """The optimum predictor for pattern m as an affine model over the
-        observed coordinates (ascending order). It is computed afresh and
-        not stored: the bank is written in batches, by the Bayes column."""
+        observed coordinates (ascending order), bit for bit the map the
+        Bayes column applies to m's rows."""
         if m.dimension != self.d:
             raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
         coef, intercepts = self._optimum_rows(unpack_masks([m.bits], self.d))
@@ -171,8 +162,13 @@ class Scenario:
         return float(self._bayes_for(*one_row(x_obs, m))[0])
 
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The optima of the batch's distinct patterns, in one ``_optimum_rows`` call, applied to its rows."""
         values, mask = masked_batch(values, mask, self.d)
-        out = self._optimum.predict(values, mask, rows=self._learn(pack_mask_rows(mask)))
+        keys, rows = np.unique(pack_mask_rows(mask), return_inverse=True)
+        coef, intercepts = self._optimum_rows(unpack_masks(keys, self.d))
+        if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
+            raise ValueError("affine model entries must be finite")
+        out = affine_rows(values, mask, rows, coef, intercepts)
         out.setflags(write=False)
         return out
 
@@ -285,7 +281,9 @@ class MarBlockScenario(Scenario):
 
 class GpmmScenario(Scenario):
     """Pattern-first mixture: draw the pattern, then Gaussian covariates
-    with that pattern's own mean and covariance."""
+    with that pattern's own mean and covariance. The support is the
+    components' patterns, so their optima are computed once, at
+    construction; any other pattern has probability zero."""
 
     def __init__(self, beta0, beta, noise_sd: float, components, name: str = "gpmm"):
         super().__init__(beta0, beta, noise_sd, name)
@@ -302,6 +300,13 @@ class GpmmScenario(Scenario):
             raise ValueError("component patterns must be distinct")
         self.components = tuple((float(p), pattern, params) for p, (_, pattern, params) in zip(probs, components))
         self._cumulative = np.cumsum(probs)
+        optima = sorted(
+            (m.bits, *optimum_rows(params, self.beta0, self.beta, unpack_masks([m.bits], self.d)))
+            for _, m, params in self.components
+        )
+        # (keys, coefficient rows, intercepts) in ascending key order
+        keys, coef, intercepts = zip(*optima)
+        self._optima = (np.array(keys, dtype=np.int64), np.vstack(coef), np.concatenate(intercepts))
 
     def _draw(self, n, rng):
         choice = np.searchsorted(self._cumulative, rng.random(n), side="right")
@@ -324,17 +329,13 @@ class GpmmScenario(Scenario):
         return np.empty((0, self.d))
 
     def _optimum_rows(self, missing):
+        table, coef, intercepts = self._optima
         keys = pack_mask_rows(missing)
-        known = np.isin(keys, [pattern.bits for _, pattern, _ in self.components])
-        if not known.all():
-            m = MissingPattern(int(keys[~known][0]), self.d)
+        rows = sorted_lookup(table, keys, np.arange(table.size), -1)
+        if (rows < 0).any():
+            m = MissingPattern(int(keys[rows < 0][0]), self.d)
             raise ValueError(f"pattern {m} has probability zero in this mixture")
-        coef = np.empty(missing.shape)
-        intercepts = np.empty(keys.size)
-        for _, pattern, params in self.components:
-            rows = np.flatnonzero(keys == pattern.bits)
-            coef[rows], intercepts[rows] = optimum_rows(params, self.beta0, self.beta, missing[rows])
-        return coef, intercepts
+        return coef[rows], intercepts[rows]
 
 
 class SelfMaskingScenario(Scenario):

@@ -60,6 +60,15 @@ class TestParseTauGrid:
         for bad in ("0.1:0.5", "0:1:log10", "1:0.5:log10", "abc", ""):
             with pytest.raises(ConfigError):
                 parse_tau_grid(bad)
+        # the point count and the bounds are read through their field kinds
+        for bad, message in [
+            ("0.001:1:log2.5", "tau grid '0.001:1:log2.5' point count must be an integer >= 1, got 2.5"),
+            ("0.001:1:log1e3", "tau grid '0.001:1:log1e3' point count must be an integer >= 1, got 1000.0"),
+            ("0.001:abc:log5", "tau grid '0.001:abc:log5' bound must be a number, got 'abc'"),
+        ]:
+            with pytest.raises(ConfigError) as caught:
+                parse_tau_grid(bad)
+            assert str(caught.value) == message
 
 
 class TestPipeline:
@@ -113,6 +122,22 @@ class TestPipeline:
         main(["gen", "--scenario", str(tiny_scenario_file), "--n", "200", "--seed", "5", "--out", str(data)])
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--out", str(model)]) == 0
         assert json.loads(model.read_text())["tau"] == 2 / 200
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            ("abc", "--tau must be d_over_n, one_over_n or a number, got 'abc'"),
+            ("1.5", "tau rule must be a probability in [0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_tau_is_config_error(self, tmp_path, tiny_scenario_file, capsys, tau, message):
+        data = tmp_path / "data.json"
+        model = tmp_path / "model.json"
+        main(["gen", "--scenario", str(tiny_scenario_file), "--n", "50", "--seed", "5", "--out", str(data)])
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", tau, "--out", str(model)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not model.exists()
 
     @pytest.mark.parametrize("estimator", ["cst_impute_lr", "iterative_impute_lr"])
     @pytest.mark.parametrize("option, value", [("--tau", "0.3"), ("--clip", "5"), ("--ball-radius", "2")])

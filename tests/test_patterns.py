@@ -166,88 +166,69 @@ class TestBuildPatternIndex:
 
 @st.composite
 def bank_batches(draw):
-    """(d, batches): distinct keys in drawn order, cut into (keys,
-    coefficient rows, intercepts) batches, some possibly empty; each row is
-    zero at its key's missing coordinates."""
+    """(d, keys, coefficient rows, intercepts, permutation): distinct keys in
+    drawn order, each row zero at its key's missing coordinates, and a
+    drawn reordering of the batch."""
     d = draw(st.integers(1, 5))
     keys = draw(st.lists(st.integers(0, 2**d - 1), unique=True, max_size=2**d))
-    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=3)))
+    permutation = np.array(draw(st.permutations(range(len(keys)))), dtype=int)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keys = np.array(keys, dtype=np.int64)
     coef = rng.standard_normal((keys.size, d)) * ~unpack_masks(keys, d)
-    intercepts = rng.standard_normal(keys.size)
-    bounds = list(zip([0, *cuts], [*cuts, keys.size]))
-    return d, [(keys[a:b], coef[a:b], intercepts[a:b]) for a, b in bounds]
+    return d, keys, coef, rng.standard_normal(keys.size), permutation
 
 
 def bank_state(bank, d):
     """Everything a bank answers: its length, its JSON, which of the 2^d
-    keys it finds, and its predictions on fixed rows of every pattern, both
-    looked up by itself and through ``find``."""
+    keys it finds, and its predictions on fixed rows of every pattern."""
     keys = np.arange(2**d, dtype=np.int64)
     mask = unpack_masks(keys, d)
     values = np.random.default_rng(0).standard_normal(mask.shape)
     found = bank.find(keys)
-    own = bank.predict(values, mask)
-    given_rows = bank.predict(values, mask, rows=found)
-    return len(bank), bank.to_json(), (found >= 0).tolist(), own.tobytes(), given_rows.tobytes()
+    return len(bank), bank.to_json(), (found >= 0).tolist(), bank.predict(values, mask).tobytes()
 
 
 class TestPatternBank:
-    """Any split of a batch of patterns gives the bank the one-batch add
-    gives; a rejected add changes nothing."""
+    """A bank is built once from a batch: any order of the batch builds the
+    same bank, and a bad batch builds none."""
 
     @given(bank_batches())
     @settings(max_examples=60, deadline=None)
-    def test_batches_equal_one_batch(self, case):
-        d, batches = case
-        keys, coef, intercepts = (np.concatenate(parts) for parts in zip(*batches))
-        one = PatternBank(d)
-        one.add(keys, coef, intercepts)
-        split = PatternBank(d)
-        for batch in batches:
-            split.add(*batch)
-        assert bank_state(split, d) == bank_state(one, d)
+    def test_any_order_builds_one_bank(self, case):
+        d, keys, coef, intercepts, permutation = case
+        bank = PatternBank(d, keys, coef, intercepts)
+        shuffled = PatternBank(d, keys[permutation], coef[permutation], intercepts[permutation])
+        assert bank_state(shuffled, d) == bank_state(bank, d)
         for key, row, intercept in zip(keys, coef, intercepts):
             m = MissingPattern(int(key), d)
-            assert split[m].intercept == intercept
-            assert split[m].coefficients.tolist() == row[list(m.observed_indices)].tolist()
+            assert bank[m].intercept == intercept
+            assert bank[m].coefficients.tolist() == row[list(m.observed_indices)].tolist()
 
     @given(bank_batches(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_rejected_add_changes_nothing(self, case, data):
-        d, batches = case
-        bank = PatternBank(d)
-        for batch in batches:
-            bank.add(*batch)
-        before = bank_state(bank, d)
-        keys = np.concatenate([batch[0] for batch in batches])
-        fresh = np.setdiff1d(np.arange(2**d), keys)
+    def test_bad_batch_names_the_mask(self, case, data):
+        d, keys, coef, intercepts, permutation = case
         if keys.size:
-            # a stored key, alone or beside new ones
-            i = data.draw(st.integers(0, keys.size - 1))
-            with pytest.raises(ValueError):
-                bank.add(np.append(fresh, keys[i]), np.zeros((fresh.size + 1, d)), np.zeros(fresh.size + 1))
-        if fresh.size:
-            # a new key given twice in one batch
-            twice = np.repeat(fresh[:1], 2)
-            with pytest.raises(ValueError):
-                bank.add(twice, np.zeros((2, d)), np.zeros(2))
+            # a key given twice, the first such in key order named
+            twins = data.draw(st.lists(st.sampled_from(keys.tolist()), min_size=1, unique=True))
+            doubled = np.append(keys[permutation], twins)
+            named = MissingPattern(min(twins), d).to_string()
+            with pytest.raises(ValueError, match=f"^duplicate mask '{named}'$"):
+                PatternBank(d, doubled, np.zeros((doubled.size, d)), np.zeros(doubled.size))
             # a non-finite entry in an otherwise valid batch
             bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
             where = data.draw(st.integers(0, d))
-            coef_new, intercepts_new = np.zeros((fresh.size, d)), np.zeros(fresh.size)
+            coef, intercepts = coef.copy(), intercepts.copy()
             if where < d:
-                coef_new[0, where] = bad
+                coef[0, where] = bad
             else:
-                intercepts_new[0] = bad
-            with pytest.raises(ValueError):
-                bank.add(fresh, coef_new, intercepts_new)
-        assert bank_state(bank, d) == before
+                intercepts[0] = bad
+            with pytest.raises(ValueError, match="affine model entries must be finite"):
+                PatternBank(d, keys, coef, intercepts)
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_empty_bank(self, d):
-        bank = PatternBank(d)
+        bank = PatternBank(d, [], np.zeros((0, d)), np.zeros(0))
         keys = np.arange(2**d, dtype=np.int64)
         assert bank.find(keys).tolist() == [-1] * keys.size
         mask = unpack_masks(keys, d)

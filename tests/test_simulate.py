@@ -241,56 +241,49 @@ class TestBayesColumn:
 
 
 class TestPatternModelLeavesTheBank:
+    """A pattern's optimum is one map: ``pattern_model`` gives, bit for bit,
+    the map the Bayes column applies to the pattern's rows."""
+
     @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
-    def test_single_optimum_matches_the_batch(self, name):
+    def test_single_optimum_matches_the_batch(self, monkeypatch, name):
         scenario = preset(name)
-        mask = scenario.generate(3000, np.random.default_rng(12), with_bayes=False).dataset.mask
-        keys = np.unique(pack_mask_rows(mask))
-        alone = {m: scenario.pattern_model(m) for m in (MissingPattern(int(key), scenario.d) for key in keys)}
-        # the bank is written only in batches, never by a single pattern's optimum
-        assert len(scenario._optimum) == 0
-        scenario._learn(keys)
-        assert len(scenario._optimum) == keys.size
-        for m, model in alone.items():
-            stored = scenario._optimum[m]
-            assert stored.coefficients.tobytes() == model.coefficients.tobytes()
-            assert float(stored.intercept).hex() == float(model.intercept).hex()
-            assert scenario.pattern_model(m).coefficients.tobytes() == model.coefficients.tobytes()
+        sample = scenario.generate(3000, np.random.default_rng(12), with_bayes=False)
+        mask = sample.dataset.mask
+        batches = []
+        optimum_rows = type(scenario)._optimum_rows
+
+        def spy(self, missing):
+            batches.append((pack_mask_rows(missing), *optimum_rows(self, missing)))
+            return batches[-1][1:]
+
+        monkeypatch.setattr(type(scenario), "_optimum_rows", spy)
+        BayesPredictor(scenario).predict_masked(sample.full_values, mask)
+        # one batch: the draw's distinct patterns, ascending
+        [(keys, coef, intercepts)] = batches
+        assert keys.tolist() == np.unique(pack_mask_rows(mask)).tolist()
+        for key, row, intercept in zip(keys, coef, intercepts):
+            m = MissingPattern(int(key), scenario.d)
+            model = scenario.pattern_model(m)
+            assert model.coefficients.tobytes() == row[list(m.observed_indices)].tobytes()
+            assert float(model.intercept).hex() == float(intercept).hex()
 
 
-class TestBayesColumnLookups:
-    """The Bayes column looks each row's pattern up once, and once more
-    after learning the optima the bank lacked."""
+class TestStatelessBayesColumn:
+    """A scenario writes nothing after construction, so the draws it has
+    served leave its Bayes column unchanged."""
 
     @pytest.mark.parametrize("name", ["mcar_a", "mar_b", "gpmm_c"])
-    def test_partly_warm_bank_matches_a_cold_one(self, name):
+    def test_served_scenario_matches_a_fresh_one(self, name):
         sample = preset(name).generate(3000, np.random.default_rng(11), with_bayes=False)
         values, mask = sample.full_values, sample.dataset.mask
-        cold = BayesPredictor(preset(name)).predict_masked(values, mask)
-        warm = preset(name)
-        keys = np.unique(pack_mask_rows(mask))
-        warm._learn(keys[::2])
-        assert len(warm._optimum) == keys[::2].size < keys.size
-        assert BayesPredictor(warm).predict_masked(values, mask).tobytes() == cold.tobytes()
-
-    def test_lookups_per_batch(self, monkeypatch):
-        scenario = preset("mcar_a")
-        sample = scenario.generate(500, np.random.default_rng(4), with_bayes=False)
-        values, mask = sample.full_values, sample.dataset.mask
-        BayesPredictor(scenario).predict_masked(values, mask)
-        calls = []
-        bank = type(scenario._optimum)
-        find = bank.find
-        monkeypatch.setattr(bank, "find", lambda self, keys: calls.append(np.size(keys)) or find(self, keys))
-        BayesPredictor(scenario).predict_masked(values, mask)
-        assert calls == [500]
-        # after learning the new patterns every row is looked up again; the
-        # bank's duplicate check does not go through find
-        fresh = preset("mcar_a")
-        fresh._learn(np.array([0], dtype=np.int64))
-        calls.clear()
-        BayesPredictor(fresh).predict_masked(values, mask)
-        assert calls == [500, 500]
+        fresh = BayesPredictor(preset(name)).predict_masked(values, mask)
+        served = preset(name)
+        state = dict(vars(served))
+        for seed in range(3):
+            served.generate(700, np.random.default_rng(seed))
+        assert BayesPredictor(served).predict_masked(values, mask).tobytes() == fresh.tobytes()
+        assert vars(served).keys() == state.keys()
+        assert all(vars(served)[key] is value for key, value in state.items())
 
 
 def composed_optimum(params, beta0, beta, missing_row):
@@ -399,16 +392,23 @@ class TestOracle:
 
     @pytest.mark.parametrize("name, mask", [("mcar_a", "00100000"), ("mar_b", "00001010"), ("gpmm_c", "01010000")])
     def test_reads_only_the_generative_law(self, monkeypatch, name, mask):
-        # the oracle checks the closed forms, so it must not call them
+        # the oracle checks the closed forms, so it must not call or read
+        # them; the scenario is built first, as gpmm's constructor computes
+        # its table of optima
         def closed_form(*args, **kwargs):
             raise AssertionError("the oracle called a closed form")
 
+        class Table:
+            __getattribute__ = __iter__ = __getitem__ = __len__ = closed_form
+
+        scenario, m = preset(name), MissingPattern.from_string(mask)
         monkeypatch.setattr(simulate, "optimum_rows", closed_form)
         monkeypatch.setattr(solver, "optimum_rows", closed_form)
         monkeypatch.setattr(solver, "conditional_mean_map", closed_form)
         monkeypatch.setattr(GaussianParams, "precision", property(closed_form))
-        monkeypatch.setattr(Scenario, "_learn", closed_form)
-        scenario, m = preset(name), MissingPattern.from_string(mask)
+        monkeypatch.setattr(type(scenario), "_optimum_rows", closed_form)
+        if isinstance(scenario, GpmmScenario):
+            monkeypatch.setitem(vars(scenario), "_optima", Table())
         rows = scenario._draw_pattern(20_000, np.random.default_rng(71), m)
         x_obs = np.median(rows[:, list(m.observed_indices)], axis=0)
         out = bayes_oracle_mc(scenario, x_obs, m, 400_000, 0.5, np.random.default_rng(72))
