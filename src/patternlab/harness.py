@@ -24,7 +24,16 @@ from .patterns import RowPredictor, json_field, json_object
 from .patterns import array, boolean, count, integer, is_number, positive, probability, records
 from .simulate import NoClosedFormError, Scenario, scenario_from_json
 
-CSV_HEADER = ("scenario", "estimator", "n", "repetition", "seed", "excess_risk", "fit_seconds", "predict_seconds")
+CSV_HEADER = (
+    "scenario",
+    "estimator",
+    "n",
+    "repetition",
+    "seed",
+    "excess_risk",
+    "fit_seconds",
+    "predict_seconds",
+)
 
 
 class BayesPredictor(RowPredictor):
@@ -237,7 +246,9 @@ def records_to_csv(records, record_timings: bool = True) -> str:
     for r in records:
         fit_s = f"{r.fit_seconds:.6f}" if record_timings else "0.000000"
         pred_s = f"{r.predict_seconds:.6f}" if record_timings else "0.000000"
-        writer.writerow([r.scenario, r.estimator, r.n, r.repetition, r.seed, repr(r.excess_risk), fit_s, pred_s])
+        writer.writerow(
+            [r.scenario, r.estimator, r.n, r.repetition, r.seed, repr(r.excess_risk), fit_s, pred_s]
+        )
     return buffer.getvalue()
 
 
@@ -247,7 +258,20 @@ def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow("dist tau cp_exact hartley shannon shannon_valid renyi_alpha renyi bertrand bertrand_valid".split())
+    writer.writerow(
+        [
+            "dist",
+            "tau",
+            "cp_exact",
+            "hartley",
+            "shannon",
+            "shannon_valid",
+            "renyi_alpha",
+            "renyi",
+            "bertrand",
+            "bertrand_valid",
+        ]
+    )
     for name, dist in named_distributions.items():
         for tau in taus:
             report = bound_report(dist, tau, alpha=alpha)

@@ -27,7 +27,7 @@ from patternlab import (
 )
 from patternlab import simulate, solver
 from patternlab.patterns import pack_mask_rows
-from patternlab.simulate import Scenario, _local_linear
+from patternlab.simulate import _local_linear
 
 
 def small_mcar(noise_sd=0.3, miss=0.3, d=2, name="tiny"):
