@@ -37,7 +37,7 @@ from .distributions import (
 )
 from .estimators import (
     ConstantImputeRegression,
-    EstimatorConfig,
+    EstimatorSpec,
     IterativeImputeRegression,
     PbpRegression,
     default_ball_radius,
@@ -48,7 +48,6 @@ from .estimators import (
 )
 from .harness import (
     BayesPredictor,
-    EstimatorSpec,
     ExperimentConfig,
     RunRecord,
     derive_seed,

@@ -15,7 +15,12 @@ import sys
 
 import numpy as np
 
+from .datafiles import dataset_from_json, labeled_sample_to_json, model_from_json
+from .distributions import distribution_from_json, law_preset
+from .estimators import EstimatorSpec
+from .harness import bound_report_csv, excess_risk, experiment_config_from_json, run_experiment
 from .patterns import count, is_number, number
+from .simulate import scenario_from_json
 
 
 class ConfigError(Exception):
@@ -72,17 +77,12 @@ def parse_tau_grid(text: str) -> list:
 
 
 def _cmd_bench(args) -> None:
-    from .harness import experiment_config_from_json, run_experiment
-
     config = experiment_config_from_json(_load_json(args.config))
     run_experiment(config, out_path=args.out)
     print(f"wrote {args.out}")
 
 
 def _cmd_complexity(args) -> None:
-    from .distributions import distribution_from_json, law_preset
-    from .harness import bound_report_csv
-
     named = {}
     if args.preset:
         for name in args.preset.split(","):
@@ -99,9 +99,6 @@ def _cmd_complexity(args) -> None:
 
 
 def _cmd_gen(args) -> None:
-    from .datafiles import labeled_sample_to_json
-    from .simulate import scenario_from_json
-
     scenario = scenario_from_json(_load_json(args.scenario))
     sample = scenario.generate(args.n, np.random.default_rng(args.seed))
     with open(args.out, "w") as handle:
@@ -110,9 +107,6 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_fit(args) -> None:
-    from .datafiles import dataset_from_json
-    from .harness import EstimatorSpec
-
     dataset = dataset_from_json(_load_json(args.data))
     tau = None if args.tau is None else _literal(args.tau)
     if isinstance(tau, str) and tau not in ("d_over_n", "one_over_n"):
@@ -131,10 +125,6 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    from .datafiles import model_from_json
-    from .harness import excess_risk
-    from .simulate import scenario_from_json
-
     model = model_from_json(_load_json(args.model))
     scenario = scenario_from_json(_load_json(args.scenario))
     if model.dimension != scenario.d:

@@ -1,4 +1,5 @@
-"""Trainable regressors for masked data.
+"""Trainable regressors for masked data, and the one description of an
+estimator that every fit reads.
 
 Three families: per-pattern least squares with a frequency threshold (plus
 optional ball filter and prediction clipping), linear regression on
@@ -10,7 +11,7 @@ by linear regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .patterns import (
     masked_batch,
     unpack_masks,
 )
-from .patterns import array, count, dimension, mapping, number, positive, probability, records, vector
+from .patterns import array, count, dimension, is_number, mapping, number, positive, probability, records, vector
 from .solver import AffineModel, least_squares, lstsq_stack, solve_design
 
 
@@ -37,30 +38,86 @@ def default_ball_radius(gamma: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs of the per-pattern regressor; each one is read by its fit or
-    predict.
+class EstimatorSpec:
+    """One estimator and its knobs, checked field by field at construction.
 
-    tau: frequency threshold in [0, 1]; a pattern gets a model only when its
-        empirical frequency strictly exceeds tau.
-    clip_level: truncate predictions to [-L, L] when set.
-    ball_radius: keep only training rows whose observed block has sup-norm
-        at most this radius when set.
+    kind: "pbp", "cst_impute_lr", or "iterative_impute_lr".
+    tau_rule: for pbp, "d_over_n" (the default), "one_over_n" (every
+        pattern seen at least once), or a fixed threshold, a ``probability``
+        stored as a float; a pattern gets a model only when its empirical
+        frequency strictly exceeds the resolved threshold.
+    rounds: for iterative_impute_lr, the number of sweeps (default 10).
+    clip_level: for pbp, truncate predictions to [-L, L] when set.
+    ball_radius: for pbp, keep only training rows whose observed block has
+        sup-norm at most this radius when set.
+    A field that the kind's fit does not read must be left None.
     """
 
-    tau: float = 0.0
+    kind: str
+    tau_rule: str | float | None = None
+    rounds: int | None = None
     clip_level: float | None = None
     ball_radius: float | None = None
 
     def __post_init__(self) -> None:
-        probability(self.tau, "tau")
-        for name in ("clip_level", "ball_radius"):
-            if getattr(self, name) is not None:
-                positive(getattr(self, name), name)
+        if self.kind not in ("pbp", "cst_impute_lr", "iterative_impute_lr"):
+            raise ValueError(f"unknown estimator kind {self.kind!r}")
+        fields = (("tau", self.tau_rule, "pbp"), ("clip", self.clip_level, "pbp"), ("ball_radius", self.ball_radius, "pbp"))
+        for label, value, owner in fields + (("rounds", self.rounds, "iterative_impute_lr"),):
+            if value is not None and owner != self.kind:
+                raise ValueError(f"field {label!r} applies only to kind {owner!r}, not to {self.kind!r}")
+        if self.kind == "pbp":
+            rule = "d_over_n" if self.tau_rule is None else self.tau_rule
+            if rule not in ("d_over_n", "one_over_n"):
+                if not is_number(rule):
+                    raise ValueError(f"invalid tau rule {rule!r}")
+                rule = probability(rule, "tau rule")
+            object.__setattr__(self, "tau_rule", rule)
+            for name in ("clip_level", "ball_radius"):
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, positive(getattr(self, name), name))
+        if self.kind == "iterative_impute_lr":
+            object.__setattr__(self, "rounds", 10 if self.rounds is None else count(self.rounds, "rounds"))
+
+    @property
+    def name(self) -> str:
+        if self.kind == "pbp":
+            rule = self.tau_rule
+            tag = rule if isinstance(rule, str) else f"{rule:g}"
+            return f"pbp_tau_{tag}"
+        if self.kind == "iterative_impute_lr":
+            return f"iterative_impute_lr_{self.rounds}"
+        return self.kind
+
+    def resolve_tau(self, d: int, n: int) -> float:
+        if self.tau_rule == "d_over_n":
+            return min(1.0, d / n)
+        if self.tau_rule == "one_over_n":
+            # Any threshold below 1/n keeps exactly the patterns observed at
+            # least once; 0 is the canonical representative.
+            return 0.0
+        return self.tau_rule
+
+    def fit(self, dataset):
+        if self.kind == "pbp":
+            return fit_pbp(dataset, self)
+        if self.kind == "cst_impute_lr":
+            return fit_constant_impute(dataset)
+        return fit_iterative_impute(dataset, rounds=self.rounds)
 
 
-def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> EstimatorConfig:
-    """Config with threshold d/n, ball filter on, and clipping when a slope bound is given.
+def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
+    return EstimatorSpec(
+        kind=json_field(obj, "kind"),
+        tau_rule=json_field(obj, "tau", default=None),
+        rounds=json_field(obj, "rounds", default=None),
+        clip_level=json_field(obj, "clip", positive, None),
+        ball_radius=json_field(obj, "ball_radius", positive, None),
+    )
+
+
+def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> EstimatorSpec:
+    """The pbp spec with threshold d/n, ball filter on, and clipping when a slope bound is given.
 
     The covariate scale is estimated as the largest per-column mean square
     over observed entries. Without a slope bound, clipping stays off rather
@@ -81,7 +138,7 @@ def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> 
         gamma = 1.0
     radius = default_ball_radius(gamma, data.n)
     level = (radius + 1.0) * (lipschitz_bound + 1.0) if lipschitz_bound is not None else None
-    return EstimatorConfig(tau=min(1.0, data.d / data.n), clip_level=level, ball_radius=radius)
+    return EstimatorSpec("pbp", min(1.0, data.d / data.n), clip_level=level, ball_radius=radius)
 
 
 @dataclass(frozen=True)
@@ -89,13 +146,14 @@ class PbpRegression(RowPredictor):
     """One affine model per sufficiently frequent pattern; 0 elsewhere.
 
     ``models`` is the bank of kept patterns; read as a Mapping it gives each
-    kept pattern's affine model over its observed coordinates. A fit also
-    stores the packed key and row count of every training pattern, kept or
-    not (a model read from JSON stores none).
+    kept pattern's affine model over its observed coordinates. ``config`` is
+    the fit's pbp spec with its tau rule resolved to the threshold used. A
+    fit also stores the packed key and row count of every training pattern,
+    kept or not (a model read from JSON stores none).
     """
 
     models: PatternBank
-    config: EstimatorConfig
+    config: EstimatorSpec
     seen_keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64), repr=False, compare=False)
     seen_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64), repr=False, compare=False)
 
@@ -120,7 +178,7 @@ class PbpRegression(RowPredictor):
 
     def to_json(self) -> dict:
         return {
-            "tau": self.config.tau,
+            "tau": self.config.tau_rule,
             "clip": self.config.clip_level,
             "d": self.dimension,
             "models": self.models.to_json(),
@@ -128,8 +186,8 @@ class PbpRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "PbpRegression":
-        config = EstimatorConfig(
-            tau=json_field(obj, "tau", probability), clip_level=json_field(obj, "clip", positive, None)
+        config = EstimatorSpec(
+            "pbp", json_field(obj, "tau", probability), clip_level=json_field(obj, "clip", positive, None)
         )
         bank = PatternBank.from_json(json_field(obj, "d", dimension), json_field(obj, "models", records))
         return cls(models=bank, config=config)
@@ -139,8 +197,9 @@ def _affine_from_json(obj) -> AffineModel:
     return AffineModel(json_field(obj, "intercept", number), json_field(obj, "coef", vector))
 
 
-def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
-    """Fit one least-squares model per pattern with frequency above ``config.tau``.
+def fit_pbp(data: MaskedDataset, spec: EstimatorSpec) -> PbpRegression:
+    """Fit one least-squares model per pattern with frequency above the
+    threshold that the pbp ``spec``'s tau rule gives at this sample size.
 
     With a ball radius set, each pattern's rows are first restricted to
     those whose observed block stays inside the sup-norm ball; a pattern
@@ -152,12 +211,15 @@ def fit_pbp(data: MaskedDataset, config: EstimatorConfig) -> PbpRegression:
     of [block | 1] systems, so every pattern gets the solution, bit for
     bit, that ``least_squares`` gives its rows (ascending row order).
     """
+    if spec.kind != "pbp":
+        raise ValueError(f"fit_pbp fits kind 'pbp', not {spec.kind!r}")
     if data.n < 1:
         raise ValueError("dataset is empty")
+    config = replace(spec, tau_rule=spec.resolve_tau(data.d, data.n))
     keys = data.mask_keys()
     order, starts, counts = key_groups(keys)
     seen = keys[order[starts]]
-    kept = np.flatnonzero(counts / data.n > config.tau)
+    kept = np.flatnonzero(counts / data.n > config.tau_rule)
     # the kept slot of each row in sorted order; -1 for a dropped pattern
     slot = np.full(seen.size, -1)
     slot[kept] = np.arange(kept.size)
@@ -224,12 +286,7 @@ class ConstantImputeRegression(RowPredictor):
         return self.regression.predict(_impute_features(values, mask))
 
     def to_json(self) -> dict:
-        return {
-            "kind": "constant_impute",
-            "d": self.dimension,
-            "intercept": self.regression.intercept,
-            "coef": [float(c) for c in self.regression.coefficients],
-        }
+        return {"kind": "constant_impute", "d": self.dimension, **self.regression.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantImputeRegression":
@@ -357,14 +414,8 @@ class IterativeImputeRegression(RowPredictor):
             "d": self.dimension,
             "rounds": self.rounds,
             "column_means": [float(c) for c in self.column_means],
-            "column_models": [
-                None
-                if model is None
-                else {"intercept": model.intercept, "coef": [float(c) for c in model.coefficients]}
-                for model in self.column_models
-            ],
-            "intercept": self.regression.intercept,
-            "coef": [float(c) for c in self.regression.coefficients],
+            "column_models": [None if model is None else model.to_json() for model in self.column_models],
+            **self.regression.to_json(),
         }
 
     @classmethod

@@ -15,25 +15,15 @@ import hashlib
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
+from .complexity import BoundKind, bound_report
+from .estimators import EstimatorSpec, estimator_spec_from_json
 from .patterns import RowPredictor, json_field, json_object
-from .patterns import array, boolean, count, integer, is_number, positive, probability, records
+from .patterns import array, boolean, count, integer, records
 from .simulate import NoClosedFormError, Scenario, scenario_from_json
-
-CSV_HEADER = (
-    "scenario",
-    "estimator",
-    "n",
-    "repetition",
-    "seed",
-    "excess_risk",
-    "fit_seconds",
-    "predict_seconds",
-)
 
 
 class BayesPredictor(RowPredictor):
@@ -72,82 +62,6 @@ def _score(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator)
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    """One estimator entry of an experiment.
-
-    kind: "pbp", "cst_impute_lr", or "iterative_impute_lr".
-    tau_rule: for pbp, "d_over_n" (the default), "one_over_n" (every
-        pattern seen at least once), or a fixed float threshold.
-    rounds: for iterative_impute_lr, the number of sweeps (default 10).
-    clip_level, ball_radius: for pbp, the prediction clip and ball filter.
-        A field that the kind's fit does not read must be left None.
-    """
-
-    kind: str
-    tau_rule: str | float | None = None
-    rounds: int | None = None
-    clip_level: float | None = None
-    ball_radius: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("pbp", "cst_impute_lr", "iterative_impute_lr"):
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-        rule = "d_over_n" if self.tau_rule is None and self.kind == "pbp" else self.tau_rule
-        if self.kind == "pbp" and rule not in ("d_over_n", "one_over_n"):
-            if not is_number(rule):
-                raise ValueError(f"invalid tau rule {rule!r}")
-            probability(rule, "tau rule")
-        fields = (("tau", rule, "pbp"), ("clip", self.clip_level, "pbp"), ("ball_radius", self.ball_radius, "pbp"))
-        for label, value, owner in fields + (("rounds", self.rounds, "iterative_impute_lr"),):
-            if value is not None and owner != self.kind:
-                raise ValueError(f"field {label!r} applies only to kind {owner!r}, not to {self.kind!r}")
-        object.__setattr__(self, "tau_rule", rule)
-        if self.kind == "iterative_impute_lr":
-            object.__setattr__(self, "rounds", 10 if self.rounds is None else count(self.rounds, "rounds"))
-
-    @property
-    def name(self) -> str:
-        if self.kind == "pbp":
-            rule = self.tau_rule
-            tag = rule if isinstance(rule, str) else f"{float(rule):g}"
-            return f"pbp_tau_{tag}"
-        if self.kind == "iterative_impute_lr":
-            return f"iterative_impute_lr_{self.rounds}"
-        return self.kind
-
-    def resolve_tau(self, d: int, n: int) -> float:
-        if self.tau_rule == "d_over_n":
-            return min(1.0, d / n)
-        if self.tau_rule == "one_over_n":
-            # Any threshold below 1/n keeps exactly the patterns observed at
-            # least once; 0 is the canonical representative.
-            return 0.0
-        return float(self.tau_rule)
-
-    def fit(self, dataset):
-        if self.kind == "pbp":
-            config = EstimatorConfig(
-                tau=self.resolve_tau(dataset.d, dataset.n),
-                clip_level=self.clip_level,
-                ball_radius=self.ball_radius,
-            )
-            return fit_pbp(dataset, config)
-        if self.kind == "cst_impute_lr":
-            return fit_constant_impute(dataset)
-        return fit_iterative_impute(dataset, rounds=self.rounds)
-
-
-def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
-    return EstimatorSpec(
-        kind=json_field(obj, "kind"),
-        tau_rule=json_field(obj, "tau", default=None),
-        rounds=json_field(obj, "rounds", default=None),
-        clip_level=json_field(obj, "clip", positive, None),
-        ball_radius=json_field(obj, "ball_radius", positive, None),
-    )
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: Scenario
     estimators: tuple
@@ -169,6 +83,10 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly ascending and nonempty")
         if not self.estimators:
             raise ValueError("at least one estimator required")
+        names = [spec.name for spec in self.estimators]
+        twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
+        if twice is not None:
+            raise ValueError(f"estimator names must be distinct; {twice!r} is given twice")
 
 
 def experiment_config_from_json(obj: dict) -> ExperimentConfig:
@@ -193,6 +111,9 @@ class RunRecord:
     excess_risk: float
     fit_seconds: float
     predict_seconds: float
+
+
+CSV_HEADER = tuple(f.name for f in fields(RunRecord))
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -254,8 +175,6 @@ def records_to_csv(records, record_timings: bool = True) -> str:
 
 def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str:
     """Per-law, per-threshold CSV of the exact complexity and its bounds."""
-    from .complexity import BoundKind, bound_report
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(

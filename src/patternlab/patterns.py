@@ -415,10 +415,7 @@ class PatternBank(Mapping):
     def to_json(self) -> list:
         """[{"mask", "intercept", "coef"}] by ascending key, coefficients over
         the observed coordinates in ascending order."""
-        return [
-            {"mask": m.to_string(), "intercept": model.intercept, "coef": [float(c) for c in model.coefficients]}
-            for m, model in self.items()
-        ]
+        return [{"mask": m.to_string(), **model.to_json()} for m, model in self.items()]
 
     @classmethod
     def from_json(cls, d: int, entries) -> "PatternBank":

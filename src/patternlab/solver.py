@@ -39,6 +39,10 @@ class AffineModel:
         out = self.intercept + x @ self.coefficients
         return float(out) if out.ndim == 0 else out
 
+    def to_json(self) -> dict:
+        """{"intercept", "coef"}, the JSON of every stored affine map."""
+        return {"intercept": self.intercept, "coef": [float(c) for c in self.coefficients]}
+
 
 def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")

@@ -14,7 +14,6 @@ import pytest
 
 from patternlab import (
     BoundKind,
-    EstimatorConfig,
     EstimatorSpec,
     ExperimentConfig,
     ExplicitPatterns,
@@ -255,7 +254,7 @@ def test_07_noiseless_recovery():
             name="noiseless",
         )
         train = scenario.generate(d + 5, np.random.default_rng(41))
-        fit = fit_pbp(train.dataset, EstimatorConfig(tau=0.0))
+        fit = fit_pbp(train.dataset, EstimatorSpec("pbp", 0.0))
         risk = excess_risk(fit, scenario, 2000, np.random.default_rng(42))
         assert risk <= 1e-10
 

@@ -507,6 +507,12 @@ class TestMalformedInputs:
         config.update(n_grid=[100], repetitions=1)
         assert "rounds must be an integer >= 1, got True" in self.bench_error(tmp_path, capsys, config)
 
+    def test_repeated_estimator_name_is_config_error(self, tmp_path, capsys):
+        estimators = [{"kind": "pbp", "tau": 0.1234567}, {"kind": "pbp", "tau": 0.1234568}]
+        config = {"scenario": {"preset": "mcar_a"}, "estimators": estimators, "n_grid": [100], "repetitions": 1}
+        err = self.bench_error(tmp_path, capsys, config)
+        assert "estimator names must be distinct; 'pbp_tau_0.123457' is given twice" in err
+
     @pytest.mark.parametrize(
         "change, message",
         [

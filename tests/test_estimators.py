@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from patternlab import (
     BayesPredictor,
-    EstimatorConfig,
+    EstimatorSpec,
     MaskedDataset,
     MissingPattern,
     PbpRegression,
@@ -57,18 +57,20 @@ class TestDefaultBallRadius:
 class TestEstimatorConfig:
     def test_tau_range(self):
         with pytest.raises(ValueError):
-            EstimatorConfig(tau=1.5)
+            EstimatorSpec("pbp", 1.5)
         with pytest.raises(ValueError):
-            EstimatorConfig(tau=-0.01)
+            EstimatorSpec("pbp", -0.01)
 
     def test_fields_are_what_a_fit_reads(self):
-        assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["tau", "clip_level", "ball_radius"]
+        # one field per knob: the kind, pbp's three, and the iterative fit's sweeps
+        names = ["kind", "tau_rule", "rounds", "clip_level", "ball_radius"]
+        assert [f.name for f in dataclasses.fields(EstimatorSpec)] == names
 
     def test_theory_config(self):
         rng = np.random.default_rng(0)
         data, _ = linear_dataset(rng, 200, 3, 0.0, np.ones(3), 0.1, 0.2)
         config = theory_config(data)
-        assert config.tau == pytest.approx(3 / 200)
+        assert config.tau_rule == pytest.approx(3 / 200)
         observed = ~data.mask
         gamma = max(np.mean(data.values[observed[:, j], j] ** 2) for j in range(3))
         assert config.ball_radius == default_ball_radius(gamma, 200)
@@ -81,7 +83,7 @@ class TestEstimatorConfig:
         data = MaskedDataset([[2.0, 0.0]], [[0, 1]], [1.0])
         config = theory_config(data, lipschitz_bound=1.0)
         assert config.ball_radius == default_ball_radius(4.0, 1) == 2.0
-        assert config.tau == 1.0 and config.clip_level == 6.0
+        assert config.tau_rule == 1.0 and config.clip_level == 6.0
         assert len(fit_pbp(data, config).models) == 0
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
@@ -97,7 +99,7 @@ class TestFitPbp:
         d = 4
         beta0, beta = 0.7, np.array([1.0, -2.0, 0.5, 3.0])
         data, values = linear_dataset(rng, d + 5, d, beta0, beta, 0.0, 0.0)
-        fit = fit_pbp(data, EstimatorConfig(tau=0.0))
+        fit = fit_pbp(data, EstimatorSpec("pbp", 0.0))
         model = fit.models[MissingPattern(0, d)]
         assert model.intercept == pytest.approx(beta0, abs=1e-8)
         assert np.allclose(model.coefficients, beta, atol=1e-8)
@@ -106,12 +108,12 @@ class TestFitPbp:
         values = np.zeros((4, 2))
         mask = [[0, 0], [0, 0], [0, 0], [0, 1]]
         data = MaskedDataset(values, mask, np.ones(4))
-        fit = fit_pbp(data, EstimatorConfig(tau=2 / 4))
+        fit = fit_pbp(data, EstimatorSpec("pbp", 2 / 4))
         rare = MissingPattern.from_string("01")
         assert rare not in fit.models
         assert fit.predict_one(np.array([0.0]), rare) == 0.0
         # strict inequality also drops a pattern sitting exactly at tau
-        tied = fit_pbp(data, EstimatorConfig(tau=3 / 4))
+        tied = fit_pbp(data, EstimatorSpec("pbp", 3 / 4))
         assert MissingPattern.from_string("00") not in tied.models
 
     def test_fully_missing_pattern_mean_model(self):
@@ -119,7 +121,7 @@ class TestFitPbp:
         mask = np.ones((5, 2))
         responses = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
         data = MaskedDataset(values, mask, responses)
-        fit = fit_pbp(data, EstimatorConfig(tau=0.0))
+        fit = fit_pbp(data, EstimatorSpec("pbp", 0.0))
         model = fit.models[MissingPattern(0b11, 2)]
         assert model.coefficients.size == 0
         assert model.intercept == pytest.approx(responses.mean())
@@ -128,11 +130,11 @@ class TestFitPbp:
         values = np.array([[10.0], [12.0], [0.5]])
         mask = np.zeros((3, 1))
         data = MaskedDataset(values, mask, np.array([5.0, 6.0, 1.0]))
-        fit = fit_pbp(data, EstimatorConfig(tau=0.0, ball_radius=1.0))
+        fit = fit_pbp(data, EstimatorSpec("pbp", 0.0, ball_radius=1.0))
         model = fit.models[MissingPattern(0, 1)]
         # only the third row survives the filter; exact interpolation of it
         assert model.predict(np.array([0.5])) == pytest.approx(1.0)
-        empty = fit_pbp(data, EstimatorConfig(tau=0.0, ball_radius=0.1))
+        empty = fit_pbp(data, EstimatorSpec("pbp", 0.0, ball_radius=0.1))
         zero_model = empty.models[MissingPattern(0, 1)]
         assert zero_model.intercept == 0.0
         assert np.all(zero_model.coefficients == 0.0)
@@ -140,8 +142,8 @@ class TestFitPbp:
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(9)
         data, _ = linear_dataset(rng, 300, 4, 0.0, np.ones(4), 0.5, 0.3)
-        low = fit_pbp(data, EstimatorConfig(tau=0.01))
-        high = fit_pbp(data, EstimatorConfig(tau=0.08))
+        low = fit_pbp(data, EstimatorSpec("pbp", 0.01))
+        high = fit_pbp(data, EstimatorSpec("pbp", 0.08))
         assert set(high.models) <= set(low.models)
 
     def test_row_permutation_invariance(self):
@@ -151,8 +153,8 @@ class TestFitPbp:
         shuffled = MaskedDataset(
             np.where(data.mask, 0.0, data.values)[perm], data.mask[perm], data.responses[perm]
         )
-        a = fit_pbp(data, EstimatorConfig(tau=0.02))
-        b = fit_pbp(shuffled, EstimatorConfig(tau=0.02))
+        a = fit_pbp(data, EstimatorSpec("pbp", 0.02))
+        b = fit_pbp(shuffled, EstimatorSpec("pbp", 0.02))
         assert set(a.models) == set(b.models)
         for pattern, model in a.models.items():
             assert model.intercept == pytest.approx(b.models[pattern].intercept, abs=1e-10)
@@ -165,7 +167,7 @@ class TestPredictPbp:
 
         return PbpRegression(
             models=PatternBank.from_json(2, [{"mask": "01", "intercept": 1.0, "coef": [2.0]}]),
-            config=EstimatorConfig(tau=0.0, clip_level=clip_level),
+            config=EstimatorSpec("pbp", 0.0, clip_level=clip_level),
         )
 
     def test_unseen_pattern_predicts_zero(self):
@@ -183,7 +185,7 @@ class TestPredictPbp:
     def test_prediction_magnitude_bounded_by_clip(self):
         rng = np.random.default_rng(3)
         data, _ = linear_dataset(rng, 200, 3, 0.0, np.array([10.0, -10.0, 5.0]), 0.1, 0.2)
-        fit = fit_pbp(data, EstimatorConfig(tau=0.0, clip_level=2.0))
+        fit = fit_pbp(data, EstimatorSpec("pbp", 0.0, clip_level=2.0))
         probe_values = rng.normal(size=(500, 3)) * 10
         probe_mask = rng.random((500, 3)) < 0.3
         preds = fit.predict_masked(probe_values, probe_mask)
@@ -199,7 +201,7 @@ class TestPbpSerialization:
     def test_schema_and_round_trip(self):
         rng = np.random.default_rng(21)
         data, _ = linear_dataset(rng, 120, 3, 0.5, np.ones(3), 0.3, 0.25)
-        fit = fit_pbp(data, EstimatorConfig(tau=0.02, clip_level=9.0))
+        fit = fit_pbp(data, EstimatorSpec("pbp", 0.02, clip_level=9.0))
         payload = fit.to_json()
         assert set(payload) == {"tau", "clip", "d", "models"}
         assert payload["tau"] == 0.02 and payload["clip"] == 9.0
@@ -224,7 +226,7 @@ def _pbp_case(d, n, seed, tau, clip_level, never_observed):
         mask = data.mask.copy()
         mask[:, 0] = True
         data = MaskedDataset(np.where(mask, 0.0, data.values), mask, data.responses)
-    fit = fit_pbp(data, EstimatorConfig(tau=tau, clip_level=clip_level))
+    fit = fit_pbp(data, EstimatorSpec("pbp", tau, clip_level=clip_level))
     return fit, rng.normal(size=(40, d)) * 3.0, rng.random((40, d)) < 0.5
 
 
@@ -273,7 +275,7 @@ def per_pattern_fit(data, config):
     ``least_squares`` call per pattern on its rows in ascending order."""
     out = {}
     for key, rows in group_rows_by_key(data.mask_keys()):
-        if not rows.size / data.n > config.tau:
+        if not rows.size / data.n > config.tau_rule:
             continue
         pattern = MissingPattern(key, data.d)
         obs = np.array(pattern.observed_indices, dtype=int)
@@ -325,7 +327,7 @@ class TestStackedFit:
         mask[: min(all_missing, n)] = True
         responses = 0.3 + values @ rng.normal(size=d) + rng.normal(size=n)
         data = MaskedDataset(values, mask, responses)
-        assert_fit_matches_per_pattern(data, EstimatorConfig(tau=tau, ball_radius=radius))
+        assert_fit_matches_per_pattern(data, EstimatorSpec("pbp", tau, ball_radius=radius))
 
     def test_edge_patterns(self):
         # all-missing (2 rows), a one-row pattern, two patterns of 3 rows
@@ -338,15 +340,15 @@ class TestStackedFit:
              [0, 0.1, 0.2], [0, 0.3, -0.5], [0, -0.2, 0.6], [9.0, 8.0, 0], [-7.0, 9.0, 0]]
         )
         data = MaskedDataset(values, mask, np.arange(11.0))
-        fit = assert_fit_matches_per_pattern(data, EstimatorConfig(tau=0.0, ball_radius=2.5))
+        fit = assert_fit_matches_per_pattern(data, EstimatorSpec("pbp", 0.0, ball_radius=2.5))
         assert len(fit.models) == 5
         empty = fit.models[MissingPattern.from_string("001")]
         assert empty.intercept == 0.0 and not empty.coefficients.any()
         assert fit.models[MissingPattern.from_string("111")].intercept == pytest.approx(0.5)
-        assert_fit_matches_per_pattern(data, EstimatorConfig(tau=1 / 11))
+        assert_fit_matches_per_pattern(data, EstimatorSpec("pbp", 1 / 11))
 
     @pytest.mark.parametrize(
-        "fit", [lambda data: fit_pbp(data, EstimatorConfig()), fit_constant_impute, fit_iterative_impute],
+        "fit", [lambda data: fit_pbp(data, EstimatorSpec("pbp", 0.0)), fit_constant_impute, fit_iterative_impute],
         ids=["pbp", "constant_impute", "iterative_impute"],
     )
     def test_empty_dataset_rejected(self, fit):
@@ -797,7 +799,7 @@ class TestBaselineComparison:
     def test_constant_impute_trails_per_pattern_fit(self):
         scenario = preset("mcar_a")
         train = scenario.generate(10_000, np.random.default_rng(31))
-        pbp = fit_pbp(train.dataset, EstimatorConfig(tau=0.0))
+        pbp = fit_pbp(train.dataset, EstimatorSpec("pbp", 0.0))
         cst = fit_constant_impute(train.dataset)
         train_preds = cst.predict_masked(train.dataset.values, train.dataset.mask)
         training_mse = float(np.mean((train_preds - train.dataset.responses) ** 2))
@@ -820,7 +822,7 @@ class TestBatchShape:
         scenario = preset("mcar_a")
         train = scenario.generate(300, np.random.default_rng(4), with_bayes=False).dataset
         return {
-            "pbp": fit_pbp(train, EstimatorConfig(tau=0.0)),
+            "pbp": fit_pbp(train, EstimatorSpec("pbp", 0.0)),
             "constant_impute": fit_constant_impute(train),
             "iterative_impute": fit_iterative_impute(train, rounds=2),
             "bayes": BayesPredictor(scenario),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from patternlab.cli import main
 from patternlab.datafiles import dataset_from_json, labeled_sample_to_json, model_from_json
 from patternlab.distributions import distribution_from_json
-from patternlab.estimators import EstimatorConfig, fit_constant_impute, fit_iterative_impute, fit_pbp
+from patternlab.estimators import EstimatorSpec, fit_constant_impute, fit_iterative_impute, fit_pbp
 from patternlab.harness import estimator_spec_from_json, experiment_config_from_json
 from patternlab.patterns import (
     MissingPattern,
@@ -184,7 +184,7 @@ def _cases() -> tuple:
     for every JSON reader; the CLI may also read the scenario ``{scenario}``."""
     sample = scenario_from_json(SCENARIO).generate(30, np.random.default_rng(0))
     models = (
-        fit_pbp(sample.dataset, EstimatorConfig(tau=0.05, clip_level=5.0)),
+        fit_pbp(sample.dataset, EstimatorSpec("pbp", 0.05, clip_level=5.0)),
         fit_constant_impute(sample.dataset),
         fit_iterative_impute(sample.dataset, rounds=2),
     )

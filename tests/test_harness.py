@@ -13,6 +13,7 @@ from patternlab import (
     UniformPatterns,
     derive_seed,
     excess_risk,
+    fit_pbp,
     pattern_complexity,
     preset,
     run_experiment,
@@ -119,6 +120,19 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError, match="rounds"):
             EstimatorSpec("iterative_impute_lr", rounds=rounds)
 
+    @pytest.mark.parametrize("field", ["clip_level", "ball_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, True, "2"])
+    def test_clip_and_radius_must_be_positive_numbers(self, field, value):
+        # checked when the spec is built, not when its fit first reads them
+        with pytest.raises(ValueError, match=field):
+            EstimatorSpec("pbp", **{field: value})
+
+    @pytest.mark.parametrize("kind", ["cst_impute_lr", "iterative_impute_lr"])
+    def test_fit_pbp_rejects_other_kinds(self, kind):
+        data = tiny_scenario().generate(20, np.random.default_rng(0)).dataset
+        with pytest.raises(ValueError, match=f"fit_pbp fits kind 'pbp', not '{kind}'"):
+            fit_pbp(data, EstimatorSpec(kind))
+
     @pytest.mark.parametrize("rounds", [True, 2.5])
     def test_json_rounds_must_be_a_positive_integer(self, rounds):
         with pytest.raises(ValueError, match="rounds"):
@@ -169,6 +183,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scenario, (), (100,), repetitions=1)
 
+
+    @pytest.mark.parametrize(
+        "specs, name",
+        [
+            ((EstimatorSpec("pbp", 0.1234567), EstimatorSpec("pbp", 0.1234568)), "pbp_tau_0.123457"),
+            ((EstimatorSpec("cst_impute_lr"), EstimatorSpec("pbp"), EstimatorSpec("cst_impute_lr")), "cst_impute_lr"),
+        ],
+    )
+    def test_estimator_names_must_be_distinct(self, specs, name):
+        # two specs of one name would share every seed and write indistinguishable rows
+        with pytest.raises(ValueError, match=f"estimator names must be distinct; '{name}' is given twice"):
+            ExperimentConfig(tiny_scenario(), specs, (100,), repetitions=1)
 
     @pytest.mark.parametrize(
         "field, value",
