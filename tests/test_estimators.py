@@ -55,6 +55,8 @@ class TestDefaultBallRadius:
 
 
 class TestEstimatorConfig:
+    """The pbp fields of an ``EstimatorSpec`` and the spec ``theory_config`` derives."""
+
     def test_tau_range(self):
         with pytest.raises(ValueError):
             EstimatorSpec("pbp", 1.5)
