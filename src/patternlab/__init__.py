@@ -55,6 +55,7 @@ from .harness import (
     run_experiment,
 )
 from .patterns import (
+    AffineModel,
     MaskedDataset,
     MissingPattern,
     PatternBank,
@@ -77,7 +78,6 @@ from .simulate import (
     scenario_from_json,
 )
 from .solver import (
-    AffineModel,
     GaussianParams,
     conditional_mean_map,
     least_squares,

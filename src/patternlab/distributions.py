@@ -21,6 +21,12 @@ from .patterns import array, dimension, mask, probability, probability_vector, r
 ENUMERATION_LIMIT = 20
 
 
+def categorical(rng: np.random.Generator, cumulative: np.ndarray, size: int) -> np.ndarray:
+    """``size`` indices drawn by one ``rng.random(size)`` call from the law
+    with cumulative weights ``cumulative``; the last where they total below 1."""
+    return np.minimum(np.searchsorted(cumulative, rng.random(size), side="right"), cumulative.size - 1)
+
+
 class PatternDistribution(abc.ABC):
     """A distribution over d-bit missingness patterns."""
 
@@ -91,10 +97,7 @@ class ExplicitPatterns(PatternDistribution):
         return sorted_lookup(self._keys, keys, self._probs, 0.0)
 
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = np.searchsorted(self._cumulative, u, side="right")
-        idx = np.minimum(idx, self._keys.size - 1)
-        return self._keys[idx]
+        return self._keys[categorical(rng, self._cumulative, size)]
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored support, one atom per pattern in ascending key order."""
@@ -189,8 +192,7 @@ class MergeModel(PatternDistribution):
         return total
 
     def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        choice = np.searchsorted(self._cumulative, rng.random(size), side="right")
-        choice = np.minimum(choice, self._protocol_keys.size - 1)
+        choice = categorical(rng, self._cumulative, size)
         failures = rng.random((size, self.dimension)) < self.eta
         return self._protocol_keys[choice] | pack_mask_rows(failures)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .patterns import (
+    AffineModel,
     MaskedDataset,
     MissingPattern,
     PatternBank,
@@ -26,7 +27,7 @@ from .patterns import (
     unpack_masks,
 )
 from .patterns import array, count, dimension, is_number, mapping, number, positive, probability, records, vector
-from .solver import AffineModel, least_squares, lstsq_stack, solve_design
+from .solver import least_squares, lstsq_stack, solve_design
 
 
 def default_ball_radius(gamma: float, n: int) -> float:
@@ -180,21 +181,17 @@ class PbpRegression(RowPredictor):
         return {
             "tau": self.config.tau_rule,
             "clip": self.config.clip_level,
+            "ball_radius": self.config.ball_radius,
             "d": self.dimension,
             "models": self.models.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PbpRegression":
-        config = EstimatorSpec(
-            "pbp", json_field(obj, "tau", probability), clip_level=json_field(obj, "clip", positive, None)
-        )
+        clip, radius = (json_field(obj, name, positive, None) for name in ("clip", "ball_radius"))
+        config = EstimatorSpec("pbp", json_field(obj, "tau", probability), clip_level=clip, ball_radius=radius)
         bank = PatternBank.from_json(json_field(obj, "d", dimension), json_field(obj, "models", records))
         return cls(models=bank, config=config)
-
-
-def _affine_from_json(obj) -> AffineModel:
-    return AffineModel(json_field(obj, "intercept", number), json_field(obj, "coef", vector))
 
 
 def fit_pbp(data: MaskedDataset, spec: EstimatorSpec) -> PbpRegression:
@@ -290,7 +287,7 @@ class ConstantImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantImputeRegression":
-        return cls(json_field(obj, "d", dimension), _affine_from_json(obj))
+        return cls(json_field(obj, "d", dimension), AffineModel.from_json(obj))
 
 
 def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
@@ -421,7 +418,7 @@ class IterativeImputeRegression(RowPredictor):
     @classmethod
     def from_json(cls, obj: dict) -> "IterativeImputeRegression":
         models = tuple(
-            None if entry is None else _affine_from_json(mapping(entry, "an entry of field 'column_models'"))
+            None if entry is None else AffineModel.from_json(mapping(entry, "an entry of field 'column_models'"))
             for entry in json_field(obj, "column_models", array)
         )
         return cls(
@@ -429,7 +426,7 @@ class IterativeImputeRegression(RowPredictor):
             column_means=json_field(obj, "column_means", vector),
             column_models=models,
             rounds=json_field(obj, "rounds"),
-            regression=_affine_from_json(obj),
+            regression=AffineModel.from_json(obj),
         )
 
 

@@ -1,6 +1,6 @@
 """Missingness patterns, masked datasets, per-pattern row indexing, the
-bank of per-pattern affine predictors, and the field kinds that check every
-outside number."""
+affine map and the bank that stores and applies one per pattern, and the
+field kinds that check every outside number."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-
-from .solver import AffineModel
 
 MAX_DIMENSION = 63
 
@@ -357,15 +355,33 @@ def sorted_lookup(table: np.ndarray, keys, values: np.ndarray, default) -> np.nd
     return np.where(table[positions] == keys, values[positions], default)
 
 
-def affine_rows(values, mask, rows, coef, intercepts) -> np.ndarray:
-    """Per-pattern affine maps on a batch: row i predicts ``intercepts[r] +
-    values[i] @ coef[r]``, r = ``rows[i]``, masked cells read as 0; 0 if r is -1."""
-    filled = np.where(mask, 0.0, values)
-    hit = np.flatnonzero(rows >= 0)
-    rows = rows[hit]
-    out = np.zeros(mask.shape[0])
-    out[hit] = intercepts[rows] + np.einsum("ij,ij->i", filled[hit], coef[rows])
-    return out
+@dataclass(frozen=True)
+class AffineModel:
+    """x -> intercept + coefficients @ x over a fixed feature index set; the
+    intercept is read as a ``number`` and the coefficients as a ``vector``."""
+
+    intercept: float
+    coefficients: np.ndarray
+
+    def __post_init__(self) -> None:
+        coef = vector(self.coefficients, "coefficients")
+        coef.setflags(write=False)
+        object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "intercept", number(self.intercept, "intercept"))
+
+    def predict(self, x) -> np.ndarray | float:
+        x = np.asarray(x, dtype=float)
+        out = self.intercept + x @ self.coefficients
+        return float(out) if out.ndim == 0 else out
+
+    def to_json(self) -> dict:
+        """{"intercept", "coef"}, the JSON of every stored affine map."""
+        return {"intercept": self.intercept, "coef": [float(c) for c in self.coefficients]}
+
+    @classmethod
+    def from_json(cls, obj) -> "AffineModel":
+        """The one reader of ``to_json``'s fields."""
+        return cls(json_field(obj, "intercept", number), json_field(obj, "coef", vector))
 
 
 class PatternBank(Mapping):
@@ -396,9 +412,16 @@ class PatternBank(Mapping):
         return sorted_lookup(self._keys, keys, np.arange(self._keys.size), -1)
 
     def predict(self, values, mask) -> np.ndarray:
-        """Predictions for a batch of rows; masked cells of ``values`` are never read."""
+        """Predictions for a batch: intercept + values @ coefficient row of each
+        row's pattern, masked cells read as 0, never from ``values``; 0 off the bank."""
         values, mask = masked_batch(values, mask, self.d)
-        return affine_rows(values, mask, self.find(pack_mask_rows(mask)), self._coef, self._intercepts)
+        rows = self.find(pack_mask_rows(mask))
+        hit = np.flatnonzero(rows >= 0)
+        rows = rows[hit]
+        filled = np.where(mask, 0.0, values)
+        out = np.zeros(mask.shape[0])
+        out[hit] = self._intercepts[rows] + np.einsum("ij,ij->i", filled[hit], self._coef[rows])
+        return out
 
     def __getitem__(self, m: MissingPattern) -> AffineModel:
         row = self.find(m.bits) if isinstance(m, MissingPattern) and m.dimension == self.d else -1
@@ -425,10 +448,11 @@ class PatternBank(Mapping):
         intercepts = np.zeros(len(entries))
         for i, entry in enumerate(entries):
             m = mask(json_field(entry, "mask"), "field 'mask'", d)
-            row = json_field(entry, "coef", vector)
+            model = AffineModel.from_json(entry)
+            row = model.coefficients
             if row.shape != (m.n_observed,):
                 raise ValueError(f"mask {m.to_string()!r} needs {m.n_observed} coefficients, got {row.size}")
             keys.append(m.bits)
             coef[i, list(m.observed_indices)] = row
-            intercepts[i] = json_field(entry, "intercept", number)
+            intercepts[i] = model.intercept
         return cls(d, keys, coef, intercepts)

@@ -24,23 +24,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HomogeneousBernoulli, PatternDistribution, distribution_from_json, merge_from_json
+from .distributions import HomogeneousBernoulli, PatternDistribution, categorical, distribution_from_json
+from .distributions import merge_from_json
 from .patterns import (
+    AffineModel,
     MaskedDataset,
     MissingPattern,
-    affine_rows,
+    PatternBank,
     json_field,
     json_object,
     masked_batch,
     one_row,
     pack_mask_rows,
     probability_vector,
-    sorted_lookup,
     unpack_masks,
 )
 from .patterns import count, dimension, mask, matrix, noise_level, number, numbers, positive, probability, records
 from .patterns import vector
-from .solver import AffineModel, GaussianParams, _normal_mass, _truncated_normal, optimum_rows
+from .solver import GaussianParams, _normal_mass, _truncated_normal, optimum_rows
 
 
 class NoClosedFormError(RuntimeError):
@@ -126,10 +127,9 @@ class Scenario:
         values, mask = self._draw(n, rng)
         return values[pack_mask_rows(mask) == m.bits]
 
-    def _optimum_rows(self, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Optimum predictors of the patterns in the (P, d) boolean matrix
-        ``missing``: a (P, d) coefficient table with zeros at the missing
-        coordinates and P intercepts. Subclasses group the patterns by the
+    def _optima(self, keys: np.ndarray) -> PatternBank:
+        """A bank holding the optimum predictor of each of the distinct
+        packed pattern ``keys``. Subclasses group the patterns by the
         Gaussian they condition on and call ``solver.optimum_rows`` once per
         group."""
         raise NotImplementedError
@@ -154,21 +154,16 @@ class Scenario:
         Bayes column applies to m's rows."""
         if m.dimension != self.d:
             raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
-        coef, intercepts = self._optimum_rows(unpack_masks([m.bits], self.d))
-        return AffineModel(intercepts[0], coef[0, list(m.observed_indices)])
+        return self._optima(np.array([m.bits]))[m]
 
     def bayes_predict(self, x_obs, m: MissingPattern) -> float:
         """Exact E[Y | observed values, pattern m]."""
         return float(self._bayes_for(*one_row(x_obs, m))[0])
 
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The optima of the batch's distinct patterns, in one ``_optimum_rows`` call, applied to its rows."""
+        """The bank of the batch's distinct patterns, from one ``_optima`` call, applied to its rows."""
         values, mask = masked_batch(values, mask, self.d)
-        keys, rows = np.unique(pack_mask_rows(mask), return_inverse=True)
-        coef, intercepts = self._optimum_rows(unpack_masks(keys, self.d))
-        if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
-            raise ValueError("affine model entries must be finite")
-        out = affine_rows(values, mask, rows, coef, intercepts)
+        out = self._optima(np.unique(pack_mask_rows(mask))).predict(values, mask)
         out.setflags(write=False)
         return out
 
@@ -205,8 +200,9 @@ class McarGaussianScenario(Scenario):
             return self.covariates.sample(rng, count)
         return self.covariates.sample_within(rng, count, *window)
 
-    def _optimum_rows(self, missing):
-        return optimum_rows(self.covariates, self.beta0, self.beta, missing)
+    def _optima(self, keys):
+        coef, intercepts = optimum_rows(self.covariates, self.beta0, self.beta, unpack_masks(keys, self.d))
+        return PatternBank(self.d, keys, coef, intercepts)
 
 
 class MarBlockScenario(Scenario):
@@ -263,8 +259,9 @@ class MarBlockScenario(Scenario):
         block2 = mask2.astype(float) + rng.standard_normal((count, k)) @ self._block2.factor.T
         return np.hstack([block1, block2])
 
-    def _optimum_rows(self, missing):
+    def _optima(self, keys):
         k = self.block_size
+        missing = unpack_masks(keys, self.d)
         if missing[:, :k].any():
             raise ValueError("block-1 coordinates are always observed in this scenario")
         # Block 1 carries no information on block 2 beyond the mask, so its
@@ -276,7 +273,7 @@ class MarBlockScenario(Scenario):
         coef = np.empty(missing.shape)
         coef[:, :k] = self.beta[:k]
         coef[:, k:], intercepts = optimum_rows(self._block2, self.beta0, self.beta[k:], mask2)
-        return coef, intercepts + np.where(mask2, self.beta[k:], 0.0).sum(axis=1)
+        return PatternBank(self.d, keys, coef, intercepts + np.where(mask2, self.beta[k:], 0.0).sum(axis=1))
 
 
 class GpmmScenario(Scenario):
@@ -300,17 +297,12 @@ class GpmmScenario(Scenario):
             raise ValueError("component patterns must be distinct")
         self.components = tuple((float(p), pattern, params) for p, (_, pattern, params) in zip(probs, components))
         self._cumulative = np.cumsum(probs)
-        optima = sorted(
-            (m.bits, *optimum_rows(params, self.beta0, self.beta, unpack_masks([m.bits], self.d)))
-            for _, m, params in self.components
-        )
-        # (keys, coefficient rows, intercepts) in ascending key order
-        keys, coef, intercepts = zip(*optima)
-        self._optima = (np.array(keys, dtype=np.int64), np.vstack(coef), np.concatenate(intercepts))
+        optima = [optimum_rows(p, self.beta0, self.beta, unpack_masks([m.bits], self.d)) for _, m, p in self.components]
+        coef, intercepts = (np.concatenate(parts) for parts in zip(*optima))
+        self._bank = PatternBank(self.d, [m.bits for _, m, _ in self.components], coef, intercepts)
 
     def _draw(self, n, rng):
-        choice = np.searchsorted(self._cumulative, rng.random(n), side="right")
-        choice = np.minimum(choice, len(self.components) - 1)
+        choice = categorical(rng, self._cumulative, n)
         z = rng.standard_normal((n, self.d))
         values = np.empty((n, self.d))
         keys = np.empty(n, dtype=np.int64)
@@ -328,14 +320,11 @@ class GpmmScenario(Scenario):
                 return params.sample(rng, count) if window is None else params.sample_within(rng, count, *window)
         return np.empty((0, self.d))
 
-    def _optimum_rows(self, missing):
-        table, coef, intercepts = self._optima
-        keys = pack_mask_rows(missing)
-        rows = sorted_lookup(table, keys, np.arange(table.size), -1)
-        if (rows < 0).any():
-            m = MissingPattern(int(keys[rows < 0][0]), self.d)
-            raise ValueError(f"pattern {m} has probability zero in this mixture")
-        return coef[rows], intercepts[rows]
+    def _optima(self, keys):
+        outside = keys[self._bank.find(keys) < 0]
+        if outside.size:
+            raise ValueError(f"pattern {MissingPattern(int(outside[0]), self.d)} has probability zero in this mixture")
+        return self._bank
 
 
 class SelfMaskingScenario(Scenario):
@@ -383,7 +372,7 @@ class SelfMaskingScenario(Scenario):
         )
         return values, rng.random((n, self.d)) < probs
 
-    def _optimum_rows(self, missing):
+    def _optima(self, keys):
         raise NoClosedFormError(f"{self.name}: no exact per-pattern predictor; use bayes_oracle_mc")
 
 

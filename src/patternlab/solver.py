@@ -16,32 +16,7 @@ import numpy as np
 # pin it to np.linalg.lstsq bit for bit.
 from numpy.linalg import _umath_linalg
 
-
-@dataclass(frozen=True)
-class AffineModel:
-    """x -> intercept + coefficients @ x over a fixed feature index set; the
-    intercept is read as a ``number`` and the coefficients as a ``vector``."""
-
-    intercept: float
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        # imported here: patterns imports AffineModel from this module
-        from .patterns import number, vector
-
-        coef = vector(self.coefficients, "coefficients")
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "intercept", number(self.intercept, "intercept"))
-
-    def predict(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        out = self.intercept + x @ self.coefficients
-        return float(out) if out.ndim == 0 else out
-
-    def to_json(self) -> dict:
-        """{"intercept", "coef"}, the JSON of every stored affine map."""
-        return {"intercept": self.intercept, "coef": [float(c) for c in self.coefficients]}
+from .patterns import AffineModel, matrix, vector
 
 
 def _raise_lstsq_error(err, flag):
@@ -119,9 +94,6 @@ class GaussianParams:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        # imported here: patterns imports AffineModel from this module
-        from .patterns import matrix, vector
-
         mean = vector(self.mean, "mean")
         cov = matrix(self.covariance, "covariance")
         d = mean.size

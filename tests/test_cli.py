@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from patternlab.cli import main, parse_tau_grid
+from patternlab.datafiles import model_from_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,7 +89,7 @@ class TestPipeline:
 
         assert main(["fit", "--data", str(data), "--estimator", "pbp", "--tau", "d_over_n", "--out", str(model)]) == 0
         stored = json.loads(model.read_text())
-        assert set(stored) == {"tau", "clip", "d", "models"}
+        assert set(stored) == {"tau", "clip", "ball_radius", "d", "models"}
         assert stored["tau"] == pytest.approx(2 / 400)
 
         code = main(["eval", "--model", str(model), "--scenario", str(tiny_scenario_file), "--n-test", "2000", "--seed", "9"])
@@ -97,6 +98,17 @@ class TestPipeline:
         result = json.loads(out)
         assert result["excess_risk"] >= 0.0
         assert result["n_test"] == 2000
+
+    def test_pbp_model_keeps_its_ball_radius(self, tmp_path, tiny_scenario_file):
+        data = tmp_path / "data.json"
+        model = tmp_path / "model.json"
+        assert main(["gen", "--scenario", str(tiny_scenario_file), "--n", "300", "--seed", "3", "--out", str(data)]) == 0
+        assert main(["fit", "--data", str(data), "--estimator", "pbp", "--ball-radius", "2.5", "--out", str(model)]) == 0
+        stored = json.loads(model.read_text())
+        assert stored["ball_radius"] == 2.5
+        again = model_from_json(stored)
+        assert again.config.ball_radius == 2.5
+        assert again.to_json() == stored
 
     @pytest.mark.parametrize("estimator", ["cst_impute_lr", "iterative_impute_lr"])
     def test_fit_eval_impute_models(self, tmp_path, tiny_scenario_file, estimator, capsys):

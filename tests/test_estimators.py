@@ -27,8 +27,7 @@ from patternlab import (
 )
 from patternlab import estimators
 from patternlab.estimators import _impute_features
-from patternlab.solver import AffineModel
-from patternlab.patterns import group_rows_by_key, pack_mask_rows
+from patternlab.patterns import AffineModel, group_rows_by_key, pack_mask_rows
 
 
 def linear_dataset(rng, n, d, beta0, beta, noise_sd, miss_rate):
@@ -205,8 +204,8 @@ class TestPbpSerialization:
         data, _ = linear_dataset(rng, 120, 3, 0.5, np.ones(3), 0.3, 0.25)
         fit = fit_pbp(data, EstimatorSpec("pbp", 0.02, clip_level=9.0))
         payload = fit.to_json()
-        assert set(payload) == {"tau", "clip", "d", "models"}
-        assert payload["tau"] == 0.02 and payload["clip"] == 9.0
+        assert set(payload) == {"tau", "clip", "ball_radius", "d", "models"}
+        assert payload["tau"] == 0.02 and payload["clip"] == 9.0 and payload["ball_radius"] is None
         for entry in payload["models"]:
             assert set(entry) == {"mask", "intercept", "coef"}
             assert len(entry["coef"]) == MissingPattern.from_string(entry["mask"]).n_observed

@@ -249,23 +249,23 @@ class TestPatternModelLeavesTheBank:
         scenario = preset(name)
         sample = scenario.generate(3000, np.random.default_rng(12), with_bayes=False)
         mask = sample.dataset.mask
-        batches = []
-        optimum_rows = type(scenario)._optimum_rows
+        calls = []
+        optima = type(scenario)._optima
 
-        def spy(self, missing):
-            batches.append((pack_mask_rows(missing), *optimum_rows(self, missing)))
-            return batches[-1][1:]
+        def spy(self, keys):
+            calls.append((np.array(keys), optima(self, keys)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(type(scenario), "_optimum_rows", spy)
+        monkeypatch.setattr(type(scenario), "_optima", spy)
         BayesPredictor(scenario).predict_masked(sample.full_values, mask)
-        # one batch: the draw's distinct patterns, ascending
-        [(keys, coef, intercepts)] = batches
+        # one call: the draw's distinct patterns, ascending
+        [(keys, bank)] = calls
         assert keys.tolist() == np.unique(pack_mask_rows(mask)).tolist()
-        for key, row, intercept in zip(keys, coef, intercepts):
+        for key in keys:
             m = MissingPattern(int(key), scenario.d)
-            model = scenario.pattern_model(m)
-            assert model.coefficients.tobytes() == row[list(m.observed_indices)].tobytes()
-            assert float(model.intercept).hex() == float(intercept).hex()
+            model, batch = scenario.pattern_model(m), bank[m]
+            assert model.coefficients.tobytes() == batch.coefficients.tobytes()
+            assert float(model.intercept).hex() == float(batch.intercept).hex()
 
 
 class TestStatelessBayesColumn:
@@ -345,6 +345,11 @@ class TestStackedOptimum:
         with pytest.raises(ValueError, match="probability zero"):
             BayesPredictor(scenario).predict_masked(np.zeros((2, 8)), np.array([mask, np.zeros(8, dtype=bool)]))
 
+    def test_unknown_mixture_pattern_has_no_model(self):
+        scenario = preset("gpmm_c")
+        with pytest.raises(ValueError, match="probability zero"):
+            scenario.pattern_model(MissingPattern(0, 8))
+
 
 class TestOracle:
     def test_fully_observed_agreement(self):
@@ -394,11 +399,11 @@ class TestOracle:
     def test_reads_only_the_generative_law(self, monkeypatch, name, mask):
         # the oracle checks the closed forms, so it must not call or read
         # them; the scenario is built first, as gpmm's constructor computes
-        # its table of optima
+        # its bank of optima
         def closed_form(*args, **kwargs):
             raise AssertionError("the oracle called a closed form")
 
-        class Table:
+        class Bank:
             __getattribute__ = __iter__ = __getitem__ = __len__ = closed_form
 
         scenario, m = preset(name), MissingPattern.from_string(mask)
@@ -406,9 +411,9 @@ class TestOracle:
         monkeypatch.setattr(solver, "optimum_rows", closed_form)
         monkeypatch.setattr(solver, "conditional_mean_map", closed_form)
         monkeypatch.setattr(GaussianParams, "precision", property(closed_form))
-        monkeypatch.setattr(type(scenario), "_optimum_rows", closed_form)
+        monkeypatch.setattr(type(scenario), "_optima", closed_form)
         if isinstance(scenario, GpmmScenario):
-            monkeypatch.setitem(vars(scenario), "_optima", Table())
+            monkeypatch.setitem(vars(scenario), "_bank", Bank())
         rows = scenario._draw_pattern(20_000, np.random.default_rng(71), m)
         x_obs = np.median(rows[:, list(m.observed_indices)], axis=0)
         out = bayes_oracle_mc(scenario, x_obs, m, 400_000, 0.5, np.random.default_rng(72))
