@@ -163,7 +163,8 @@ class Scenario:
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """The bank of the batch's distinct patterns, from one ``_optima`` call, applied to its rows."""
         values, mask = masked_batch(values, mask, self.d)
-        out = self._optima(np.unique(pack_mask_rows(mask))).predict(values, mask)
+        keys = np.sort(pack_mask_rows(mask))  # one sort: np.unique hashes int64 keys, several times slower
+        out = self._optima(keys[np.diff(keys, prepend=-1) != 0]).predict(values, mask)
         out.setflags(write=False)
         return out
 
