@@ -20,7 +20,7 @@ from patternlab import (
     merge_complexity_bound,
     pattern_complexity,
 )
-from patternlab.harness import bound_report_csv
+from patternlab.complexity import bound_report_csv
 
 names = ("bern_pA", "bern_pB", "bern_pC", "bern_pD")
 laws = {name: law_preset(name) for name in names}

@@ -15,16 +15,12 @@ import sys
 
 import numpy as np
 
-from .datafiles import dataset_from_json, labeled_sample_to_json, model_from_json
+from .complexity import bound_report_csv
 from .distributions import distribution_from_json, law_preset
-from .estimators import EstimatorSpec
-from .harness import bound_report_csv, excess_risk, experiment_config_from_json, run_experiment
-from .patterns import count, is_number, number
+from .estimators import KINDS, EstimatorSpec, model_from_json
+from .harness import excess_risk, experiment_config_from_json, run_experiment
+from .patterns import MaskedDataset, count, is_number, number
 from .simulate import scenario_from_json
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _load_json(path: str) -> dict:
@@ -33,11 +29,11 @@ def _load_json(path: str) -> dict:
         with open(path) as handle:
             obj = json.load(handle)
     except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: file not found") from exc
+        raise ValueError(f"{path}: file not found") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: the top level must be a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{path}: the top level must be a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -56,23 +52,20 @@ def parse_tau_grid(text: str) -> list:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or not (parts[2].startswith("log") or parts[2].startswith("lin")):
-            raise ConfigError(f"bad tau grid {text!r}; expected start:stop:logK or start:stop:linK")
-        try:
-            start, stop = (number(_literal(part), f"tau grid {text!r} bound") for part in parts[:2])
-            points = count(_literal(parts[2][3:]), f"tau grid {text!r} point count")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError(f"bad tau grid {text!r}; expected start:stop:logK or start:stop:linK")
+        start, stop = (number(_literal(part), f"tau grid {text!r} bound") for part in parts[:2])
+        points = count(_literal(parts[2][3:]), f"tau grid {text!r} point count")
         if points < 2 or start <= 0 or stop <= start:
-            raise ConfigError(f"bad tau grid {text!r}")
+            raise ValueError(f"bad tau grid {text!r}")
         if parts[2].startswith("log"):
             return list(np.geomspace(start, stop, points))
         return list(np.linspace(start, stop, points))
     try:
         values = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
-        raise ConfigError(f"bad tau grid {text!r}") from exc
+        raise ValueError(f"bad tau grid {text!r}") from exc
     if not values:
-        raise ConfigError("empty tau grid")
+        raise ValueError("empty tau grid")
     return values
 
 
@@ -90,7 +83,7 @@ def _cmd_complexity(args) -> None:
     if args.dist:
         named[args.dist] = distribution_from_json(_load_json(args.dist))
     if not named:
-        raise ConfigError("give --preset and/or --dist")
+        raise ValueError("give --preset and/or --dist")
     taus = parse_tau_grid(args.tau_grid)
     text = bound_report_csv(named, taus, alpha=args.alpha)
     with open(args.out, "w", newline="") as handle:
@@ -102,15 +95,15 @@ def _cmd_gen(args) -> None:
     scenario = scenario_from_json(_load_json(args.scenario))
     sample = scenario.generate(args.n, np.random.default_rng(args.seed))
     with open(args.out, "w") as handle:
-        json.dump(labeled_sample_to_json(sample), handle)
+        json.dump(sample.to_json(), handle)
     print(f"wrote {args.out}")
 
 
 def _cmd_fit(args) -> None:
-    dataset = dataset_from_json(_load_json(args.data))
+    dataset = MaskedDataset.from_json(_load_json(args.data))
     tau = None if args.tau is None else _literal(args.tau)
     if isinstance(tau, str) and tau not in ("d_over_n", "one_over_n"):
-        raise ConfigError(f"--tau must be d_over_n, one_over_n or a number, got {tau!r}")
+        raise ValueError(f"--tau must be d_over_n, one_over_n or a number, got {tau!r}")
     spec = EstimatorSpec(
         kind=args.estimator,
         tau_rule=tau,
@@ -128,7 +121,7 @@ def _cmd_eval(args) -> None:
     model = model_from_json(_load_json(args.model))
     scenario = scenario_from_json(_load_json(args.scenario))
     if model.dimension != scenario.d:
-        raise ConfigError(f"model dimension {model.dimension} does not match scenario dimension {scenario.d}")
+        raise ValueError(f"model dimension {model.dimension} does not match scenario dimension {scenario.d}")
     risk = excess_risk(model, scenario, args.n_test, np.random.default_rng(args.seed))
     print(json.dumps({"excess_risk": risk, "n_test": args.n_test, "seed": args.seed}))
 
@@ -159,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit an estimator on a JSON dataset")
     fit.add_argument("--data", required=True)
-    fit.add_argument("--estimator", required=True, choices=["pbp", "cst_impute_lr", "iterative_impute_lr"])
+    fit.add_argument("--estimator", required=True, choices=KINDS)
     fit.add_argument("--tau", help="pbp threshold: d_over_n (the default), one_over_n, or a float")
     fit.add_argument("--rounds", type=int, help="iterative_impute_lr sweeps (default 10)")
     fit.add_argument("--clip", type=float)
@@ -181,7 +174,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

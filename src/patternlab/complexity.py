@@ -10,11 +10,14 @@ bounds are all sums over those atoms, so they agree wherever the law can
 list its atoms (any d for explicit, homogeneous Bernoulli and uniform laws,
 d <= 20 for the others). The complexity is also estimated by Monte Carlo as
 the mean of min(1, tau / p_M), and bounded in closed form for the
-Bernoulli and merge families.
+Bernoulli and merge families. ``bound_report_csv`` writes the exact value
+and the entropy bounds of named laws on a threshold grid as CSV.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,6 +158,34 @@ def bound_report(dist: PatternDistribution, tau: float, alpha: float = 0.5) -> B
         cp_exact=_complexity(probs, counts, tau),
         bounds={kind: _entropy_bound(probs, counts, tau, kind) for kind in kinds},
     )
+
+
+def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str:
+    """Per-law, per-threshold CSV of the exact complexity and its bounds."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow("dist tau cp_exact hartley shannon shannon_valid renyi_alpha renyi bertrand bertrand_valid".split())
+    for name, dist in named_distributions.items():
+        for tau in taus:
+            report = bound_report(dist, tau, alpha=alpha)
+            bounds = report.bounds
+            shannon = bounds[BoundKind("shannon")]
+            bertrand = bounds[BoundKind("bertrand", alpha)]
+            writer.writerow(
+                [
+                    name,
+                    repr(float(tau)),
+                    repr(report.cp_exact),
+                    repr(bounds[BoundKind("hartley")].value),
+                    repr(shannon.value),
+                    str(shannon.valid).lower(),
+                    repr(float(alpha)),
+                    repr(bounds[BoundKind("renyi", alpha)].value),
+                    repr(bertrand.value),
+                    str(bertrand.valid).lower(),
+                ]
+            )
+    return buffer.getvalue()
 
 
 def effective_missing_dimension(d: int, n: int, epsilon: float) -> int:

@@ -26,8 +26,12 @@ from .patterns import (
     masked_batch,
     unpack_masks,
 )
-from .patterns import array, count, dimension, is_number, mapping, number, positive, probability, records, vector
+from .patterns import array, count, dimension, is_number, mapping, number, only_fields, positive, probability, records
+from .patterns import vector
 from .solver import least_squares, lstsq_stack, solve_design
+
+# the estimator kinds an EstimatorSpec names
+KINDS = ("pbp", "cst_impute_lr", "iterative_impute_lr")
 
 
 def default_ball_radius(gamma: float, n: int) -> float:
@@ -42,7 +46,7 @@ def default_ball_radius(gamma: float, n: int) -> float:
 class EstimatorSpec:
     """One estimator and its knobs, checked field by field at construction.
 
-    kind: "pbp", "cst_impute_lr", or "iterative_impute_lr".
+    kind: one of ``KINDS``.
     tau_rule: for pbp, "d_over_n" (the default), "one_over_n" (every
         pattern seen at least once), or a fixed threshold, a ``probability``
         stored as a float; a pattern gets a model only when its empirical
@@ -61,7 +65,7 @@ class EstimatorSpec:
     ball_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pbp", "cst_impute_lr", "iterative_impute_lr"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         fields = (("tau", self.tau_rule, "pbp"), ("clip", self.clip_level, "pbp"), ("ball_radius", self.ball_radius, "pbp"))
         for label, value, owner in fields + (("rounds", self.rounds, "iterative_impute_lr"),):
@@ -108,6 +112,8 @@ class EstimatorSpec:
 
 
 def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
+    """The spec of an estimator entry; a field other than these five is a ValueError."""
+    only_fields(obj, ("kind", "tau", "rounds", "clip", "ball_radius"), "estimator entry")
     return EstimatorSpec(
         kind=json_field(obj, "kind"),
         tau_rule=json_field(obj, "tau", default=None),
@@ -531,3 +537,15 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
         regression=least_squares(completed, data.responses),
         round_deltas=tuple(deltas),
     )
+
+
+def model_from_json(obj: dict):
+    """Detect the estimator family from the payload and rebuild it."""
+    kind = json_field(obj, "kind", default=None)
+    if kind is None and "models" in obj:
+        return PbpRegression.from_json(obj)
+    if kind == "constant_impute":
+        return ConstantImputeRegression.from_json(obj)
+    if kind == "iterative_impute":
+        return IterativeImputeRegression.from_json(obj)
+    raise ValueError(f"unrecognized model payload (kind={kind!r}, and no field 'models')")

@@ -1,4 +1,4 @@
-"""Excess-risk benchmarking: seeded experiment runs and complexity bound reports.
+"""Excess-risk benchmarking: seeded experiment runs.
 
 Every (estimator, training size, repetition) cell derives its own seeds
 from the root seed by hashing, trains on a fresh draw, and scores the mean
@@ -19,9 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .complexity import BoundKind, bound_report
 from .estimators import EstimatorSpec, estimator_spec_from_json
-from .patterns import RowPredictor, json_field, json_object
+from .patterns import RowPredictor, json_field, json_object, only_fields
 from .patterns import array, boolean, count, integer, records
 from .simulate import NoClosedFormError, Scenario, scenario_from_json
 
@@ -90,6 +89,8 @@ class ExperimentConfig:
 
 
 def experiment_config_from_json(obj: dict) -> ExperimentConfig:
+    """The benchmark config of ``obj``; a field other than ``ExperimentConfig``'s is a ValueError."""
+    only_fields(obj, tuple(f.name for f in fields(ExperimentConfig)), "benchmark config")
     return ExperimentConfig(
         scenario=json_object(obj, "scenario", scenario_from_json),
         estimators=tuple(estimator_spec_from_json(e) for e in json_field(obj, "estimators", records)),
@@ -170,45 +171,4 @@ def records_to_csv(records, record_timings: bool = True) -> str:
         writer.writerow(
             [r.scenario, r.estimator, r.n, r.repetition, r.seed, repr(r.excess_risk), fit_s, pred_s]
         )
-    return buffer.getvalue()
-
-
-def bound_report_csv(named_distributions: dict, taus, alpha: float = 0.5) -> str:
-    """Per-law, per-threshold CSV of the exact complexity and its bounds."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "dist",
-            "tau",
-            "cp_exact",
-            "hartley",
-            "shannon",
-            "shannon_valid",
-            "renyi_alpha",
-            "renyi",
-            "bertrand",
-            "bertrand_valid",
-        ]
-    )
-    for name, dist in named_distributions.items():
-        for tau in taus:
-            report = bound_report(dist, tau, alpha=alpha)
-            bounds = report.bounds
-            shannon = bounds[BoundKind("shannon")]
-            bertrand = bounds[BoundKind("bertrand", alpha)]
-            writer.writerow(
-                [
-                    name,
-                    repr(float(tau)),
-                    repr(report.cp_exact),
-                    repr(bounds[BoundKind("hartley")].value),
-                    repr(shannon.value),
-                    str(shannon.valid).lower(),
-                    repr(float(alpha)),
-                    repr(bounds[BoundKind("renyi", alpha)].value),
-                    repr(bertrand.value),
-                    str(bertrand.valid).lower(),
-                ]
-            )
     return buffer.getvalue()

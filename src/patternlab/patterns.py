@@ -124,6 +124,16 @@ def json_field(obj, name: str, kind=None, default=_REQUIRED):
     return value if kind is None else kind(value, f"field {name!r}")
 
 
+def only_fields(obj, names: tuple, what: str) -> None:
+    """A ValueError naming the first field of the JSON object ``obj`` that is
+    not one of ``names``, the fields its reader reads: a misspelt field
+    would otherwise be ignored, and its default used. A non-object is left
+    to the reader's ``json_field``."""
+    extra = [name for name in obj if name not in names] if isinstance(obj, dict) else []
+    if extra:
+        raise ValueError(f"{what} has unknown field {extra[0]!r}; its fields are {', '.join(names)}")
+
+
 def json_object(obj, name: str, read):
     """``read`` of the JSON object in field ``name``; its ValueErrors name the field."""
     value = json_field(obj, name, mapping)
@@ -155,7 +165,7 @@ class MissingPattern:
         return mask(text, "mask string")
 
     def to_string(self) -> str:
-        return "".join("1" if self.is_missing(j) else "0" for j in range(self.dimension))
+        return mask_strings(unpack_masks(np.array([self.bits]), self.dimension))[0]
 
     def is_missing(self, j: int) -> bool:
         if not 0 <= j < self.dimension:
@@ -197,6 +207,12 @@ def unpack_masks(keys: np.ndarray, dimension: int) -> np.ndarray:
     first, so column j is bit j; only the first d bits are written."""
     octets = np.ascontiguousarray(keys, dtype="<i8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(octets, axis=1, count=dimension, bitorder="little").view(bool)
+
+
+def mask_strings(mask: np.ndarray) -> list:
+    """One mask string per row of an (n, d) boolean matrix, "1" where missing: the
+    format ``mask`` reads. The (n, d) characters are viewed as n strings of d."""
+    return np.where(mask, "1", "0").view(f"U{mask.shape[1]}").ravel().tolist()
 
 
 def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +329,35 @@ class MaskedDataset:
     def observed_values(self, i: int) -> np.ndarray:
         """Values of row i at its observed coordinates, ascending coordinate order."""
         return self._values[i][~self._mask[i]]
+
+    def to_json(self) -> dict:
+        """{"d", "n", "values", "mask", "responses"}, null at each masked cell of values."""
+        return {
+            "d": self.d,
+            "n": self.n,
+            "values": np.where(self._mask, None, self._values).tolist(),
+            "mask": mask_strings(self._mask),
+            "responses": self._responses.tolist(),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "MaskedDataset":
+        """Rebuild a dataset; each mask is d characters of 0/1, each values row
+        holds d entries, and ``null`` is allowed only at masked cells."""
+        n, d = json_field(obj, "n", count), json_field(obj, "d", dimension)
+        masks, cells = json_field(obj, "mask", array), json_field(obj, "values", array)
+        if len(masks) != n or len(cells) != n:
+            raise ValueError(f"fields 'mask' and 'values' must hold n={n} rows, got {len(masks)} and {len(cells)}")
+        keys = [mask(row, f"mask of row {i} (counting from 0)", d).bits for i, row in enumerate(masks)]
+        missing = unpack_masks(np.array(keys, dtype=np.int64), d)
+        for i, row in enumerate(cells):
+            if not isinstance(row, list) or len(row) != d:
+                raise ValueError(f"values row {i} (counting from 0) is {row!r}, expected a list of {d} numbers or nulls")
+        values = numbers([[0.0 if cell is None else cell for cell in row] for row in cells], "field 'values'")
+        for i, j in np.argwhere(~missing):
+            if cells[i][j] is None:
+                raise ValueError(f"value at row {i}, column {j} (counting from 0) is null but its mask marks it observed")
+        return cls(values, missing, json_field(obj, "responses", vector))
 
     def __repr__(self) -> str:
         return f"MaskedDataset(n={self.n}, d={self.d})"

@@ -65,6 +65,11 @@ class LabeledSample:
     full_values: np.ndarray
     bayes_values: np.ndarray | None
 
+    def to_json(self) -> dict:
+        """The dataset's JSON, then "full_values" and "bayes_values" (null without the optimum column)."""
+        bayes = None if self.bayes_values is None else self.bayes_values.tolist()
+        return {**self.dataset.to_json(), "full_values": self.full_values.tolist(), "bayes_values": bayes}
+
 
 class Scenario:
     """Base class; subclasses implement drawing and per-pattern optima.
@@ -353,9 +358,9 @@ class SelfMaskingScenario(Scenario):
         super().__init__(beta0, beta, noise_sd, name)
         if covariates.dimension != self.d:
             raise ValueError("covariate dimension does not match beta")
-        center = np.broadcast_to(numbers(mask_center, "mask_center"), (self.d,)).copy()
-        scale = np.broadcast_to(numbers(mask_scale, "mask_scale"), (self.d,)).copy()
-        peak = np.broadcast_to(numbers(mask_peak_prob, "mask_peak_prob"), (self.d,)).copy()
+        center = self._per_coordinate(mask_center, "mask_center")
+        scale = self._per_coordinate(mask_scale, "mask_scale")
+        peak = self._per_coordinate(mask_peak_prob, "mask_peak_prob")
         for j in range(self.d):
             positive(scale[j], f"mask_scale[{j}]")
             if not probability(peak[j], f"mask_peak_prob[{j}]") > 0.0:
@@ -364,6 +369,13 @@ class SelfMaskingScenario(Scenario):
         self.mask_center = center
         self.mask_scale = scale
         self.mask_peak_prob = peak
+
+    def _per_coordinate(self, value, name: str) -> np.ndarray:
+        """``value``, a number or a vector of 1 or d numbers, as a fresh vector of d."""
+        entries = numbers(value, name)
+        if entries.shape not in ((), (1,), (self.d,)):
+            raise ValueError(f"{name} must hold 1 or d={self.d} numbers, got shape {entries.shape}")
+        return np.broadcast_to(entries, (self.d,)).copy()
 
     def _draw(self, n, rng):
         # the mask depends on the values, so the oracle filters this joint draw

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from patternlab.cli import main, parse_tau_grid
-from patternlab.datafiles import model_from_json
+from patternlab.estimators import model_from_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,10 +56,8 @@ class TestParseTauGrid:
         assert parse_tau_grid("0.1,0.2") == [0.1, 0.2]
 
     def test_bad_grids(self):
-        from patternlab.cli import ConfigError
-
         for bad in ("0.1:0.5", "0:1:log10", "1:0.5:log10", "abc", ""):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError):
                 parse_tau_grid(bad)
         # the point count and the bounds are read through their field kinds
         for bad, message in [
@@ -67,7 +65,7 @@ class TestParseTauGrid:
             ("0.001:1:log1e3", "tau grid '0.001:1:log1e3' point count must be an integer >= 1, got 1000.0"),
             ("0.001:abc:log5", "tau grid '0.001:abc:log5' bound must be a number, got 'abc'"),
         ]:
-            with pytest.raises(ConfigError) as caught:
+            with pytest.raises(ValueError) as caught:
                 parse_tau_grid(bad)
             assert str(caught.value) == message
 
@@ -288,14 +286,14 @@ class TestArtifactsReadBack:
     @pytest.mark.parametrize("fit", list(ROUND_TRIP_FITS.values()), ids=list(ROUND_TRIP_FITS))
     @pytest.mark.parametrize("kind", list(ROUND_TRIP_SCENARIOS))
     def test_gen_fit_eval_round_trip(self, tmp_path, capsys, kind, fit):
-        from patternlab.datafiles import dataset_from_json, model_from_json
+        from patternlab.patterns import MaskedDataset
         from patternlab.simulate import scenario_from_json
 
         codes, data, model = gen_fit_eval(tmp_path, ROUND_TRIP_SCENARIOS[kind], fit)
         assert codes == (0, 0, 0), capsys.readouterr().err
         stored = json.loads(model.read_text())
         assert model_from_json(stored).to_json() == stored
-        read = dataset_from_json(json.loads(data.read_text()))
+        read = MaskedDataset.from_json(json.loads(data.read_text()))
         scenario = scenario_from_json({"d": 4, **_LINEAR, **ROUND_TRIP_SCENARIOS[kind]})
         drawn = scenario.generate(200, np.random.default_rng(3), with_bayes=False).dataset
         for name in ("values", "mask", "responses"):
@@ -553,6 +551,27 @@ class TestMalformedInputs:
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "ok.csv")]) == 0
         change(config)
         assert message in self.bench_error(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda c: c["estimators"][0].update(clip_level=3), "clip_level"),
+            (lambda c: c["estimators"][0].update(tau_rule=0.5), "tau_rule"),
+            (lambda c: c["estimators"].append({"kind": "iterative_impute_lr", "round": 3}), "round"),
+            (lambda c: c.update(ntest=100), "ntest"),
+            (lambda c: c.update(recordtimings=False), "recordtimings"),
+        ],
+        ids=["clip_level", "tau_rule", "round", "ntest", "recordtimings"],
+    )
+    def test_fields_no_reader_reads_are_rejected(self, tmp_path, capsys, change, field):
+        """A misspelt field used to be ignored, so its default ran: an unclipped
+        pbp, a d_over_n threshold, 10 rounds, 10,000 test rows, timings."""
+        config = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "pbp"}]}
+        config.update(n_grid=[100], repetitions=1, n_test=200)
+        change(config)
+        err = self.bench_error(tmp_path, capsys, config)
+        assert f"unknown field {field!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(
         "field, value",

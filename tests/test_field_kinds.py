@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from patternlab.cli import main
-from patternlab.datafiles import dataset_from_json, labeled_sample_to_json, model_from_json
 from patternlab.distributions import distribution_from_json
-from patternlab.estimators import EstimatorSpec, fit_constant_impute, fit_iterative_impute, fit_pbp
+from patternlab.estimators import EstimatorSpec, fit_constant_impute, fit_iterative_impute, fit_pbp, model_from_json
 from patternlab.harness import estimator_spec_from_json, experiment_config_from_json
 from patternlab.patterns import (
+    MaskedDataset,
     MissingPattern,
     array,
     boolean,
@@ -213,7 +213,7 @@ def _cases() -> tuple:
     complexity = ["complexity", "--dist", "{input}", "--tau-grid", "0.1,0.5", "--out", "{out}"]
     gen = ["gen", "--scenario", "{input}", "--n", "20", "--seed", "1", "--out", "{out}"]
     bench = ["bench", "--config", "{input}", "--out", "{out}"]
-    cases = [(dataset_from_json, labeled_sample_to_json(sample), fit)]
+    cases = [(MaskedDataset.from_json, sample.to_json(), fit)]
     cases += [(model_from_json, model.to_json(), evaluate) for model in models]
     cases += [(distribution_from_json, dist, complexity) for dist in distributions]
     cases += [(scenario_from_json, scenario, gen) for scenario in scenarios]

@@ -18,7 +18,8 @@ from patternlab import (
     preset,
     run_experiment,
 )
-from patternlab.harness import bound_report_csv, estimator_spec_from_json, records_to_csv
+from patternlab.complexity import bound_report_csv
+from patternlab.harness import estimator_spec_from_json, records_to_csv
 
 
 def tiny_scenario(name="tiny"):

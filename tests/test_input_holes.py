@@ -5,6 +5,7 @@ Each is a ValueError naming the field or argument, and the CLI exits 2."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from patternlab import (
     HomogeneousBernoulli,
     IterativeImputeRegression,
     MarBlockScenario,
+    MaskedDataset,
     McarGaussianScenario,
     MergeModel,
     MissingPattern,
@@ -30,7 +32,7 @@ from patternlab import (
     preset,
 )
 from patternlab.cli import main
-from patternlab.datafiles import dataset_from_json, model_from_json
+from patternlab.estimators import model_from_json
 from patternlab.distributions import distribution_from_json
 from patternlab.simulate import scenario_from_json
 
@@ -80,6 +82,7 @@ def cli_error(tmp_path, capsys, kind: str, payload: dict) -> str:
         "scenario": ["gen", "--scenario", str(path), "--n", "10", "--seed", "1", "--out", str(out)],
         "dataset": ["fit", "--data", str(path), "--estimator", "pbp", "--out", str(out)],
         "model": ["eval", "--model", str(path), "--scenario", str(scenario_file), "--n-test", "200", "--seed", "1"],
+        "no_law": ["complexity", "--tau-grid", "0.1,0.5", "--out", str(out)],
     }[kind]
     capsys.readouterr()
     assert main(argv) == 2
@@ -92,7 +95,7 @@ def cli_error(tmp_path, capsys, kind: str, payload: dict) -> str:
 READERS = {
     "distribution": distribution_from_json,
     "scenario": scenario_from_json,
-    "dataset": dataset_from_json,
+    "dataset": MaskedDataset.from_json,
     "model": model_from_json,
 }
 
@@ -137,6 +140,67 @@ def test_nan_is_rejected_from_json(tmp_path, capsys, kind, payload, field):
     with pytest.raises(ValueError, match=f"field '{field}'"):
         READERS[kind](payload)
     assert f"field '{field}'" in cli_error(tmp_path, capsys, kind, payload)
+
+
+def gpmm_of(*components):
+    """A d = 2 gpmm scenario of (p, mask, Gaussian) components."""
+    entries = [{"p": p, "mask": m, **gauss} for p, m, gauss in components]
+    return {"kind": "gpmm", "d": 2, **LINEAR, "components": entries}
+
+
+GAUSS3 = {"mu": [0.0] * 3, "cov": np.eye(3).tolist()}
+MAR_BLOCK = {"kind": "mar_block", "d": 2, **LINEAR, "block_cov": [[1.0]]}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, fragment",
+    [
+        ("no_law", {}, "give --preset and/or --dist"),
+        ("model", PBP, "model dimension 2 does not match scenario dimension 8"),
+        ("dataset", {**DATASET, "n": 3}, "fields 'mask' and 'values' must hold n=3 rows, got 2 and 2"),
+        ("model", {**PBP, "models": [{"mask": "01", "intercept": 0.0, "coef": [1.0, 1.0]}]}, "mask '01' needs 1 coef"),
+        ("scenario", scenario(missingness={"kind": "uniform", "d": 3}), "missingness dimension does not match beta"),
+        ("scenario", {**MAR_BLOCK, "d": 3, "beta": [1.0] * 3}, "dimension must split into two equal blocks"),
+        ("scenario", {**MAR_BLOCK, "block_cov": np.eye(2).tolist()}, "block covariance must be 1x1, got (2, 2)"),
+        ("scenario", gpmm_of((1.0, "00", GAUSS), (0.0, "10", GAUSS)), "component probabilities must be positive"),
+        ("scenario", gpmm_of((0.5, "00", GAUSS), (0.5, "10", GAUSS3)), "component Gaussians must match the scenario"),
+        ("scenario", gpmm_of((0.5, "00", GAUSS), (0.5, "00", GAUSS)), "component patterns must be distinct"),
+        ("scenario", scenario(beta=[1.0, 2.0, 3.0]), "beta must have length 2"),
+        ("distribution", {"kind": "heterogeneous_bernoulli", "epsilons": []}, "epsilons must be a nonempty"),
+        ("distribution", {"kind": "merge", "protocols": [], "weights": [], "eta": 0.1}, "at least one protocol"),
+        ("distribution", {"kind": "merge", "protocols": ["00", "11"], "weights": [1.0], "eta": 0.1}, "one weight per"),
+        ("distribution", {"d": 2, "patterns": [{"mask": "01", "p": 0.5}] * 2}, "duplicate mask '01'"),
+    ],
+    ids=[
+        "complexity_without_law",
+        "eval_dimension",
+        "dataset_rows",
+        "pbp_coefficient_count",
+        "mcar_missingness_dimension",
+        "mar_block_odd_d",
+        "mar_block_cov_shape",
+        "gpmm_zero_probability",
+        "gpmm_gaussian_dimension",
+        "gpmm_repeated_mask",
+        "beta_length",
+        "heterogeneous_no_rates",
+        "merge_no_protocols",
+        "merge_weight_count",
+        "explicit_repeated_mask",
+    ],
+)
+def test_cli_rejection_names_its_cause(tmp_path, capsys, kind, payload, fragment):
+    """Each check exits 2, writes nothing and prints one message, no traceback."""
+    assert fragment in cli_error(tmp_path, capsys, kind, payload)
+
+
+@pytest.mark.parametrize("field", ["mask_center", "mask_scale", "mask_peak_prob"])
+def test_self_masking_vector_of_another_length_is_named(tmp_path, capsys, field):
+    """A self-masking vector of neither 1 nor d entries used to fail with numpy's broadcasting text."""
+    message = f"{field} must hold 1 or d=2 numbers, got shape (3,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, _gaussian(), **{"mask_center": 0, "mask_scale": 1, field: [0.5] * 3})
+    assert message in cli_error(tmp_path, capsys, "scenario", self_masking(**{field: [0.5] * 3}))
 
 
 def _gaussian():
