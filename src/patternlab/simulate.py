@@ -339,7 +339,7 @@ class SelfMaskingScenario(Scenario):
 
     No exact per-pattern predictor is exposed; validate predictions with
     bayes_oracle_mc. The centre, scale and peak are each a number or a
-    vector of d, read through the ``numbers`` field kind.
+    vector of 1 or d, read through the ``numbers`` field kind.
     """
 
     has_closed_form = False
