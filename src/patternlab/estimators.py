@@ -216,8 +216,6 @@ def fit_pbp(data: MaskedDataset, spec: EstimatorSpec) -> PbpRegression:
     """
     if spec.kind != "pbp":
         raise ValueError(f"fit_pbp fits kind 'pbp', not {spec.kind!r}")
-    if data.n < 1:
-        raise ValueError("dataset is empty")
     config = replace(spec, tau_rule=spec.resolve_tau(data.d, data.n))
     keys = data.mask_keys()
     order, starts, counts = key_groups(keys)
@@ -300,8 +298,6 @@ def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
     """Least squares on the design [zero-filled values | mask | 1], built
     once: ``least_squares`` on the (n, 2d) features, bit for bit, without
     its copies of the feature matrix."""
-    if data.n < 1:
-        raise ValueError("dataset is empty")
     design = _impute_features(data.values, data.mask, intercept=True)
     return ConstantImputeRegression(data.d, solve_design(design, data.responses))
 
@@ -480,8 +476,6 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0; the column
     models' ridge floor is the constant ``RIDGE_FLOOR``.
     """
-    if data.n < 1:
-        raise ValueError("dataset is empty")
     rounds = count(rounds, "rounds")
     if not number(tol, "tol") >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")

@@ -37,18 +37,19 @@ class BayesPredictor(RowPredictor):
 
 def excess_risk(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> float:
     """Mean squared gap to the exact optimum on a fresh test draw."""
-    if not scenario.has_closed_form:
-        raise NoClosedFormError(
-            f"{scenario.name}: excess risk needs the exact optimum; use bayes_oracle_mc probes instead"
-        )
     return _score(predictor, scenario, n_test, rng)[0]
 
 
 def _score(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> tuple[float, float]:
     """(excess risk, seconds of ``predict_masked``) on a fresh test draw of
-    n_test rows. A non-finite risk is a numeric failure, never a reported
-    risk; overflow and invalid-value warnings stay off, because the raise
-    already reports them."""
+    n_test rows. A scenario without the exact optimum raises
+    ``NoClosedFormError`` before the draw. A non-finite risk is a numeric
+    failure, never a reported risk; overflow and invalid-value warnings stay
+    off, because the raise already reports them."""
+    if not scenario.has_closed_form:
+        raise NoClosedFormError(
+            f"{scenario.name}: excess risk needs the exact optimum; use bayes_oracle_mc probes instead"
+        )
     test = scenario.generate(n_test, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = time.perf_counter()
@@ -146,8 +147,6 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
 
 def run_experiment(config: ExperimentConfig, out_path=None) -> list:
     """All (estimator, n, repetition) records, in that nested order."""
-    if not config.scenario.has_closed_form:
-        raise NoClosedFormError(f"{config.scenario.name}: benchmark scenarios need the exact optimum")
     records = [
         _run_cell(config, spec, n, repetition)
         for spec in config.estimators

@@ -77,19 +77,15 @@ def numbers(value, name: str, ndim: int | None = None) -> np.ndarray:
     """A JSON number or nested array of finite JSON numbers as a new float
     array, of ``ndim`` dimensions if given; numpy arrays and scalars are read
     as the Python numbers they hold, so a boolean array is rejected as JSON
-    ``true`` is. A numpy integer or float array (long double aside) is cast
-    and checked in one pass, and only a non-finite entry is read alone."""
-    numeric = isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "iuf"
-    numeric = numeric and np.can_cast(value.dtype, float)
-    entries = np.array(value, dtype=float if numeric else object)
+    ``true`` is."""
+    entries = np.asarray(value, dtype=object)
     if ndim not in (None, entries.ndim):
         _reject(name, "an array of numbers" if ndim == 1 else "a matrix of numbers", value)
-    checked = np.asarray(value).flat[np.flatnonzero(~np.isfinite(entries))[:1]] if numeric else entries.flat
-    for entry in checked:
+    for entry in entries.flat:
         entry = entry.item() if isinstance(entry, np.generic) else entry
         if type(entry) not in (int, float) or not abs(entry) <= _FLOAT_MAX:
             _reject(name, "finite numbers", entry)
-    return entries.astype(float, copy=False)
+    return entries.astype(float)
 
 
 vector = partial(numbers, ndim=1)
@@ -229,12 +225,15 @@ def one_row(x_obs, m: MissingPattern) -> tuple[np.ndarray, np.ndarray]:
 
 def masked_batch(values, mask, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as floats and ``mask`` as booleans, both (n, d) matrices;
-    any other shape is a ValueError."""
+    any other shape, or a mask entry other than 0/1, is a ValueError. A
+    boolean mask is returned as it is, not copied."""
     values = np.asarray(values, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask)
     if mask.ndim != 2 or mask.shape[1] != d or values.shape != mask.shape:
         raise ValueError(f"values and mask must both be (n, {d}) matrices")
-    return values, mask
+    if mask.dtype != np.bool_ and not ((mask == 0) | (mask == 1)).all():
+        raise ValueError("mask entries must be 0/1")
+    return values, mask.astype(bool, copy=False)
 
 
 class RowPredictor:
@@ -267,28 +266,26 @@ def group_rows_by_key(keys: np.ndarray) -> list:
 
 
 class MaskedDataset:
-    """n rows of covariates with a missingness mask and a response.
+    """n >= 1 rows of covariates with a missingness mask and a response.
 
-    Observed cells and responses must be finite. Masked cells of ``values``
-    hold NaN as a sentinel, and per-row access goes through
-    ``observed_values``. All arrays are frozen after construction.
+    The mask is read by ``masked_batch``. Observed cells and responses must
+    be finite. Masked cells of ``values`` hold NaN as a sentinel, and
+    per-row access goes through ``observed_values``. All arrays are copies,
+    frozen after construction.
     """
 
     def __init__(self, values, mask, responses):
         values = np.asarray(values, dtype=float)
-        mask = np.asarray(mask)
         responses = np.array(responses, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         n, d = values.shape
         dimension(d, "the number of covariates")
-        if mask.shape != (n, d):
-            raise ValueError(f"mask shape {mask.shape} does not match values shape {(n, d)}")
+        if n < 1:
+            raise ValueError("dataset is empty")
+        values, mask = masked_batch(values, np.array(mask), d)
         if responses.shape != (n,):
             raise ValueError(f"responses shape {responses.shape} does not match row count {n}")
-        if mask.dtype != np.bool_ and not ((mask == 0) | (mask == 1)).all():
-            raise ValueError("mask entries must be 0/1")
-        mask = mask.astype(bool)
         if not (np.isfinite(values) | mask).all():
             raise ValueError("observed values must be finite (no NaN or infinity)")
         if not np.isfinite(responses).all():
@@ -378,8 +375,6 @@ class PatternIndex:
 
 def build_pattern_index(data: MaskedDataset) -> PatternIndex:
     """Partition the rows of ``data`` by pattern and record group frequencies."""
-    if data.n < 1:
-        raise ValueError("dataset is empty")
     groups = {}
     frequencies = {}
     for key, rows in group_rows_by_key(data.mask_keys()):

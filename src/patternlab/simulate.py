@@ -299,8 +299,6 @@ class GpmmScenario(Scenario):
                 raise ValueError("component patterns must match the scenario dimension")
             if params.dimension != self.d:
                 raise ValueError("component Gaussians must match the scenario dimension")
-        if len({pattern for _, pattern, _ in components}) != len(components):
-            raise ValueError("component patterns must be distinct")
         self.components = tuple((float(p), pattern, params) for p, (_, pattern, params) in zip(probs, components))
         self._cumulative = np.cumsum(probs)
         optima = [optimum_rows(p, self.beta0, self.beta, unpack_masks([m.bits], self.d)) for _, m, p in self.components]

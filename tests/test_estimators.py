@@ -353,9 +353,28 @@ class TestStackedFit:
         ids=["pbp", "constant_impute", "iterative_impute"],
     )
     def test_empty_dataset_rejected(self, fit):
-        data = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0))
+        """No fit meets an empty batch: the dataset it would read refuses to exist."""
         with pytest.raises(ValueError, match="dataset is empty"):
-            fit(data)
+            fit(MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0)))
+
+
+@pytest.mark.parametrize(
+    "predictor",
+    [
+        lambda data: fit_pbp(data, EstimatorSpec("pbp", 0.0)),
+        fit_constant_impute,
+        fit_iterative_impute,
+        lambda data: BayesPredictor(preset("mcar_a")),
+    ],
+    ids=["pbp", "constant_impute", "iterative_impute", "bayes"],
+)
+def test_predict_rejects_a_mask_entry_of_two(predictor):
+    """Every batch predictor reads its mask through ``masked_batch``: a 2 is not read as "missing"."""
+    data, values = linear_dataset(np.random.default_rng(5), 40, 8, 0.0, np.ones(8), 0.1, 0.2)
+    mask = np.zeros((3, 8), dtype=int)
+    mask[1, 4] = 2
+    with pytest.raises(ValueError, match="mask entries must be 0/1"):
+        predictor(data).predict_masked(values[:3], mask)
 
 
 def _baseline_data(d, n, seed, never_observed):

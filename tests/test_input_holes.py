@@ -164,7 +164,7 @@ MAR_BLOCK = {"kind": "mar_block", "d": 2, **LINEAR, "block_cov": [[1.0]]}
         ("scenario", {**MAR_BLOCK, "block_cov": np.eye(2).tolist()}, "block covariance must be 1x1, got (2, 2)"),
         ("scenario", gpmm_of((1.0, "00", GAUSS), (0.0, "10", GAUSS)), "component probabilities must be positive"),
         ("scenario", gpmm_of((0.5, "00", GAUSS), (0.5, "10", GAUSS3)), "component Gaussians must match the scenario"),
-        ("scenario", gpmm_of((0.5, "00", GAUSS), (0.5, "00", GAUSS)), "component patterns must be distinct"),
+        ("scenario", gpmm_of((0.5, "00", GAUSS), (0.5, "00", GAUSS)), "duplicate mask '00'"),
         ("scenario", scenario(beta=[1.0, 2.0, 3.0]), "beta must have length 2"),
         ("distribution", {"kind": "heterogeneous_bernoulli", "epsilons": []}, "epsilons must be a nonempty"),
         ("distribution", {"kind": "merge", "protocols": [], "weights": [], "eta": 0.1}, "at least one protocol"),
