@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .patterns import MissingPattern, json_field, pack_mask_rows, sorted_lookup, unpack_masks
+from .patterns import MissingPattern, json_field, only_fields, pack_mask_rows, sorted_lookup, unpack_masks
 from .patterns import array, dimension, mask, probability, probability_vector, records, vector
 
 ENUMERATION_LIMIT = 20
@@ -220,7 +220,8 @@ def explicit_from_json(obj: dict) -> ExplicitPatterns:
     """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}."""
     d = json_field(obj, "d", dimension)
     probs = {}
-    for entry in json_field(obj, "patterns", records):
+    for i, entry in enumerate(json_field(obj, "patterns", records)):
+        only_fields(entry, ("mask", "p"), f"entry {i} of field 'patterns'")
         pattern = mask(json_field(entry, "mask"), "field 'mask'", d)
         if pattern in probs:
             raise ValueError(f"duplicate mask {pattern.to_string()!r}")
@@ -237,17 +238,23 @@ def merge_from_json(obj: dict, d: int | None = None) -> MergeModel:
 
 
 def distribution_from_json(obj: dict) -> PatternDistribution:
-    """Load any supported family; a bare {"d", "patterns"} object is explicit."""
+    """Load any supported family; a bare {"d", "patterns"} object is explicit.
+    A field that the family does not read is a ValueError."""
     kind = json_field(obj, "kind", default=None)
     if kind == "explicit" or (kind is None and "patterns" in obj):
+        only_fields(obj, ("kind", "d", "patterns"), "explicit law")
         return explicit_from_json(obj)
     if kind == "homogeneous_bernoulli":
+        only_fields(obj, ("kind", "d", "epsilon"), f"{kind} law")
         return HomogeneousBernoulli(json_field(obj, "d", dimension), json_field(obj, "epsilon", probability))
     if kind == "heterogeneous_bernoulli":
+        only_fields(obj, ("kind", "epsilons"), f"{kind} law")
         return BernoulliPatterns(json_field(obj, "epsilons", vector))
     if kind == "merge":
+        only_fields(obj, ("kind", "protocols", "weights", "eta"), f"{kind} law")
         return merge_from_json(obj)
     if kind == "uniform":
+        only_fields(obj, ("kind", "d"), f"{kind} law")
         return UniformPatterns(json_field(obj, "d", dimension))
     raise ValueError(f"unknown distribution kind {kind!r} (an explicit law has the field 'patterns')")
 

@@ -419,9 +419,12 @@ class IterativeImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "IterativeImputeRegression":
+        entries = json_field(obj, "column_models", array)
+        for j, entry in enumerate(entries):
+            only_fields(entry, ("intercept", "coef"), f"entry {j} of field 'column_models'")
         models = tuple(
             None if entry is None else AffineModel.from_json(mapping(entry, "an entry of field 'column_models'"))
-            for entry in json_field(obj, "column_models", array)
+            for entry in entries
         )
         return cls(
             dimension=json_field(obj, "d", dimension),
@@ -534,12 +537,16 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
 
 
 def model_from_json(obj: dict):
-    """Detect the estimator family from the payload and rebuild it."""
+    """Detect the estimator family from the payload and rebuild it; a field
+    that the family's file does not hold is a ValueError."""
     kind = json_field(obj, "kind", default=None)
     if kind is None and "models" in obj:
+        only_fields(obj, ("tau", "clip", "ball_radius", "d", "models"), "pbp model")
         return PbpRegression.from_json(obj)
     if kind == "constant_impute":
+        only_fields(obj, ("kind", "d", "intercept", "coef"), f"{kind} model")
         return ConstantImputeRegression.from_json(obj)
     if kind == "iterative_impute":
+        only_fields(obj, ("kind", "d", "rounds", "column_means", "column_models", "intercept", "coef"), f"{kind} model")
         return IterativeImputeRegression.from_json(obj)
     raise ValueError(f"unrecognized model payload (kind={kind!r}, and no field 'models')")

@@ -340,7 +340,10 @@ class MaskedDataset:
     @classmethod
     def from_json(cls, obj: dict) -> "MaskedDataset":
         """Rebuild a dataset; each mask is d characters of 0/1, each values row
-        holds d entries, and ``null`` is allowed only at masked cells."""
+        holds d entries, and ``null`` is allowed only at masked cells. The
+        ``gen`` file's ``full_values`` and ``bayes_values`` are allowed and
+        not read; any other field is a ValueError."""
+        only_fields(obj, ("d", "n", "values", "mask", "responses", "full_values", "bayes_values"), "dataset")
         n, d = json_field(obj, "n", count), json_field(obj, "d", dimension)
         masks, cells = json_field(obj, "mask", array), json_field(obj, "values", array)
         if len(masks) != n or len(cells) != n:
@@ -487,6 +490,7 @@ class PatternBank(Mapping):
         coef = np.zeros((len(entries), d))
         intercepts = np.zeros(len(entries))
         for i, entry in enumerate(entries):
+            only_fields(entry, ("mask", "intercept", "coef"), f"entry {i} of field 'models'")
             m = mask(json_field(entry, "mask"), "field 'mask'", d)
             model = AffineModel.from_json(entry)
             row = model.coefficients

@@ -34,6 +34,7 @@ from .patterns import (
     json_field,
     json_object,
     masked_batch,
+    only_fields,
     one_row,
     pack_mask_rows,
     probability_vector,
@@ -574,10 +575,16 @@ def _gaussian_from_json(obj) -> GaussianParams:
     return GaussianParams(json_field(obj, "mu", vector), json_field(obj, "cov", matrix))
 
 
+# the fields of every scenario kind: the linear response and the name
+_RESPONSE = ("kind", "name", "d", "beta0", "beta", "sigma")
+
+
 def scenario_from_json(obj: dict) -> Scenario:
-    """Build a scenario from its JSON description or a {"preset": name} reference."""
+    """Build a scenario from its JSON description or a {"preset": name}
+    reference; a field that the kind does not read is a ValueError."""
     name = json_field(obj, "preset", default=None)
     if name is not None:
+        only_fields(obj, ("preset",), "scenario preset reference")
         return preset(name)
     kind = json_field(obj, "kind", default=None)
     d = json_field(obj, "d", dimension)
@@ -586,19 +593,30 @@ def scenario_from_json(obj: dict) -> Scenario:
     sigma = json_field(obj, "sigma", noise_level)
     if beta.shape != (d,):
         raise ValueError(f"beta must have length {d}")
-    name = json_field(obj, "name", default=kind)
+    name = json_field(obj, "name", default=None)
+    if name is None:
+        name = kind
+    elif not isinstance(name, str) or not name:
+        raise ValueError(f"field 'name' must be a nonempty string, got {name!r}")
     if kind == "mcar_gaussian":
+        only_fields(obj, _RESPONSE + ("mu", "cov", "missingness"), f"{kind} scenario")
         missingness = json_object(obj, "missingness", distribution_from_json)
         return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), missingness, name=name)
     if kind == "mar_block":
+        only_fields(obj, _RESPONSE + ("block_cov",), f"{kind} scenario")
         return MarBlockScenario(beta0, beta, sigma, json_field(obj, "block_cov", matrix), name=name)
     if kind == "gpmm":
+        only_fields(obj, _RESPONSE + ("components",), f"{kind} scenario")
+        components = json_field(obj, "components", records)
+        for i, c in enumerate(components):
+            only_fields(c, ("p", "mask", "mu", "cov"), f"entry {i} of field 'components'")
         components = [
             (json_field(c, "p", probability), mask(json_field(c, "mask"), "field 'mask'", d), _gaussian_from_json(c))
-            for c in json_field(obj, "components", records)
+            for c in components
         ]
         return GpmmScenario(beta0, beta, sigma, components, name=name)
     if kind == "self_masking":
+        only_fields(obj, _RESPONSE + ("mu", "cov", "mask_center", "mask_scale", "mask_peak_prob"), f"{kind} scenario")
         return SelfMaskingScenario(
             beta0,
             beta,
@@ -610,5 +628,6 @@ def scenario_from_json(obj: dict) -> Scenario:
             name=name,
         )
     if kind == "merge":
+        only_fields(obj, _RESPONSE + ("mu", "cov", "protocols", "weights", "eta"), f"{kind} scenario")
         return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), merge_from_json(obj, d), name=name)
     raise ValueError(f"unknown scenario kind {kind!r}")

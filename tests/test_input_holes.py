@@ -315,3 +315,95 @@ def test_complexity_of_a_nan_rate_exits_2(tmp_path):
     )
     assert done.returncode == 2 and done.stdout == "" and not out.exists()
     assert done.stderr.splitlines() == ["error: field 'epsilon' must be a probability in [0, 1], got nan"]
+
+
+def merge_scenario(**fields):
+    merge = {"protocols": ["00", "10"], "weights": [0.5, 0.5], "eta": 0.1}
+    return {"kind": "merge", "d": 2, **LINEAR, **GAUSS, **merge, **fields}
+
+
+def _with_entry_field(payload, key, index, **fields):
+    entries = [dict(entry) if isinstance(entry, dict) else entry for entry in payload[key]]
+    entries[index] = {**entries[index], **fields}
+    return {**payload, key: entries}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, field",
+    [
+        ("scenario", self_masking(mask_peak=0.95), "mask_peak"),
+        ("scenario", scenario(mask_center=[0.0, 0.0]), "mask_center"),
+        ("scenario", {**MAR_BLOCK, "cov": [[1.0]]}, "cov"),
+        ("scenario", merge_scenario(missingness={"kind": "uniform", "d": 2}), "missingness"),
+        ("scenario", _with_entry_field(gpmm(0.5), "components", 1, sigma=1.0), "sigma"),
+        ("scenario", scenario(missingness={"kind": "uniform", "d": 2, "epsilon": 0.1}), "epsilon"),
+        ("scenario", {"preset": "mcar_a", "name": "mine"}, "name"),
+        ("distribution", {"kind": "homogeneous_bernoulli", "d": 2, "epsilon": 0.1, "epsilons": [0.1]}, "epsilons"),
+        ("distribution", {"kind": "heterogeneous_bernoulli", "epsilons": [0.1], "d": 1}, "d"),
+        ("distribution", {"kind": "merge", "protocols": ["00"], "weights": [1.0], "eta": 0.1, "d": 2}, "d"),
+        ("distribution", {"kind": "uniform", "d": 2, "epsilon": 0.5}, "epsilon"),
+        ("distribution", {"d": 1, "patterns": [{"mask": "0", "p": 1.0}], "eta": 0.1}, "eta"),
+        ("distribution", {"d": 1, "patterns": [{"mask": "0", "p": 1.0, "weight": 1.0}]}, "weight"),
+        ("model", {**CONSTANT, "rounds": 3}, "rounds"),
+        ("model", {**PBP, "rounds": 3}, "rounds"),
+        ("model", {**ITERATIVE, "clip": 1.0}, "clip"),
+        ("model", _with_entry_field(PBP, "models", 0, tau=0.5), "tau"),
+        ("model", {**ITERATIVE, "column_models": [None, {"intercept": 0.0, "coef": [1.0], "d": 1}]}, "d"),
+        ("dataset", {**DATASET, "weights": [1.0, 1.0]}, "weights"),
+    ],
+    ids=[
+        "self_masking_misspelt_peak",
+        "mcar_self_masking_field",
+        "mar_block_cov",
+        "merge_missingness",
+        "gpmm_component",
+        "scenario_missingness",
+        "preset_name",
+        "homogeneous_epsilons",
+        "heterogeneous_d",
+        "merge_d",
+        "uniform_epsilon",
+        "explicit_eta",
+        "explicit_entry",
+        "constant_impute_rounds",
+        "pbp_rounds",
+        "iterative_impute_clip",
+        "pbp_entry",
+        "iterative_column_model",
+        "dataset",
+    ],
+)
+def test_unknown_field_is_named(tmp_path, capsys, kind, payload, field):
+    """A field that its reader does not read used to be ignored, so a misspelt one silently took its default."""
+    fragment = f"unknown field '{field}'"
+    with pytest.raises(ValueError, match=fragment):
+        READERS[kind](payload)
+    assert fragment in cli_error(tmp_path, capsys, kind, payload)
+
+
+def test_gen_file_reads_back_as_a_dataset(tmp_path):
+    """The dataset reader allows the two fields that only ``gen`` writes."""
+    out = tmp_path / "data.json"
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario()))
+    assert main(["gen", "--scenario", str(tmp_path / "scenario.json"), "--n", "20", "--seed", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert {"full_values", "bayes_values"} <= set(payload)
+    assert MaskedDataset.from_json(payload).n == 20
+
+
+@pytest.mark.parametrize("name", [{"a": [1, 2]}, "", 3, ["mcar"], True])
+def test_scenario_name_is_a_nonempty_string(tmp_path, capsys, name):
+    """A name of any other JSON value used to reach the CSV as its Python repr."""
+    config = {"scenario": scenario(name=name), "estimators": [{"kind": "pbp"}], "n_grid": [50], "repetitions": 1}
+    path, out = tmp_path / "bench.json", tmp_path / "bench.csv"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"field 'name' must be a nonempty string, got {name!r}" in capsys.readouterr().err
+
+
+def test_scenario_name_defaults_to_its_kind():
+    assert scenario_from_json(scenario()).name == "mcar_gaussian"
+    assert scenario_from_json(scenario(name="mine")).name == "mine"
+    assert scenario_from_json({"preset": "gpmm_c"}).name == "gpmm_c"
