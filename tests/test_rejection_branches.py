@@ -47,9 +47,8 @@ SELF_MASKING = {
 }
 
 
-def _raises(error, fragment, build):
-    with pytest.raises(error, match=re.escape(fragment)):
-        build()
+def raises(error, fragment):
+    return pytest.raises(error, match=re.escape(fragment))
 
 
 class TestSolver:
@@ -63,10 +62,12 @@ class TestSolver:
         ids=["one_d_features", "target_shape", "no_rows"],
     )
     def test_least_squares_shapes(self, features, targets, fragment):
-        _raises(ValueError, fragment, lambda: least_squares(features, targets))
+        with raises(ValueError, fragment):
+            least_squares(features, targets)
 
     def test_covariance_of_another_shape(self):
-        _raises(ValueError, "covariance shape (3, 3) does not match dimension 2", lambda: GaussianParams([0, 0], np.eye(3)))
+        with raises(ValueError, "covariance shape (3, 3) does not match dimension 2"):
+            GaussianParams([0, 0], np.eye(3))
 
     @pytest.mark.parametrize(
         "observed, fragment",
@@ -74,34 +75,35 @@ class TestSolver:
         ids=["two_d", "repeated"],
     )
     def test_conditional_mean_map_indices(self, observed, fragment):
-        _raises(ValueError, fragment, lambda: conditional_mean_map(GAUSS3, observed))
+        with raises(ValueError, fragment):
+            conditional_mean_map(GAUSS3, observed)
 
 
 class TestSimulate:
     def test_empty_beta(self):
-        _raises(ValueError, "beta must be a nonempty vector", lambda: Scenario(0.0, [], 0.1, "empty"))
+        with raises(ValueError, "beta must be a nonempty vector"):
+            Scenario(0.0, [], 0.1, "empty")
 
     def test_pattern_model_of_another_dimension(self):
-        message = "pattern dimension 3 does not match scenario dimension 8"
-        _raises(ValueError, message, lambda: preset("mcar_a").pattern_model(MissingPattern(0, 3)))
+        with raises(ValueError, "pattern dimension 3 does not match scenario dimension 8"):
+            preset("mcar_a").pattern_model(MissingPattern(0, 3))
 
     def test_mcar_covariates_of_another_dimension(self):
-        law = HomogeneousBernoulli(2, 0.1)
-        build = lambda: McarGaussianScenario(0.0, [1.0, 1.0], 0.1, GAUSS3, law)  # noqa: E731
-        _raises(ValueError, "covariate dimension does not match beta", build)
+        with raises(ValueError, "covariate dimension does not match beta"):
+            McarGaussianScenario(0.0, [1.0, 1.0], 0.1, GAUSS3, HomogeneousBernoulli(2, 0.1))
 
     def test_self_masking_covariates_of_another_dimension(self):
-        build = lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, GAUSS3, 0.0, 1.0)  # noqa: E731
-        _raises(ValueError, "covariate dimension does not match beta", build)
+        with raises(ValueError, "covariate dimension does not match beta"):
+            SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, GAUSS3, 0.0, 1.0)
 
     def test_gpmm_component_pattern_of_another_dimension(self):
-        build = lambda: GpmmScenario(0.0, [1.0, 1.0], 0.1, [(1.0, MissingPattern(0, 3), GAUSS2)])  # noqa: E731
-        _raises(ValueError, "component patterns must match the scenario dimension", build)
+        with raises(ValueError, "component patterns must match the scenario dimension"):
+            GpmmScenario(0.0, [1.0, 1.0], 0.1, [(1.0, MissingPattern(0, 3), GAUSS2)])
 
     def test_zero_peak_probability(self, tmp_path, capsys):
         message = "peak masking probabilities must lie in (0, 1]"
-        build = lambda: SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, GAUSS2, 0.0, 1.0, 0.0)  # noqa: E731
-        _raises(ValueError, message, build)
+        with raises(ValueError, message):
+            SelfMaskingScenario(0.0, [1.0, 1.0], 0.1, GAUSS2, 0.0, 1.0, 0.0)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({**SELF_MASKING, "mask_peak_prob": 0.0}))
         out = tmp_path / "gen.json"
@@ -119,11 +121,12 @@ class TestSimulate:
         ids=["pattern_dimension", "x_obs_length"],
     )
     def test_oracle_probe_shape(self, x_obs, m, fragment):
-        build = lambda: bayes_oracle_mc(preset("mcar_a"), x_obs, m, 1000, rng=np.random.default_rng(0))  # noqa: E731
-        _raises(ValueError, fragment, build)
+        with raises(ValueError, fragment):
+            bayes_oracle_mc(preset("mcar_a"), x_obs, m, 1000, rng=np.random.default_rng(0))
 
     def test_odd_paired_block_covariance(self):
-        _raises(ValueError, "dimension 3 is not a multiple of the block size 2", lambda: paired_block_covariance(3))
+        with raises(ValueError, "dimension 3 is not a multiple of the block size 2"):
+            paired_block_covariance(3)
 
 
 class _DisagreeingLaw(HomogeneousBernoulli):
@@ -135,46 +138,53 @@ class _DisagreeingLaw(HomogeneousBernoulli):
 
 class TestComplexity:
     def test_one_monte_carlo_sample(self):
-        build = lambda: pattern_complexity_mc(HomogeneousBernoulli(2, 0.1), 0.1, 1, np.random.default_rng(0))  # noqa: E731
-        _raises(ValueError, "at least 2 samples required, got 1", build)
+        with raises(ValueError, "at least 2 samples required, got 1"):
+            pattern_complexity_mc(HomogeneousBernoulli(2, 0.1), 0.1, 1, np.random.default_rng(0))
 
     def test_sampler_that_disagrees_with_its_law(self):
-        build = lambda: pattern_complexity_mc(_DisagreeingLaw(2, 0.0), 0.1, 10, np.random.default_rng(0))  # noqa: E731
-        _raises(RuntimeError, "sampled a pattern of zero probability", build)
+        with raises(RuntimeError, "sampled a pattern of zero probability"):
+            pattern_complexity_mc(_DisagreeingLaw(2, 0.0), 0.1, 10, np.random.default_rng(0))
 
     def test_unknown_bound_kind(self):
-        _raises(ValueError, "unknown bound kind 'foo'", lambda: BoundKind("foo"))
+        with raises(ValueError, "unknown bound kind 'foo'"):
+            BoundKind("foo")
 
     def test_wrong_rate_count(self):
-        _raises(ValueError, "expected 3 rates, got shape (2,)", lambda: heterogeneous_complexity_bound(3, 100, [0.1, 0.2]))
+        with raises(ValueError, "expected 3 rates, got shape (2,)"):
+            heterogeneous_complexity_bound(3, 100, [0.1, 0.2])
 
 
 class TestDistributions:
     def test_explicit_law_keyed_by_strings(self):
-        _raises(TypeError, "keys must be MissingPattern instances", lambda: ExplicitPatterns(2, {"00": 1.0}))
+        with raises(TypeError, "keys must be MissingPattern instances"):
+            ExplicitPatterns(2, {"00": 1.0})
 
     def test_merge_protocols_as_strings(self):
-        _raises(TypeError, "protocols must be MissingPattern instances", lambda: MergeModel(["00"], [1.0], 0.1))
+        with raises(TypeError, "protocols must be MissingPattern instances"):
+            MergeModel(["00"], [1.0], 0.1)
 
     def test_merge_protocols_of_two_dimensions(self):
         protocols = [MissingPattern(0, 2), MissingPattern(0, 3)]
-        _raises(ValueError, "protocols must share one dimension", lambda: MergeModel(protocols, [0.5, 0.5], 0.1))
+        with raises(ValueError, "protocols must share one dimension"):
+            MergeModel(protocols, [0.5, 0.5], 0.1)
 
 
 class TestPatterns:
     @pytest.mark.parametrize("j", [-1, 2])
     def test_coordinate_out_of_range(self, j):
-        _raises(IndexError, f"coordinate {j} outside dimension 2", lambda: MissingPattern(0, 2).is_missing(j))
+        with raises(IndexError, f"coordinate {j} outside dimension 2"):
+            MissingPattern(0, 2).is_missing(j)
 
     def test_one_d_values(self):
-        build = lambda: MaskedDataset(np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3))  # noqa: E731
-        _raises(ValueError, "values must be a 2-d matrix", build)
+        with raises(ValueError, "values must be a 2-d matrix"):
+            MaskedDataset(np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3))
 
 
 class TestTheoryConfig:
     def test_no_observed_entry(self):
         data = MaskedDataset(np.zeros((3, 2)), np.ones((3, 2), dtype=bool), np.arange(3.0))
-        _raises(ValueError, "no observed entries to estimate the covariate scale from", lambda: theory_config(data))
+        with raises(ValueError, "no observed entries to estimate the covariate scale from"):
+            theory_config(data)
 
     def test_all_zero_observed_values_use_scale_one(self):
         mask = np.array([[False, True], [False, False], [True, False], [False, False]])
