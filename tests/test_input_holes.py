@@ -381,16 +381,6 @@ def test_unknown_field_is_named(tmp_path, capsys, kind, payload, field):
     assert fragment in cli_error(tmp_path, capsys, kind, payload)
 
 
-def test_gen_file_reads_back_as_a_dataset(tmp_path):
-    """The dataset reader allows the two fields that only ``gen`` writes."""
-    out = tmp_path / "data.json"
-    (tmp_path / "scenario.json").write_text(json.dumps(scenario()))
-    assert main(["gen", "--scenario", str(tmp_path / "scenario.json"), "--n", "20", "--seed", "1", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert {"full_values", "bayes_values"} <= set(payload)
-    assert MaskedDataset.from_json(payload).n == 20
-
-
 @pytest.mark.parametrize("name", [{"a": [1, 2]}, "", 3, ["mcar"], True])
 def test_scenario_name_is_a_nonempty_string(tmp_path, capsys, name):
     """A name of any other JSON value used to reach the CSV as its Python repr."""
