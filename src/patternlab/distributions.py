@@ -217,7 +217,9 @@ class UniformPatterns(PatternDistribution):
 
 
 def explicit_from_json(obj: dict) -> ExplicitPatterns:
-    """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}."""
+    """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}
+    and an optional "kind"; any other field is a ValueError."""
+    only_fields(obj, ("kind", "d", "patterns"), "explicit law")
     d = json_field(obj, "d", dimension)
     probs = {}
     for i, entry in enumerate(json_field(obj, "patterns", records)):
@@ -229,9 +231,12 @@ def explicit_from_json(obj: dict) -> ExplicitPatterns:
     return ExplicitPatterns(d, probs)
 
 
-def merge_from_json(obj: dict, d: int | None = None) -> MergeModel:
+def merge_from_json(obj: dict, d: int | None = None, others: tuple = ("kind",), what: str = "merge law") -> MergeModel:
     """Load a merge law from {"protocols": ["0110", ...], "weights": [...],
-    "eta": float}; each protocol mask has ``d`` characters when ``d`` is given."""
+    "eta": float}; each protocol mask has ``d`` characters when ``d`` is given.
+    ``others`` names the fields of ``obj`` that the caller reads itself; any
+    field besides those and the law's is a ValueError naming ``what``."""
+    only_fields(obj, others + ("protocols", "weights", "eta"), what)
     protocols = json_field(obj, "protocols", array)
     protocols = [mask(s, f"entry {i} of field 'protocols'", d) for i, s in enumerate(protocols)]
     return MergeModel(protocols, json_field(obj, "weights", vector), json_field(obj, "eta", probability))
@@ -242,7 +247,6 @@ def distribution_from_json(obj: dict) -> PatternDistribution:
     A field that the family does not read is a ValueError."""
     kind = json_field(obj, "kind", default=None)
     if kind == "explicit" or (kind is None and "patterns" in obj):
-        only_fields(obj, ("kind", "d", "patterns"), "explicit law")
         return explicit_from_json(obj)
     if kind == "homogeneous_bernoulli":
         only_fields(obj, ("kind", "d", "epsilon"), f"{kind} law")
@@ -251,7 +255,6 @@ def distribution_from_json(obj: dict) -> PatternDistribution:
         only_fields(obj, ("kind", "epsilons"), f"{kind} law")
         return BernoulliPatterns(json_field(obj, "epsilons", vector))
     if kind == "merge":
-        only_fields(obj, ("kind", "protocols", "weights", "eta"), f"{kind} law")
         return merge_from_json(obj)
     if kind == "uniform":
         only_fields(obj, ("kind", "d"), f"{kind} law")

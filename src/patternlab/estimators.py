@@ -194,6 +194,7 @@ class PbpRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "PbpRegression":
+        only_fields(obj, ("tau", "clip", "ball_radius", "d", "models"), "pbp model")
         clip, radius = (json_field(obj, name, positive, None) for name in ("clip", "ball_radius"))
         config = EstimatorSpec("pbp", json_field(obj, "tau", probability), clip_level=clip, ball_radius=radius)
         bank = PatternBank.from_json(json_field(obj, "d", dimension), json_field(obj, "models", records))
@@ -291,6 +292,7 @@ class ConstantImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantImputeRegression":
+        only_fields(obj, ("kind", "d", "intercept", "coef"), "constant_impute model")
         return cls(json_field(obj, "d", dimension), AffineModel.from_json(obj))
 
 
@@ -419,6 +421,8 @@ class IterativeImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "IterativeImputeRegression":
+        fields = ("kind", "d", "rounds", "column_means", "column_models", "intercept", "coef")
+        only_fields(obj, fields, "iterative_impute model")
         entries = json_field(obj, "column_models", array)
         for j, entry in enumerate(entries):
             only_fields(entry, ("intercept", "coef"), f"entry {j} of field 'column_models'")
@@ -541,12 +545,9 @@ def model_from_json(obj: dict):
     that the family's file does not hold is a ValueError."""
     kind = json_field(obj, "kind", default=None)
     if kind is None and "models" in obj:
-        only_fields(obj, ("tau", "clip", "ball_radius", "d", "models"), "pbp model")
         return PbpRegression.from_json(obj)
     if kind == "constant_impute":
-        only_fields(obj, ("kind", "d", "intercept", "coef"), f"{kind} model")
         return ConstantImputeRegression.from_json(obj)
     if kind == "iterative_impute":
-        only_fields(obj, ("kind", "d", "rounds", "column_means", "column_models", "intercept", "coef"), f"{kind} model")
         return IterativeImputeRegression.from_json(obj)
     raise ValueError(f"unrecognized model payload (kind={kind!r}, and no field 'models')")

@@ -37,19 +37,24 @@ class BayesPredictor(RowPredictor):
 
 def excess_risk(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> float:
     """Mean squared gap to the exact optimum on a fresh test draw."""
+    _require_closed_form(scenario)
     return _score(predictor, scenario, n_test, rng)[0]
 
 
-def _score(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> tuple[float, float]:
-    """(excess risk, seconds of ``predict_masked``) on a fresh test draw of
-    n_test rows. A scenario without the exact optimum raises
-    ``NoClosedFormError`` before the draw. A non-finite risk is a numeric
-    failure, never a reported risk; overflow and invalid-value warnings stay
-    off, because the raise already reports them."""
+def _require_closed_form(scenario: Scenario) -> None:
+    """``NoClosedFormError`` when the scenario has no exact optimum to score
+    against: ``excess_risk`` and ``run_experiment`` call it before any draw."""
     if not scenario.has_closed_form:
         raise NoClosedFormError(
             f"{scenario.name}: excess risk needs the exact optimum; use bayes_oracle_mc probes instead"
         )
+
+
+def _score(predictor, scenario: Scenario, n_test: int, rng: np.random.Generator) -> tuple[float, float]:
+    """(excess risk, seconds of ``predict_masked``) on a fresh test draw of
+    n_test rows, for a scenario with the exact optimum. A non-finite risk
+    is a numeric failure, never a reported risk; overflow and invalid-value
+    warnings stay off, because the raise already reports them."""
     test = scenario.generate(n_test, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = time.perf_counter()
@@ -146,7 +151,9 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
 
 
 def run_experiment(config: ExperimentConfig, out_path=None) -> list:
-    """All (estimator, n, repetition) records, in that nested order."""
+    """All (estimator, n, repetition) records, in that nested order. A
+    scenario without the exact optimum is refused before the first cell."""
+    _require_closed_form(config.scenario)
     records = [
         _run_cell(config, spec, n, repetition)
         for spec in config.estimators

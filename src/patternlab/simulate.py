@@ -79,13 +79,15 @@ class Scenario:
     ``generate`` makes: covariates and mask of every row. ``_draw_pattern``
     is what the sampling oracle reads: only the rows of one pattern among n
     joint draws, drawn pattern-first from P(M = m) and the law of X given
-    M = m where the scenario's generative law allows it. Given a window
-    (j, center, half) on the pattern's first observed coordinate, it may
-    also keep only the rows whose coordinate j can land in [center - half,
-    center + half], drawn window-first: the pattern's count is thinned by
-    the window's mass, so the rows kept are Binomial(n, P(M = m) P(window |
-    m)) and follow the law of X given the pattern and the window. The draws
-    agree in distribution, not in their random-number streams.
+    M = m where the scenario's generative law allows it. Given a box
+    (center, half) on the pattern's observed coordinates, it may also keep
+    only the rows whose observed block can land within ``half`` of
+    ``center`` in sup-norm, drawn box-first: the pattern's count is thinned
+    by the mass of one or more of the box's windows and the other
+    coordinates in the box are drawn by rejection, so the rows kept are
+    Binomial(n, P(M = m) P(box | m)) and follow the law of X given the
+    pattern and the box. The draws agree in distribution, not in their
+    random-number streams.
 
     A scenario writes no attribute after construction: the exact-optimum
     column of a batch depends on the batch alone.
@@ -116,20 +118,21 @@ class Scenario:
         raise NotImplementedError
 
     def _draw_pattern(
-        self, n: int, rng: np.random.Generator, m: MissingPattern, window: tuple | None = None
+        self, n: int, rng: np.random.Generator, m: MissingPattern, box: tuple | None = None
     ) -> np.ndarray:
         """The full covariates, (c, d), of the draws whose pattern is m among
         n joint draws, with c Binomial(n, P(M = m)). This base version makes
         the joint draw and filters it; subclasses whose law is pattern-first,
         or can be read that way, draw c and then only those c rows.
 
-        ``window`` is None or (j, center, half) on m's first observed
-        coordinate j. A subclass that can draw that coordinate first thins c
-        by the window's mass and draws only rows that can land in it (up to
-        rounding, so the caller still filters); this base version ignores
-        the window and returns every row of the pattern, for the caller's
-        filter. The mask of a self-masking law depends on the values, so it
-        keeps this joint filter."""
+        ``box`` is None or (center, half): ``center`` holds one number for
+        each of m's observed coordinates, in ascending order, and ``half``
+        is the box's half-width. A subclass that can draw the box first
+        keeps only rows that can land in it (up to rounding, so the caller
+        still filters), with c Binomial(n, P(M = m) P(box | m)); this base
+        version ignores the box and returns every row of the pattern, for
+        the caller's filter. The mask of a self-masking law depends on the
+        values, so it keeps this joint filter."""
         values, mask = self._draw(n, rng)
         return values[pack_mask_rows(mask) == m.bits]
 
@@ -199,13 +202,13 @@ class McarGaussianScenario(Scenario):
         values = self.covariates.sample(rng, n)
         return values, unpack_masks(self.missingness.sample_masks(rng, n), self.d)
 
-    def _draw_pattern(self, n, rng, m, window=None):
+    def _draw_pattern(self, n, rng, m, box=None):
         # the mask is independent of the values: count the pattern's draws,
-        # then draw only their covariates, window-first when there is one
+        # then draw only their covariates, box-first when there is one
         count = rng.binomial(n, self.missingness.probability(m))
-        if window is None:
+        if box is None:
             return self.covariates.sample(rng, count)
-        return self.covariates.sample_within(rng, count, *window)
+        return self.covariates.sample_within(rng, count, m.observed_indices, *box)
 
     def _optima(self, keys):
         coef, intercepts = optimum_rows(self.covariates, self.beta0, self.beta, unpack_masks(keys, self.d))
@@ -238,7 +241,7 @@ class MarBlockScenario(Scenario):
         block2 = mask2.astype(float) + rng.standard_normal((n, k)) @ self._block2.factor.T
         return np.hstack([block1, block2]), np.hstack([np.zeros((n, k), dtype=bool), mask2])
 
-    def _draw_pattern(self, n, rng, m, window=None):
+    def _draw_pattern(self, n, rng, m, box=None):
         k = self.block_size
         missing = unpack_masks(np.array([m.bits]), self.d)[0]
         if missing[:k].any():
@@ -246,25 +249,29 @@ class MarBlockScenario(Scenario):
             return np.empty((0, self.d))
         # each of block 1's k independent signs is positive with probability
         # 1/2, and the signs fix block 2's mask; block 1 is |N(0, 1)| signed
-        # by the mask. The window's coordinate j, a standard normal truncated
-        # to its sign's half-line, is drawn on the part of that half-line the
-        # window covers (the whole half-line without a window, coordinate 0):
-        # the count is thinned by the part's mass within the half-line, which
-        # is 0 for a window on the other side, and block 2 is drawn around
-        # its mask
+        # by the mask. Each block-1 coordinate is drawn on the part of its
+        # sign's half-line that its window covers (the whole half-line
+        # without a box), so the count is thinned by the product of those
+        # parts' masses within their half-lines, 0 for a window on the other
+        # side. Block 2 is independent of block 1 given the mask: it is drawn
+        # around its mask, box-first on its own observed coordinates, and
+        # block 1 for the rows it keeps
         mask2 = missing[k:]
         sign = np.where(mask2, 1.0, -1.0)
-        j, lo, hi = 0, 0.0, np.inf
-        if window is not None:
-            j, center, half = window
-            lo, hi = max(sign[j] * center - half, 0.0), sign[j] * center + half
-        mass = 2.0 * _normal_mass(lo, hi) if lo < hi else 0.0
+        lo, hi = np.zeros(k), np.full(k, np.inf)
+        if box is not None:
+            center, half = box
+            center = np.asarray(center, dtype=float)
+            lo, hi = np.maximum(sign * center[:k] - half, 0.0), sign * center[:k] + half
+        mass = np.prod([2.0 * _normal_mass(a, b) if a < b else 0.0 for a, b in zip(lo, hi)])
         count = rng.binomial(n, 0.5**k * mass)
-        block1 = np.abs(rng.standard_normal((count, k)))
-        block1[:, j] = _truncated_normal(rng, count, lo, hi)
-        block1 *= sign
-        block2 = mask2.astype(float) + rng.standard_normal((count, k)) @ self._block2.factor.T
-        return np.hstack([block1, block2])
+        if box is None:
+            block2 = self._block2.sample(rng, count)
+        else:
+            block2 = self._block2.sample_within(rng, count, np.flatnonzero(~mask2), center[k:], half)
+        block2 += mask2
+        block1 = np.column_stack([_truncated_normal(rng, block2.shape[0], a, b) for a, b in zip(lo, hi)])
+        return np.hstack([block1 * sign, block2])
 
     def _optima(self, keys):
         k = self.block_size
@@ -317,12 +324,14 @@ class GpmmScenario(Scenario):
             keys[rows] = pattern.bits
         return values, unpack_masks(keys, self.d)
 
-    def _draw_pattern(self, n, rng, m, window=None):
+    def _draw_pattern(self, n, rng, m, box=None):
         # each pattern belongs to one component; one outside the mixture has no rows
         for prob, pattern, params in self.components:
             if pattern == m:
                 count = rng.binomial(n, prob)
-                return params.sample(rng, count) if window is None else params.sample_within(rng, count, *window)
+                if box is None:
+                    return params.sample(rng, count)
+                return params.sample_within(rng, count, m.observed_indices, *box)
         return np.empty((0, self.d))
 
     def _optima(self, keys):
@@ -423,16 +432,19 @@ def bayes_oracle_mc(
     The oracle reads only the generative law (mean, factor and noise, never
     a conditional mean or a precision matrix): each chunk of at most 250,000
     joint draws yields the draws of pattern m through the scenario's
-    ``_draw_pattern``, given the window on m's first observed coordinate,
-    and response noise is drawn for those rows only. Where the law given
-    the pattern is Gaussian, or is ``mar_block``'s signed half-normal, the
-    draw is window-first: the pattern's Binomial count is thinned by the
-    window's mass on that coordinate and only those rows are drawn, with
-    the coordinate truncated to the window. A Binomial thinned by a
-    Binomial is Binomial(n, P(M = m) P(window)), so ``samples`` still
-    counts joint draws and ``accepted`` keeps its law; other laws return
-    every row of the pattern, and each chunk is filtered on its whole
-    observed block. A non-finite observed value of a draw of pattern m, or
+    ``_draw_pattern``, given the box (x_obs, bandwidth) on m's observed
+    coordinates, and response noise is drawn for those rows only. Where the
+    law given the pattern is Gaussian, or is ``mar_block``'s signed
+    half-normal block beside a Gaussian one, the draw is box-first: the
+    pattern's Binomial count is thinned by the mass of the first observed
+    coordinate's window (of every block-1 window, for ``mar_block``), that
+    coordinate is drawn truncated to its window, and each later observed
+    coordinate is drawn for the rows still kept and kept by rejection. A
+    Binomial thinned by a Binomial is Binomial(n, P(M = m) P(box)), so
+    ``samples`` still counts joint draws and ``accepted`` keeps its law;
+    other laws return every row of the pattern. Each chunk is filtered on
+    its whole observed block, because rounding can put a drawn row just
+    outside the box. A non-finite observed value of a draw of pattern m, or
     a non-finite kept response, raises ``ValueError`` as a ``MaskedDataset``
     would. ``x_obs`` is read through the ``numbers`` field kind, ``samples``
     and ``min_accepted`` must be integers >= 1, and ``bandwidth`` finite and
@@ -450,12 +462,12 @@ def bayes_oracle_mc(
     remaining = count(samples, "samples")
     min_accepted = count(min_accepted, "min_accepted")
     obs = np.array(m.observed_indices, dtype=int)
-    window = (int(obs[0]), float(x_obs[0]), bandwidth) if obs.size else None
+    box = (x_obs, bandwidth)
     offsets, responses = [], []
     while remaining > 0:
         chunk = min(250_000, remaining)
         remaining -= chunk
-        values = scenario._draw_pattern(chunk, rng, m, window)
+        values = scenario._draw_pattern(chunk, rng, m, box)
         noise = rng.standard_normal(values.shape[0])
         block = values[:, obs]
         if not np.isfinite(block).all():
@@ -628,6 +640,6 @@ def scenario_from_json(obj: dict) -> Scenario:
             name=name,
         )
     if kind == "merge":
-        only_fields(obj, _RESPONSE + ("mu", "cov", "protocols", "weights", "eta"), f"{kind} scenario")
-        return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), merge_from_json(obj, d), name=name)
+        law = merge_from_json(obj, d, _RESPONSE + ("mu", "cov"), f"{kind} scenario")
+        return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), law, name=name)
     raise ValueError(f"unknown scenario kind {kind!r}")

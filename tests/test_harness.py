@@ -20,6 +20,7 @@ from patternlab import (
 )
 from patternlab.complexity import bound_report_csv
 from patternlab.harness import estimator_spec_from_json, records_to_csv
+from patternlab.simulate import Scenario
 
 
 def tiny_scenario(name="tiny"):
@@ -31,6 +32,30 @@ def tiny_scenario(name="tiny"):
         missingness=HomogeneousBernoulli(2, 0.25),
         name=name,
     )
+
+
+def self_masking_scenario():
+    return SelfMaskingScenario(
+        beta0=0.0,
+        beta=np.ones(2),
+        noise_sd=0.1,
+        covariates=GaussianParams(np.zeros(2), np.eye(2)),
+        mask_center=[0.0, 0.0],
+        mask_scale=[1.0, 1.0],
+    )
+
+
+def count_draws(monkeypatch) -> list:
+    """The list that every later ``Scenario.generate`` call appends its size to."""
+    draws = []
+    original = Scenario.generate
+
+    def counted(self, n, rng, with_bayes=True):
+        draws.append(n)
+        return original(self, n, rng, with_bayes)
+
+    monkeypatch.setattr(Scenario, "generate", counted)
+    return draws
 
 
 class ZeroPredictor:
@@ -80,17 +105,24 @@ class TestExcessRisk:
         risk = excess_risk(ClippedBayes(scenario, level), scenario, 4000, np.random.default_rng(3))
         assert risk == 0.0
 
-    def test_requires_closed_form(self):
-        scenario = SelfMaskingScenario(
-            beta0=0.0,
-            beta=np.ones(2),
-            noise_sd=0.1,
-            covariates=GaussianParams(np.zeros(2), np.eye(2)),
-            mask_center=[0.0, 0.0],
-            mask_scale=[1.0, 1.0],
+    def test_requires_closed_form(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        with pytest.raises(NoClosedFormError, match="oracle"):
+            excess_risk(ZeroPredictor(), self_masking_scenario(), 500, np.random.default_rng(0))
+        assert draws == []
+
+    def test_run_experiment_refuses_before_the_first_cell(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        config = ExperimentConfig(
+            scenario=self_masking_scenario(),
+            estimators=(EstimatorSpec("cst_impute_lr"),),
+            n_grid=(20_000,),
+            repetitions=1,
+            n_test=100,
         )
         with pytest.raises(NoClosedFormError, match="oracle"):
-            excess_risk(ZeroPredictor(), scenario, 500, np.random.default_rng(0))
+            run_experiment(config)
+        assert draws == []
 
     def test_nonfinite_risk_is_a_numeric_failure(self):
         with pytest.raises(FloatingPointError, match="not finite"):

@@ -32,8 +32,8 @@ from patternlab import (
     preset,
 )
 from patternlab.cli import main
-from patternlab.estimators import model_from_json
-from patternlab.distributions import distribution_from_json
+from patternlab.estimators import ConstantImputeRegression, PbpRegression, model_from_json
+from patternlab.distributions import distribution_from_json, explicit_from_json, merge_from_json
 from patternlab.simulate import scenario_from_json
 
 NAN = float("nan")
@@ -379,6 +379,23 @@ def test_unknown_field_is_named(tmp_path, capsys, kind, payload, field):
     with pytest.raises(ValueError, match=fragment):
         READERS[kind](payload)
     assert fragment in cli_error(tmp_path, capsys, kind, payload)
+
+
+@pytest.mark.parametrize(
+    "reader, payload, field",
+    [
+        (explicit_from_json, {"d": 1, "patterns": [{"mask": "0", "p": 1.0}], "eta": 0.1}, "eta"),
+        (merge_from_json, {"protocols": ["00"], "weights": [1.0], "eta": 0.1, "d": 2}, "d"),
+        (PbpRegression.from_json, {**PBP, "rounds": 3}, "rounds"),
+        (ConstantImputeRegression.from_json, {**CONSTANT, "rounds": 3}, "rounds"),
+        (IterativeImputeRegression.from_json, {**ITERATIVE, "clip": 1.0}, "clip"),
+    ],
+    ids=["explicit_eta", "merge_d", "pbp_rounds", "constant_impute_rounds", "iterative_impute_clip"],
+)
+def test_per_class_reader_names_an_unknown_field(reader, payload, field):
+    """A library caller reaches these readers without the dispatcher, which used to be the only one checking."""
+    with pytest.raises(ValueError, match=f"unknown field '{field}'"):
+        reader(payload)
 
 
 @pytest.mark.parametrize("name", [{"a": [1, 2]}, "", 3, ["mcar"], True])

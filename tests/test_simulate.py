@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,7 +393,10 @@ class TestOracle:
         assert out.std_error > 0.0
         assert out.accepted >= 50
 
-    @pytest.mark.parametrize("name, mask", [("mcar_a", "00100000"), ("mar_b", "00001010"), ("gpmm_c", "01010000")])
+    @pytest.mark.parametrize(
+        "name, mask",
+        [("mcar_a", "00100000"), ("mar_b", "00001010"), ("gpmm_c", "01010000"), ("gpmm_c", "10110000")],
+    )
     def test_reads_only_the_generative_law(self, monkeypatch, name, mask):
         # the oracle checks the closed forms, so it must not call or read
         # them; the scenario is built first, as gpmm's constructor computes
@@ -480,47 +481,31 @@ AGREEMENT_SE = 5.0
 
 
 def _zero_variance_d3():
-    # coordinate 0 is constant at 0.5: the window-first draw falls back to the plain one
+    # coordinate 0 is constant at 0.5: the box-first draw keeps the count
+    # whole when its window holds 0.5
     cov = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
     covariates = GaussianParams([0.5, 0.0, 1.0], cov)
     return McarGaussianScenario(0.2, [1.0, -1.0, 2.0], 0.3, covariates, HomogeneousBernoulli(3, 0.2))
 
 
-# window-first draws checked against the joint draw filtered to the pattern
-# and the window (j, center, half) on its first observed coordinate
-WINDOW_DRAW_CASES = {
-    "mcar_a": (lambda: preset("mcar_a"), "00100000", (0, 1.3, 0.2)),
-    "merge": (_merge_d4, "1100", (2, 1.5, 0.3)),
-    # block 2's coordinate 4 missing: block 1's coordinate 0 is positive
-    "mar_b_straddling_0": (lambda: preset("mar_b"), "00001010", (0, 0.1, 0.3)),
-    "mar_b_positive_side": (lambda: preset("mar_b"), "00001010", (0, 1.0, 0.3)),
-    "mar_b_negative_side": (lambda: preset("mar_b"), "00000000", (0, -1.0, 0.3)),
-    "gpmm_c_ones8": (lambda: preset("gpmm_c"), "10110000", (1, 3.2, 0.25)),
-    "gpmm_c_eye8": (lambda: preset("gpmm_c"), "01110000", (0, 0.4, 0.3)),
-    "zero_variance": (_zero_variance_d3, "010", (0, 0.45, 0.1)),
+# box-first draws checked against the joint draw filtered to the pattern and
+# the box (center, half): one centre per observed coordinate, ascending
+BOX_DRAW_CASES = {
+    "mcar_a": (lambda: preset("mcar_a"), "00100000", ((1.3, 1.3, 0.9, 1.2, 1.2, 0.8, 0.8), 0.8)),
+    "merge": (_merge_d4, "1100", ((1.5, 3.2), 0.3)),
+    # block 2's coordinates 4 and 6 missing: block 1's coordinates 0 and 2
+    # are positive, 1 and 3 negative; coordinate 0's window straddles 0
+    "mar_b_straddling_0": (lambda: preset("mar_b"), "00001010", ((0.1, -0.6, 0.7, -0.4, 0.2, -0.3), 0.6)),
+    "mar_b_positive_side": (lambda: preset("mar_b"), "00001010", ((1.0, -0.6, 0.7, -0.4, 0.2, -0.3), 0.6)),
+    "mar_b_negative_side": (
+        lambda: preset("mar_b"), "00000000", ((-1.0, -0.6, -0.7, -0.4, 0.2, 0.3, -0.3, -0.1), 0.6)
+    ),
+    # the two singular gpmm_c components: all-ones and paired-ones covariances
+    "gpmm_c_ones8": (lambda: preset("gpmm_c"), "10110000", ((3.2, 0.2, 0.2, 0.2, 0.2), 0.25)),
+    "gpmm_c_paired8": (lambda: preset("gpmm_c"), "01010000", ((0.2, 4.1, 0.3, 0.3, -0.2, -0.2), 0.5)),
+    "gpmm_c_eye8": (lambda: preset("gpmm_c"), "01110000", ((0.4, 0.1, -0.2, 0.3, 0.0), 1.0)),
+    "zero_variance": (_zero_variance_d3, "010", ((0.45, 1.2), 0.1)),
 }
-
-
-def _normal_cdf(x):
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def window_probability(scenario, m, window):
-    """P(M = m, X_j in the window) from the scenario's generative law."""
-    j, center, half = window
-    if isinstance(scenario, MarBlockScenario):
-        # X_j = s |N(0, 1)|, with s = +1 where block 2's paired coordinate is missing
-        sign = 1.0 if m.is_missing(j + scenario.block_size) else -1.0
-        lo, hi = max(sign * center - half, 0.0), sign * center + half
-        return 0.5**scenario.block_size * 2.0 * max(0.0, _normal_cdf(hi) - _normal_cdf(lo))
-    if isinstance(scenario, GpmmScenario):
-        prob, params = next((p, g) for p, pattern, g in scenario.components if pattern == m)
-    else:
-        prob, params = scenario.missingness.probability(m), scenario.covariates
-    mu, sd = params.mean[j], math.sqrt(params.covariance[j, j])
-    if sd == 0.0:
-        return prob * float(abs(mu - center) <= half)
-    return prob * (_normal_cdf((center + half - mu) / sd) - _normal_cdf((center - half - mu) / sd))
 
 
 class TestPatternDraw:
@@ -570,25 +555,24 @@ class TestPatternDraw:
         picked = scenario._draw_pattern(500, np.random.default_rng(4), m)
         assert np.array_equal(picked, values[pack_mask_rows(mask) == m.bits])
 
-    @pytest.mark.parametrize("name", list(WINDOW_DRAW_CASES))
+    @pytest.mark.parametrize("name", list(BOX_DRAW_CASES))
     def test_window_first_matches_joint_filtered(self, name):
-        make, mask, window = WINDOW_DRAW_CASES[name]
+        make, mask, (center, half) = BOX_DRAW_CASES[name]
         scenario, m = make(), MissingPattern.from_string(mask)
-        j, center, half = window
-        n = 100_000
-        drawn = scenario._draw_pattern(n, np.random.default_rng(13), m, window)
-        # rows leave the window by rounding at most; the oracle filters them
-        assert (np.abs(drawn[:, j] - center) <= half * (1.0 + 1e-12)).all(), name
-        first = drawn[np.abs(drawn[:, j] - center) <= half]
+        obs, center = list(m.observed_indices), np.array(center)
+        n = 400_000
+        drawn = scenario._draw_pattern(n, np.random.default_rng(13), m, (center, half))
+        # rows leave the box by rounding at most; the oracle filters them
+        assert (np.abs(drawn[:, obs] - center) <= half * (1.0 + 1e-12)).all(), name
+        first = drawn[np.abs(drawn[:, obs] - center).max(axis=1) <= half]
         values, joint_mask = scenario._draw(n, np.random.default_rng(14))
-        joint = values[(pack_mask_rows(joint_mask) == m.bits) & (np.abs(values[:, j] - center) <= half)]
+        joint = values[(pack_mask_rows(joint_mask) == m.bits) & (np.abs(values[:, obs] - center).max(axis=1) <= half)]
         assert first.shape[1] == joint.shape[1] == scenario.d
-        # both counts are Binomial(n, P(M = m) P(window | m))
-        p = window_probability(scenario, m, window)
+        # both counts are Binomial(n, P(M = m) P(box | m)): compare them with p pooled
         c1, c2 = first.shape[0], joint.shape[0]
         assert min(c1, c2) >= 200, (name, c1, c2)
-        for c in (c1, c2):
-            assert abs(c - n * p) <= AGREEMENT_SE * np.sqrt(n * p * (1 - p)), (name, c, n * p)
+        p = (c1 + c2) / (2 * n)
+        assert abs(c1 - c2) <= AGREEMENT_SE * np.sqrt(2 * n * p * (1 - p)), (name, c1, c2)
         # first and second moments, coordinate by coordinate; a coordinate
         # constant on both sides must be equal
         for f, g in ((first, joint), (first**2, joint**2)):
@@ -599,16 +583,15 @@ class TestPatternDraw:
             mask2 = np.array([m.is_missing(k) for k in range(4, 8)])
             assert ((first[:, :4] > 0.0) == mask2).all()
 
-
     # block 2's coordinate 4 missing puts block 1's coordinate 0 on the
     # positive half-line; these windows lie on the negative side or touch 0
     @pytest.mark.parametrize("center", [-1.0, -0.3])
     def test_window_beyond_the_sign_half_line_yields_no_rows(self, center):
         scenario, m = preset("mar_b"), MissingPattern.from_string("00001010")
-        drawn = scenario._draw_pattern(100_000, np.random.default_rng(15), m, (0, center, 0.3))
+        x_obs = np.array([center, 0.0, 0.0, 0.0, 0.0, 0.0])
+        drawn = scenario._draw_pattern(100_000, np.random.default_rng(15), m, (x_obs, 0.3))
         assert drawn.shape == (0, 8)
         with pytest.raises(InsufficientSamplesError) as err:
-            x_obs = np.array([center, 0.0, 0.0, 0.0, 0.0, 0.0])
             bayes_oracle_mc(scenario, x_obs, m, 100_000, 0.3, np.random.default_rng(16))
         assert err.value.accepted == 0
 
@@ -620,7 +603,7 @@ class FixedRows(McarGaussianScenario):
         super().__init__(0.0, [1.0, 1.0], 0.1, GaussianParams(np.zeros(2), np.eye(2)), HomogeneousBernoulli(2, 0.3))
         self.rows = np.asarray(rows, dtype=float)
 
-    def _draw_pattern(self, n, rng, m, window=None):
+    def _draw_pattern(self, n, rng, m, box=None):
         return self.rows
 
 
@@ -710,13 +693,13 @@ def full_block_oracle(scenario, x_obs, m, samples, bandwidth, rng, min_accepted=
     observed block of every draw: (estimate, std_error, accepted)."""
     x_obs = np.asarray(x_obs, dtype=float)
     obs = np.array(m.observed_indices, dtype=int)
-    # the oracle's window on the first observed coordinate, so both draw the same rows
-    window = (int(obs[0]), float(x_obs[0]), bandwidth) if obs.size else None
+    # the oracle's box, so both draw the same rows
+    box = (x_obs, bandwidth)
     offsets, responses, remaining = [], [], samples
     while remaining > 0:
         chunk = min(250_000, remaining)
         remaining -= chunk
-        values = scenario._draw_pattern(chunk, rng, m, window)
+        values = scenario._draw_pattern(chunk, rng, m, box)
         noise = rng.standard_normal(values.shape[0])
         block = values[:, obs]
         if not np.isfinite(block).all():

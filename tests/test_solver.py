@@ -439,7 +439,15 @@ class TestTruncatedNormal:
         assert _normal_mass(-1.0, 1.0) == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), rel=1e-15)
 
 
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 class TestSampleWithin:
+    # every count and moment below must hold within this many standard
+    # errors, a bound fixed before the tests were first run
+    SE = 5.0
+
     @pytest.mark.parametrize(
         "mean, cov",
         [
@@ -453,34 +461,88 @@ class TestSampleWithin:
     def test_coordinate_j_is_exactly_the_truncated_normal(self, mean, cov, j):
         params = GaussianParams(mean, cov)
         sigma = math.sqrt(cov[j, j])
-        center, half = mean[j] + 0.4 * sigma, 0.3 * sigma
-        rows = params.sample_within(np.random.default_rng(j), 100_000, j, center, half)
+        half = 0.3 * sigma
+        # a box on j and up to two later coordinates, each window centred
+        # 0.4 of its own standard deviation above its mean
+        obs = np.arange(j, min(j + 3, params.dimension))
+        center = mean[obs] + 0.4 * np.sqrt(np.diagonal(cov)[obs])
+        rows = params.sample_within(np.random.default_rng(j), 100_000, obs, center, half)
         assert rows.shape[1] == params.dimension and rows.shape[0] > 0
-        # the reflected factor's row j is sigma_j e1, so rounding is the only gap
-        assert (np.abs(rows[:, j] - center) <= half * (1.0 + 1e-12)).all()
+        # L's row for j is sigma_j e1, and later coordinates are kept by
+        # their own windows, so rounding is the only gap
+        assert (np.abs(rows[:, obs] - center) <= half * (1.0 + 1e-12)).all()
+        # with the box on j alone, coordinate j is the standard normal
+        # truncated to [0.1, 0.7] standard deviations, scaled
+        rows = params.sample_within(np.random.default_rng(10 + j), 200_000, [j], center[:1], half)
+        z = (rows[:, j] - mean[j]) / sigma
+        want_mean, want_var = truncated_moments(0.1, 0.7)
+        assert abs(z.mean() - want_mean) <= self.SE * math.sqrt(want_var / z.size)
+        assert abs(z.var() - want_var) <= self.SE * math.sqrt(((z - z.mean()) ** 4).mean() / z.size)
 
     def test_window_far_out_is_thinned_not_emptied(self):
-        # the window [8, 9] sigma out has mass 6e-16: n = 1e18 joint draws keep about 600 rows
+        # the first window, [8, 9] sigma out, has mass 6e-16, and the second
+        # coordinate's window keeps most of those rows: n = 1e18 joint draws
+        # keep about 400, and P(box) is integrated from the conditional law
+        # X_1 | X_0 = x ~ N(x / 4, 3 / 4)
         params = GaussianParams(np.zeros(2), np.array([[4.0, 1.0], [1.0, 1.0]]))
-        rows = params.sample_within(np.random.default_rng(3), 10**18, 0, 17.0, 1.0)
-        assert 400 <= rows.shape[0] <= 900
-        assert ((16.0 <= rows[:, 0]) & (rows[:, 0] <= 18.0)).all()
+        center, half, n = np.array([17.0, 4.25]), 1.0, 10**18
+        rows = params.sample_within(np.random.default_rng(3), n, [0, 1], center, half)
+        x = np.linspace(16.0, 18.0, 2001)
+        density = np.exp(-0.5 * (x / 2.0) ** 2) / (2.0 * math.sqrt(2.0 * math.pi))
+        sd = math.sqrt(0.75)
+        inner = np.array([_normal_cdf((5.25 - v / 4.0) / sd) - _normal_cdf((3.25 - v / 4.0) / sd) for v in x])
+        f = density * inner
+        probability = (x[1] - x[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+        expected = n * probability
+        assert 200.0 <= expected <= 800.0
+        assert abs(rows.shape[0] - expected) <= self.SE * math.sqrt(expected)
+        assert (np.abs(rows - center) <= half).all()
 
     def test_offset_is_taken_before_dividing(self):
+        # every window [1e308 - 0.1, 1e308 + 0.1] is a single float, but its
+        # mass is that of +-0.1 standard deviations: each coordinate keeps
+        # erf(0.1 / sqrt 2) of the rows
         params = GaussianParams(np.full(2, 1e308), np.eye(2))
-        rows = params.sample_within(np.random.default_rng(4), 10_000, 0, 1e308, 0.1)
-        assert 600 <= rows.shape[0] <= 1000 and (rows[:, 0] == 1e308).all()
+        n = 100_000
+        rows = params.sample_within(np.random.default_rng(4), n, [0, 1], np.full(2, 1e308), 0.1)
+        p = math.erf(0.1 / math.sqrt(2.0)) ** 2
+        assert abs(rows.shape[0] - n * p) <= self.SE * math.sqrt(n * p * (1.0 - p))
+        assert (rows == 1e308).all()
 
     def test_window_rounding_to_zero_width_yields_no_rows(self):
-        # sigma_j = 1e150 and half = 1e-200: both standardized bounds round to 0
+        # sigma_0 = 1e150 and half = 1e-200: both standardized bounds round to 0
         params = GaussianParams(np.zeros(2), np.array([[1e300, 0.0], [0.0, 1.0]]))
-        rows = params.sample_within(np.random.default_rng(6), 1000, 0, 0.0, 1e-200)
+        rows = params.sample_within(np.random.default_rng(6), 1000, [0, 1], np.zeros(2), 1e-200)
         assert rows.shape == (0, 2)
 
     def test_zero_variance_falls_back_to_the_plain_draw(self):
+        # coordinate 0 is constant at 2: a window holding it keeps all n rows,
+        # drawn plainly; one that misses it keeps none
         params = GaussianParams(np.array([2.0, 0.0]), np.array([[0.0, 0.0], [0.0, 1.0]]))
-        got = params.sample_within(np.random.default_rng(5), 1000, 0, 7.0, 0.1)
-        assert np.array_equal(got, params.sample(np.random.default_rng(5), 1000))
+        n = 10_000
+        rows = params.sample_within(np.random.default_rng(5), n, [0], [2.05], 0.1)
+        assert rows.shape == (n, 2) and (rows[:, 0] == 2.0).all()
+        assert abs(rows[:, 1].mean()) <= self.SE / math.sqrt(n)
+        assert abs(rows[:, 1].var() - 1.0) <= self.SE * math.sqrt(2.0 / n)
+        assert params.sample_within(np.random.default_rng(5), n, [0], [7.0], 0.1).shape == (0, 2)
+
+    @pytest.mark.parametrize("constant_center, kept", [(2.1, True), (7.0, False)])
+    def test_constant_later_coordinate_keeps_all_rows_or_none(self, constant_center, kept):
+        # coordinate 1 is constant at 2; coordinate 0 thins the count
+        params = GaussianParams(np.array([0.0, 2.0]), np.array([[1.0, 0.0], [0.0, 0.0]]))
+        n = 100_000
+        rows = params.sample_within(np.random.default_rng(7), n, [0, 1], [0.5, constant_center], 0.3)
+        if not kept:
+            assert rows.shape == (0, 2)
+            return
+        p = _normal_cdf(0.8) - _normal_cdf(0.2)
+        assert abs(rows.shape[0] - n * p) <= self.SE * math.sqrt(n * p * (1.0 - p))
+        assert (rows[:, 1] == 2.0).all() and (np.abs(rows[:, 0] - 0.5) <= 0.3).all()
+
+    def test_no_observed_coordinate_is_the_plain_draw(self):
+        params = GaussianParams(np.array([1.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
+        got = params.sample_within(np.random.default_rng(8), 500, [], [], 0.1)
+        assert np.array_equal(got, params.sample(np.random.default_rng(8), 500))
 
 
 class TestAffineModel:
