@@ -261,7 +261,6 @@ class MarBlockScenario(Scenario):
         lo, hi = np.zeros(k), np.full(k, np.inf)
         if box is not None:
             center, half = box
-            center = np.asarray(center, dtype=float)
             lo, hi = np.maximum(sign * center[:k] - half, 0.0), sign * center[:k] + half
         mass = np.prod([2.0 * _normal_mass(a, b) if a < b else 0.0 for a, b in zip(lo, hi)])
         count = rng.binomial(n, 0.5**k * mass)

@@ -681,9 +681,11 @@ class TestOracleReference:
             covariates=GaussianParams(np.full(2, 1e308), np.eye(2)),
             missingness=HomogeneousBernoulli(2, 0.3),
         )
+        # the box keeps P(M = 00) erf(0.1 / sqrt 2)^2 = 0.0031 of the draws,
+        # about 62 of 20,000, and the first kept row overflows
         with pytest.raises(ValueError, match="responses must be finite"):
             bayes_oracle_mc(
-                scenario, np.full(2, 1e308), MissingPattern(0, 2), samples=1000, bandwidth=0.1,
+                scenario, np.full(2, 1e308), MissingPattern(0, 2), samples=20_000, bandwidth=0.1,
                 rng=np.random.default_rng(3),
             )
 
