@@ -436,9 +436,10 @@ def bayes_oracle_mc(
     law given the pattern is Gaussian, or is ``mar_block``'s signed
     half-normal block beside a Gaussian one, the draw is box-first: the
     pattern's Binomial count is thinned by the mass of the first observed
-    coordinate's window (of every block-1 window, for ``mar_block``), that
-    coordinate is drawn truncated to its window, and each later observed
-    coordinate is drawn for the rows still kept and kept by rejection. A
+    coordinate's window (for ``mar_block``, of every block-1 window and of
+    block 2's first), the coordinates so thinned are drawn truncated to
+    their windows, and each later observed coordinate is drawn for the rows
+    still kept and kept by rejection. A
     Binomial thinned by a Binomial is Binomial(n, P(M = m) P(box)), so
     ``samples`` still counts joint draws and ``accepted`` keeps its law;
     other laws return every row of the pattern. Each chunk is filtered on
@@ -461,12 +462,11 @@ def bayes_oracle_mc(
     remaining = count(samples, "samples")
     min_accepted = count(min_accepted, "min_accepted")
     obs = np.array(m.observed_indices, dtype=int)
-    box = (x_obs, bandwidth)
     offsets, responses = [], []
     while remaining > 0:
         chunk = min(250_000, remaining)
         remaining -= chunk
-        values = scenario._draw_pattern(chunk, rng, m, box)
+        values = scenario._draw_pattern(chunk, rng, m, (x_obs, bandwidth))
         noise = rng.standard_normal(values.shape[0])
         block = values[:, obs]
         if not np.isfinite(block).all():
