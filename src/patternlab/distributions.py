@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import abc
 import math
+from functools import partial
 
 import numpy as np
 
-from .patterns import MissingPattern, json_field, only_fields, pack_mask_rows, sorted_lookup, unpack_masks
+from .patterns import MissingPattern, json_field, json_fields, pack_mask_rows, sorted_lookup, unpack_masks
 from .patterns import array, dimension, mask, probability, probability_vector, records, vector
 
 ENUMERATION_LIMIT = 20
@@ -219,27 +220,33 @@ class UniformPatterns(PatternDistribution):
 def explicit_from_json(obj: dict) -> ExplicitPatterns:
     """Load an explicit law from {"d": int, "patterns": [{"mask": "0110", "p": float}, ...]}
     and an optional "kind"; any other field is a ValueError."""
-    only_fields(obj, ("kind", "d", "patterns"), "explicit law")
-    d = json_field(obj, "d", dimension)
+    _, d, entries = json_fields(obj, "explicit law", {"kind": (None, None), "d": dimension, "patterns": records})
+    fields = {"mask": partial(mask, d=d), "p": probability}
     probs = {}
-    for i, entry in enumerate(json_field(obj, "patterns", records)):
-        only_fields(entry, ("mask", "p"), f"entry {i} of field 'patterns'")
-        pattern = mask(json_field(entry, "mask"), "field 'mask'", d)
+    for i, entry in enumerate(entries):
+        pattern, p = json_fields(entry, f"entry {i} of field 'patterns'", fields)
         if pattern in probs:
             raise ValueError(f"duplicate mask {pattern.to_string()!r}")
-        probs[pattern] = json_field(entry, "p", probability)
+        probs[pattern] = p
     return ExplicitPatterns(d, probs)
 
 
-def merge_from_json(obj: dict, d: int | None = None, others: tuple = ("kind",), what: str = "merge law") -> MergeModel:
-    """Load a merge law from {"protocols": ["0110", ...], "weights": [...],
-    "eta": float}; each protocol mask has ``d`` characters when ``d`` is given.
-    ``others`` names the fields of ``obj`` that the caller reads itself; any
-    field besides those and the law's is a ValueError naming ``what``."""
-    only_fields(obj, others + ("protocols", "weights", "eta"), what)
-    protocols = json_field(obj, "protocols", array)
+# the fields of a merge law, which a merge scenario reads too
+MERGE_FIELDS = {"protocols": array, "weights": vector, "eta": probability}
+
+
+def merge_law(protocols, weights, eta, d: int | None = None) -> MergeModel:
+    """The merge law of the values of ``MERGE_FIELDS``; each protocol mask
+    has ``d`` characters when ``d`` is given."""
     protocols = [mask(s, f"entry {i} of field 'protocols'", d) for i, s in enumerate(protocols)]
-    return MergeModel(protocols, json_field(obj, "weights", vector), json_field(obj, "eta", probability))
+    return MergeModel(protocols, weights, eta)
+
+
+def merge_from_json(obj: dict) -> MergeModel:
+    """Load a merge law from {"protocols": ["0110", ...], "weights": [...],
+    "eta": float} and an optional "kind"; any other field is a ValueError."""
+    _, *law = json_fields(obj, "merge law", {"kind": (None, None), **MERGE_FIELDS})
+    return merge_law(*law)
 
 
 def distribution_from_json(obj: dict) -> PatternDistribution:
@@ -249,16 +256,16 @@ def distribution_from_json(obj: dict) -> PatternDistribution:
     if kind == "explicit" or (kind is None and "patterns" in obj):
         return explicit_from_json(obj)
     if kind == "homogeneous_bernoulli":
-        only_fields(obj, ("kind", "d", "epsilon"), f"{kind} law")
-        return HomogeneousBernoulli(json_field(obj, "d", dimension), json_field(obj, "epsilon", probability))
+        _, d, epsilon = json_fields(obj, f"{kind} law", {"kind": None, "d": dimension, "epsilon": probability})
+        return HomogeneousBernoulli(d, epsilon)
     if kind == "heterogeneous_bernoulli":
-        only_fields(obj, ("kind", "epsilons"), f"{kind} law")
-        return BernoulliPatterns(json_field(obj, "epsilons", vector))
+        _, epsilons = json_fields(obj, f"{kind} law", {"kind": None, "epsilons": vector})
+        return BernoulliPatterns(epsilons)
     if kind == "merge":
         return merge_from_json(obj)
     if kind == "uniform":
-        only_fields(obj, ("kind", "d"), f"{kind} law")
-        return UniformPatterns(json_field(obj, "d", dimension))
+        _, d = json_fields(obj, f"{kind} law", {"kind": None, "d": dimension})
+        return UniformPatterns(d)
     raise ValueError(f"unknown distribution kind {kind!r} (an explicit law has the field 'patterns')")
 
 

@@ -16,18 +16,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .patterns import (
+    AFFINE_FIELDS,
     AffineModel,
     MaskedDataset,
     MissingPattern,
     PatternBank,
     RowPredictor,
     json_field,
+    json_fields,
     key_groups,
     masked_batch,
     unpack_masks,
 )
-from .patterns import array, count, dimension, is_number, mapping, number, only_fields, positive, probability, records
-from .patterns import vector
+from .patterns import array, count, dimension, is_number, mapping, number, positive, probability, records, vector
 from .solver import least_squares, lstsq_stack, solve_design
 
 # the estimator kinds an EstimatorSpec names
@@ -113,14 +114,8 @@ class EstimatorSpec:
 
 def estimator_spec_from_json(obj: dict) -> EstimatorSpec:
     """The spec of an estimator entry; a field other than these five is a ValueError."""
-    only_fields(obj, ("kind", "tau", "rounds", "clip", "ball_radius"), "estimator entry")
-    return EstimatorSpec(
-        kind=json_field(obj, "kind"),
-        tau_rule=json_field(obj, "tau", default=None),
-        rounds=json_field(obj, "rounds", default=None),
-        clip_level=json_field(obj, "clip", positive, None),
-        ball_radius=json_field(obj, "ball_radius", positive, None),
-    )
+    optional = {"tau": (None, None), "rounds": (None, None), "clip": (positive, None), "ball_radius": (positive, None)}
+    return EstimatorSpec(*json_fields(obj, "estimator entry", {"kind": None, **optional}))
 
 
 def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> EstimatorSpec:
@@ -194,11 +189,10 @@ class PbpRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "PbpRegression":
-        only_fields(obj, ("tau", "clip", "ball_radius", "d", "models"), "pbp model")
-        clip, radius = (json_field(obj, name, positive, None) for name in ("clip", "ball_radius"))
-        config = EstimatorSpec("pbp", json_field(obj, "tau", probability), clip_level=clip, ball_radius=radius)
-        bank = PatternBank.from_json(json_field(obj, "d", dimension), json_field(obj, "models", records))
-        return cls(models=bank, config=config)
+        fields = {"tau": probability, "clip": (positive, None), "ball_radius": (positive, None), "d": dimension}
+        tau, clip, radius, d, models = json_fields(obj, "pbp model", {**fields, "models": records})
+        config = EstimatorSpec("pbp", tau, clip_level=clip, ball_radius=radius)
+        return cls(models=PatternBank.from_json(d, models), config=config)
 
 
 def fit_pbp(data: MaskedDataset, spec: EstimatorSpec) -> PbpRegression:
@@ -292,8 +286,9 @@ class ConstantImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantImputeRegression":
-        only_fields(obj, ("kind", "d", "intercept", "coef"), "constant_impute model")
-        return cls(json_field(obj, "d", dimension), AffineModel.from_json(obj))
+        fields = {"kind": (None, None), "d": dimension, **AFFINE_FIELDS}
+        _, d, intercept, coef = json_fields(obj, "constant_impute model", fields)
+        return cls(d, AffineModel(intercept, coef))
 
 
 def fit_constant_impute(data: MaskedDataset) -> ConstantImputeRegression:
@@ -421,22 +416,18 @@ class IterativeImputeRegression(RowPredictor):
 
     @classmethod
     def from_json(cls, obj: dict) -> "IterativeImputeRegression":
-        fields = ("kind", "d", "rounds", "column_means", "column_models", "intercept", "coef")
-        only_fields(obj, fields, "iterative_impute model")
-        entries = json_field(obj, "column_models", array)
+        fields = {"kind": (None, None), "d": dimension, "rounds": None, "column_means": vector, "column_models": array}
+        _, d, rounds, means, entries, intercept, coef = json_fields(
+            obj, "iterative_impute model", {**fields, **AFFINE_FIELDS}
+        )
+        models = []
         for j, entry in enumerate(entries):
-            only_fields(entry, ("intercept", "coef"), f"entry {j} of field 'column_models'")
-        models = tuple(
-            None if entry is None else AffineModel.from_json(mapping(entry, "an entry of field 'column_models'"))
-            for entry in entries
-        )
-        return cls(
-            dimension=json_field(obj, "d", dimension),
-            column_means=json_field(obj, "column_means", vector),
-            column_models=models,
-            rounds=json_field(obj, "rounds"),
-            regression=AffineModel.from_json(obj),
-        )
+            if entry is not None:
+                entry = mapping(entry, "an entry of field 'column_models'")
+                entry = AffineModel(*json_fields(entry, f"entry {j} of field 'column_models'", AFFINE_FIELDS))
+            models.append(entry)
+        regression = AffineModel(intercept, coef)
+        return cls(dimension=d, column_means=means, column_models=tuple(models), rounds=rounds, regression=regression)
 
 
 def _column_plan(select: np.ndarray, columns) -> list:
@@ -550,4 +541,9 @@ def model_from_json(obj: dict):
         return ConstantImputeRegression.from_json(obj)
     if kind == "iterative_impute":
         return IterativeImputeRegression.from_json(obj)
-    raise ValueError(f"unrecognized model payload (kind={kind!r}, and no field 'models')")
+    if kind is None:
+        raise ValueError("unrecognized model payload (kind=None, and no field 'models')")
+    raise ValueError(
+        f"unknown model kind {kind!r}: a pbp model file carries no 'kind', and the imputation models' kinds are "
+        "constant_impute and iterative_impute"
+    )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import EstimatorSpec, estimator_spec_from_json
-from .patterns import RowPredictor, json_field, json_object, only_fields
+from .patterns import RowPredictor, json_fields, nested
 from .patterns import array, boolean, count, integer, records
 from .simulate import NoClosedFormError, Scenario, scenario_from_json
 
@@ -95,17 +95,12 @@ class ExperimentConfig:
 
 
 def experiment_config_from_json(obj: dict) -> ExperimentConfig:
-    """The benchmark config of ``obj``; a field other than ``ExperimentConfig``'s is a ValueError."""
-    only_fields(obj, tuple(f.name for f in fields(ExperimentConfig)), "benchmark config")
-    return ExperimentConfig(
-        scenario=json_object(obj, "scenario", scenario_from_json),
-        estimators=tuple(estimator_spec_from_json(e) for e in json_field(obj, "estimators", records)),
-        n_grid=json_field(obj, "n_grid", array),
-        repetitions=json_field(obj, "repetitions", integer),
-        n_test=json_field(obj, "n_test", integer, 10_000),
-        seed=json_field(obj, "seed", integer, 0),
-        record_timings=json_field(obj, "record_timings", boolean, True),
-    )
+    """The benchmark config of ``obj``, one field per ``ExperimentConfig``
+    field; any other field is a ValueError."""
+    required = {"scenario": nested(scenario_from_json), "estimators": records, "n_grid": array, "repetitions": integer}
+    optional = {"n_test": (integer, 10_000), "seed": (integer, 0), "record_timings": (boolean, True)}
+    scenario, estimators, *rest = json_fields(obj, "benchmark config", {**required, **optional})
+    return ExperimentConfig(scenario, tuple(estimator_spec_from_json(e) for e in estimators), *rest)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # Field kinds: one answer each to "what counts as a valid X" for an outside
 # number or JSON value. ``kind(value, name)`` returns the checked value or
 # raises ValueError("<name> must be ..., got ..."); constructors call kinds
-# directly and JSON readers through ``json_field``, so both meet one rule.
+# directly and JSON readers through ``json_fields``, so both meet one rule.
 
 
 def _reject(name: str, wanted: str, value):
@@ -120,23 +120,34 @@ def json_field(obj, name: str, kind=None, default=_REQUIRED):
     return value if kind is None else kind(value, f"field {name!r}")
 
 
-def only_fields(obj, names: tuple, what: str) -> None:
-    """A ValueError naming the first field of the JSON object ``obj`` that is
-    not one of ``names``, the fields its reader reads: a misspelt field
-    would otherwise be ignored, and its default used. A non-object is left
-    to the reader's ``json_field``."""
-    extra = [name for name in obj if name not in names] if isinstance(obj, dict) else []
+def json_fields(obj, what: str, table: dict) -> list:
+    """The fields of the JSON object ``obj`` that ``table``, its reader's one
+    list of fields, names: each maps to its kind, or to a (kind, default)
+    pair, read by ``json_field`` in table order. Any other field of ``obj`` is
+    a ValueError naming it and ``what``, raised before any field is read: a
+    misspelt field would otherwise be ignored, and its default used."""
+    extra = [name for name in obj if name not in table] if isinstance(obj, dict) else []
     if extra:
-        raise ValueError(f"{what} has unknown field {extra[0]!r}; its fields are {', '.join(names)}")
+        raise ValueError(f"{what} has unknown field {extra[0]!r}; its fields are {', '.join(table)}")
+    return [json_field(obj, name, *(spec if isinstance(spec, tuple) else (spec,))) for name, spec in table.items()]
+
+
+def nested(read):
+    """The kind of a JSON object that ``read`` reads; its ValueErrors name the field."""
+
+    def check(value, name: str):
+        value = mapping(value, name)
+        try:
+            return read(value)
+        except ValueError as exc:
+            raise ValueError(f"in {name}: {exc}") from exc
+
+    return check
 
 
 def json_object(obj, name: str, read):
     """``read`` of the JSON object in field ``name``; its ValueErrors name the field."""
-    value = json_field(obj, name, mapping)
-    try:
-        return read(value)
-    except ValueError as exc:
-        raise ValueError(f"in field {name!r}: {exc}") from exc
+    return json_field(obj, name, nested(read))
 
 
 @dataclass(frozen=True)
@@ -343,9 +354,9 @@ class MaskedDataset:
         holds d entries, and ``null`` is allowed only at masked cells. The
         ``gen`` file's ``full_values`` and ``bayes_values`` are allowed and
         not read; any other field is a ValueError."""
-        only_fields(obj, ("d", "n", "values", "mask", "responses", "full_values", "bayes_values"), "dataset")
-        n, d = json_field(obj, "n", count), json_field(obj, "d", dimension)
-        masks, cells = json_field(obj, "mask", array), json_field(obj, "values", array)
+        read = {"d": dimension, "n": count, "values": array, "mask": array, "responses": vector}
+        unread = {"full_values": (None, None), "bayes_values": (None, None)}
+        d, n, cells, masks, responses, _, _ = json_fields(obj, "dataset", {**read, **unread})
         if len(masks) != n or len(cells) != n:
             raise ValueError(f"fields 'mask' and 'values' must hold n={n} rows, got {len(masks)} and {len(cells)}")
         keys = [mask(row, f"mask of row {i} (counting from 0)", d).bits for i, row in enumerate(masks)]
@@ -357,7 +368,7 @@ class MaskedDataset:
         for i, j in np.argwhere(~missing):
             if cells[i][j] is None:
                 raise ValueError(f"value at row {i}, column {j} (counting from 0) is null but its mask marks it observed")
-        return cls(values, missing, json_field(obj, "responses", vector))
+        return cls(values, missing, responses)
 
     def __repr__(self) -> str:
         return f"MaskedDataset(n={self.n}, d={self.d})"
@@ -418,13 +429,13 @@ class AffineModel:
         return float(out) if out.ndim == 0 else out
 
     def to_json(self) -> dict:
-        """{"intercept", "coef"}, the JSON of every stored affine map."""
+        """{"intercept", "coef"}, the JSON of every stored affine map, whose
+        readers read ``AFFINE_FIELDS``."""
         return {"intercept": self.intercept, "coef": [float(c) for c in self.coefficients]}
 
-    @classmethod
-    def from_json(cls, obj) -> "AffineModel":
-        """The one reader of ``to_json``'s fields."""
-        return cls(json_field(obj, "intercept", number), json_field(obj, "coef", vector))
+
+# the fields of an affine map's JSON, in every reader that holds one
+AFFINE_FIELDS = {"intercept": number, "coef": vector}
 
 
 class PatternBank(Mapping):
@@ -486,17 +497,15 @@ class PatternBank(Mapping):
     @classmethod
     def from_json(cls, d: int, entries) -> "PatternBank":
         d = dimension(d, "d")
+        fields = {"mask": partial(mask, d=d), **AFFINE_FIELDS}
         keys = []
         coef = np.zeros((len(entries), d))
         intercepts = np.zeros(len(entries))
         for i, entry in enumerate(entries):
-            only_fields(entry, ("mask", "intercept", "coef"), f"entry {i} of field 'models'")
-            m = mask(json_field(entry, "mask"), "field 'mask'", d)
-            model = AffineModel.from_json(entry)
-            row = model.coefficients
+            m, intercept, row = json_fields(entry, f"entry {i} of field 'models'", fields)
             if row.shape != (m.n_observed,):
                 raise ValueError(f"mask {m.to_string()!r} needs {m.n_observed} coefficients, got {row.size}")
             keys.append(m.bits)
             coef[i, list(m.observed_indices)] = row
-            intercepts[i] = model.intercept
+            intercepts[i] = intercept
         return cls(d, keys, coef, intercepts)

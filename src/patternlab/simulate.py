@@ -21,20 +21,21 @@ built-in pattern laws are ``distributions.law_preset``'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .distributions import HomogeneousBernoulli, PatternDistribution, categorical, distribution_from_json
-from .distributions import merge_from_json
+from .distributions import MERGE_FIELDS, HomogeneousBernoulli, PatternDistribution, categorical
+from .distributions import distribution_from_json, merge_law
 from .patterns import (
     AffineModel,
     MaskedDataset,
     MissingPattern,
     PatternBank,
     json_field,
-    json_object,
+    json_fields,
     masked_batch,
-    only_fields,
+    nested,
     one_row,
     pack_mask_rows,
     probability_vector,
@@ -582,63 +583,52 @@ def preset(name: str) -> Scenario:
     raise ValueError(f"unknown scenario preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
 
 
-def _gaussian_from_json(obj) -> GaussianParams:
-    return GaussianParams(json_field(obj, "mu", vector), json_field(obj, "cov", matrix))
-
-
 # the fields of every scenario kind: the linear response and the name
-_RESPONSE = ("kind", "name", "d", "beta0", "beta", "sigma")
+_RESPONSE_FIELDS = {
+    "kind": None, "name": (None, None), "d": dimension, "beta0": number, "beta": vector, "sigma": noise_level
+}
+_GAUSSIAN_FIELDS = {"mu": vector, "cov": matrix}
+# each scenario kind's own fields, read after the response's
+_KIND_FIELDS = {
+    "mcar_gaussian": {**_GAUSSIAN_FIELDS, "missingness": nested(distribution_from_json)},
+    "mar_block": {"block_cov": matrix},
+    "gpmm": {"components": records},
+    "self_masking": {
+        **_GAUSSIAN_FIELDS, "mask_center": numbers, "mask_scale": numbers, "mask_peak_prob": (numbers, 0.5)
+    },
+    "merge": {**_GAUSSIAN_FIELDS, **MERGE_FIELDS},
+}
 
 
 def scenario_from_json(obj: dict) -> Scenario:
     """Build a scenario from its JSON description or a {"preset": name}
     reference; a field that the kind does not read is a ValueError."""
-    name = json_field(obj, "preset", default=None)
-    if name is not None:
-        only_fields(obj, ("preset",), "scenario preset reference")
-        return preset(name)
+    if json_field(obj, "preset", default=None) is not None:
+        return preset(*json_fields(obj, "scenario preset reference", {"preset": None}))
     kind = json_field(obj, "kind", default=None)
-    d = json_field(obj, "d", dimension)
-    beta0 = json_field(obj, "beta0", number)
-    beta = json_field(obj, "beta", vector)
-    sigma = json_field(obj, "sigma", noise_level)
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    fields = {**_RESPONSE_FIELDS, **_KIND_FIELDS[kind]}
+    _, name, d, beta0, beta, sigma, *own = json_fields(obj, f"{kind} scenario", fields)
     if beta.shape != (d,):
         raise ValueError(f"beta must have length {d}")
-    name = json_field(obj, "name", default=None)
     if name is None:
         name = kind
     elif not isinstance(name, str) or not name:
         raise ValueError(f"field 'name' must be a nonempty string, got {name!r}")
-    if kind == "mcar_gaussian":
-        only_fields(obj, _RESPONSE + ("mu", "cov", "missingness"), f"{kind} scenario")
-        missingness = json_object(obj, "missingness", distribution_from_json)
-        return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), missingness, name=name)
     if kind == "mar_block":
-        only_fields(obj, _RESPONSE + ("block_cov",), f"{kind} scenario")
-        return MarBlockScenario(beta0, beta, sigma, json_field(obj, "block_cov", matrix), name=name)
+        return MarBlockScenario(beta0, beta, sigma, *own, name=name)
     if kind == "gpmm":
-        only_fields(obj, _RESPONSE + ("components",), f"{kind} scenario")
-        components = json_field(obj, "components", records)
-        for i, c in enumerate(components):
-            only_fields(c, ("p", "mask", "mu", "cov"), f"entry {i} of field 'components'")
-        components = [
-            (json_field(c, "p", probability), mask(json_field(c, "mask"), "field 'mask'", d), _gaussian_from_json(c))
-            for c in components
-        ]
+        fields = {"p": probability, "mask": partial(mask, d=d), **_GAUSSIAN_FIELDS}
+        components = []
+        for i, component in enumerate(own[0]):
+            p, m, mu, cov = json_fields(component, f"entry {i} of field 'components'", fields)
+            components.append((p, m, GaussianParams(mu, cov)))
         return GpmmScenario(beta0, beta, sigma, components, name=name)
+    mu, cov, *rest = own
+    if kind == "mcar_gaussian":
+        return McarGaussianScenario(beta0, beta, sigma, GaussianParams(mu, cov), *rest, name=name)
     if kind == "self_masking":
-        only_fields(obj, _RESPONSE + ("mu", "cov", "mask_center", "mask_scale", "mask_peak_prob"), f"{kind} scenario")
-        return SelfMaskingScenario(
-            beta0,
-            beta,
-            sigma,
-            _gaussian_from_json(obj),
-            mask_center=json_field(obj, "mask_center", numbers),
-            mask_scale=json_field(obj, "mask_scale", numbers),
-            mask_peak_prob=json_field(obj, "mask_peak_prob", numbers, 0.5),
-            name=name,
-        )
-    if kind == "merge":
-        law = merge_from_json(obj, d, _RESPONSE + ("mu", "cov"), f"{kind} scenario")
-        return McarGaussianScenario(beta0, beta, sigma, _gaussian_from_json(obj), law, name=name)
-    raise ValueError(f"unknown scenario kind {kind!r}")
+        return SelfMaskingScenario(beta0, beta, sigma, GaussianParams(mu, cov), *rest, name=name)
+    law = merge_law(*rest, d)
+    return McarGaussianScenario(beta0, beta, sigma, GaussianParams(mu, cov), law, name=name)

@@ -296,6 +296,19 @@ def test_duplicated_model_mask_is_named(tmp_path, capsys):
     assert "duplicate mask '01'" in cli_error(tmp_path, capsys, "model", payload)
 
 
+@pytest.mark.parametrize(
+    "payload", [{"kind": "pbp", "models": [], "d": 2, "tau": 0.1}, {**PBP, "kind": "pbp"}, {**CONSTANT, "kind": "pbp"}]
+)
+def test_unknown_model_kind_is_named(tmp_path, capsys, payload):
+    """A kind-tagged payload holding 'models' used to be reported as having no field 'models'."""
+    with pytest.raises(ValueError) as caught:
+        model_from_json(payload)
+    message = str(caught.value)
+    assert message.startswith("unknown model kind 'pbp'") and "a pbp model file carries no 'kind'" in message
+    assert "no field 'models'" not in message
+    assert message in cli_error(tmp_path, capsys, "model", payload)
+
+
 def test_boolean_bandwidth_is_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="bandwidth"):
@@ -328,6 +341,11 @@ def _with_entry_field(payload, key, index, **fields):
     return {**payload, key: entries}
 
 
+def _misspelt(payload, field, typo):
+    """``payload`` with ``field`` renamed to ``typo``."""
+    return {typo if key == field else key: value for key, value in payload.items()}
+
+
 @pytest.mark.parametrize(
     "kind, payload, field",
     [
@@ -350,6 +368,12 @@ def _with_entry_field(payload, key, index, **fields):
         ("model", _with_entry_field(PBP, "models", 0, tau=0.5), "tau"),
         ("model", {**ITERATIVE, "column_models": [None, {"intercept": 0.0, "coef": [1.0], "d": 1}]}, "d"),
         ("dataset", {**DATASET, "weights": [1.0, 1.0]}, "weights"),
+        # a misspelt required field is named as unknown, not reported as missing: each reader
+        # checks its field names before it reads any field
+        ("distribution", {"kind": "homogeneous_bernoulli", "d": 4, "epsilom": 0.1}, "epsilom"),
+        ("scenario", {**gpmm(0.5), "components": [_misspelt(c, "cov", "co") for c in gpmm(0.5)["components"]]}, "co"),
+        ("scenario", _misspelt(scenario(), "sigma", "sigm"), "sigm"),
+        ("dataset", _misspelt(DATASET, "responses", "response"), "response"),
     ],
     ids=[
         "self_masking_misspelt_peak",
@@ -371,6 +395,10 @@ def _with_entry_field(payload, key, index, **fields):
         "pbp_entry",
         "iterative_column_model",
         "dataset",
+        "misspelt_required_epsilon",
+        "misspelt_required_component_cov",
+        "misspelt_required_sigma",
+        "misspelt_required_responses",
     ],
 )
 def test_unknown_field_is_named(tmp_path, capsys, kind, payload, field):

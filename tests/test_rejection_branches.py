@@ -71,8 +71,12 @@ class TestSolver:
 
     @pytest.mark.parametrize(
         "observed, fragment",
-        [([[0, 1]], "observed indices must be 1-d"), ([0, 0], "observed indices must be distinct")],
-        ids=["two_d", "repeated"],
+        [
+            ([[0, 1]], "observed indices must be 1-d"),
+            ([0, 0], "observed indices must be distinct"),
+            ([0, 3], "observed indices outside the dimension"),
+        ],
+        ids=["two_d", "repeated", "index_d"],
     )
     def test_conditional_mean_map_indices(self, observed, fragment):
         with raises(ValueError, fragment):
