@@ -121,11 +121,12 @@ def json_field(obj, name: str, kind=None, default=_REQUIRED):
 
 
 def json_fields(obj, what: str, table: dict) -> list:
-    """The fields of the JSON object ``obj`` that ``table``, its reader's one
-    list of fields, names: each maps to its kind, or to a (kind, default)
-    pair, read by ``json_field`` in table order. Any other field of ``obj`` is
-    a ValueError naming it and ``what``, raised before any field is read: a
-    misspelt field would otherwise be ignored, and its default used."""
+    """The values of the fields of the JSON object ``obj`` that ``table``
+    names, in table order. The table is a reader's one list of its fields:
+    each name maps to its kind, or to a (kind, default) pair, read by
+    ``json_field``. Any other field of ``obj`` is a ValueError naming it and
+    ``what``, raised before any field is read: a misspelt field would
+    otherwise be ignored, and its default used."""
     extra = [name for name in obj if name not in table] if isinstance(obj, dict) else []
     if extra:
         raise ValueError(f"{what} has unknown field {extra[0]!r}; its fields are {', '.join(table)}")
