@@ -14,7 +14,6 @@ from .complexity import (
     HeterogeneousComplexityBound,
     McEstimate,
     bernoulli_complexity_bound,
-    binomial_inverse_bounds_check,
     bound_report,
     effective_missing_dimension,
     entropy_bound,
@@ -22,7 +21,6 @@ from .complexity import (
     merge_complexity_bound,
     pattern_complexity,
     pattern_complexity_mc,
-    pattern_complexity_subset_form,
 )
 from .distributions import (
     BernoulliPatterns,
@@ -79,7 +77,6 @@ from .simulate import (
 )
 from .solver import (
     GaussianParams,
-    conditional_mean_map,
     least_squares,
     lstsq_stack,
     optimum_rows,

@@ -5,10 +5,10 @@ The central quantity is
     C_p(tau) = sum over patterns m of min(p_m, tau),    tau in (0, 1].
 
 Every law answers ``atoms()``: its positive pattern probabilities with
-their multiplicities. The exact value, its best-subset form and the entropy
-bounds are all sums over those atoms, so they agree wherever the law can
-list its atoms (any d for explicit, homogeneous Bernoulli and uniform laws,
-d <= 20 for the others). The complexity is also estimated by Monte Carlo as
+their multiplicities. The exact value and the entropy bounds are sums over
+those atoms, so both are computed wherever the law can list its atoms (any
+d for explicit, homogeneous Bernoulli and uniform laws, d <= 20 for the
+others). The complexity is also estimated by Monte Carlo as
 the mean of min(1, tau / p_M), and bounded in closed form for the
 Bernoulli and merge families. ``bound_report_csv`` writes the exact value
 and the entropy bounds of named laws on a threshold grid as CSV.
@@ -20,7 +20,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,16 +35,6 @@ def pattern_complexity(dist: PatternDistribution, tau: float) -> float:
     """Exact sum of min(p_m, tau) over all patterns, from the law's atoms."""
     tau = threshold(tau, "tau")
     return _complexity(*dist.atoms(), tau)
-
-
-def pattern_complexity_subset_form(dist: PatternDistribution, tau: float) -> float:
-    """The same quantity through its best subset: keep the patterns with
-    p_m > tau, pay tau for each kept pattern plus the probability outside.
-    """
-    tau = threshold(tau, "tau")
-    probs, counts = dist.atoms()
-    kept = probs > tau
-    return float(counts[kept].sum() * tau + (counts * probs)[~kept].sum())
 
 
 @dataclass(frozen=True)
@@ -253,25 +242,3 @@ def merge_complexity_bound(d: int, n: int, h: int, eta: float) -> float:
     count(h, "protocol count")
     s = effective_missing_dimension(d, n, eta)
     return (math.e * d / s) ** s * h * (d / n)
-
-
-def binomial_inverse_bounds_check(n: int, p: float) -> bool:
-    """Exactly verify the inverse-moment bounds for B ~ Binomial(n, p):
-
-        1/(1 + n p) <= E[1/(1+B)] <= 1/(p (n+1))
-        E[1{B>0}/B] <= 2/(p (n+1))
-
-    Sums run in exact rational arithmetic because the upper gap can shrink
-    below float resolution.
-    """
-    if count(n, "n") > 30:
-        raise ValueError(f"exact enumeration capped at n <= 30, got {n}")
-    rate(p, "p")
-    pf = Fraction(p)
-    qf = 1 - pf
-    pmf = [Fraction(math.comb(n, k)) * pf**k * qf ** (n - k) for k in range(n + 1)]
-    inv_one_plus = sum(w / (1 + k) for k, w in enumerate(pmf))
-    inv_positive = sum(w / k for k, w in enumerate(pmf) if k > 0)
-    lower = 1 / (1 + n * pf)
-    upper = 1 / (pf * (n + 1))
-    return lower <= inv_one_plus <= upper and inv_positive <= 2 * upper

@@ -21,7 +21,6 @@ from .patterns import (
     MaskedDataset,
     MissingPattern,
     PatternBank,
-    RowPredictor,
     json_field,
     json_fields,
     key_groups,
@@ -144,7 +143,7 @@ def theory_config(data: MaskedDataset, lipschitz_bound: float | None = None) -> 
 
 
 @dataclass(frozen=True)
-class PbpRegression(RowPredictor):
+class PbpRegression:
     """One affine model per sufficiently frequent pattern; 0 elsewhere.
 
     ``models`` is the bank of kept patterns; read as a Mapping it gives each
@@ -261,7 +260,7 @@ def _impute_features(values: np.ndarray, mask: np.ndarray, intercept: bool = Fal
 
 
 @dataclass(frozen=True)
-class ConstantImputeRegression(RowPredictor):
+class ConstantImputeRegression:
     """Linear regression on the 2d features (zero-filled values, mask).
 
     Regressing on the mask indicators alongside zero-filled values realizes
@@ -356,7 +355,7 @@ def _damped_column_model(features: np.ndarray, targets: np.ndarray) -> AffineMod
 
 
 @dataclass(frozen=True)
-class IterativeImputeRegression(RowPredictor):
+class IterativeImputeRegression:
     """Chained-equations imputation followed by linear regression.
 
     Missing cells start at the observed column means and are refreshed by

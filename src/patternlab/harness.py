@@ -20,12 +20,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import EstimatorSpec, estimator_spec_from_json
-from .patterns import RowPredictor, json_fields, nested
+from .patterns import json_fields, nested
 from .patterns import array, boolean, count, integer, records
 from .simulate import NoClosedFormError, Scenario, scenario_from_json
 
 
-class BayesPredictor(RowPredictor):
+class BayesPredictor:
     """The scenario's own optimum predictor, exposed as a fitted regressor."""
 
     def __init__(self, scenario: Scenario):

@@ -146,11 +146,6 @@ def nested(read):
     return check
 
 
-def json_object(obj, name: str, read):
-    """``read`` of the JSON object in field ``name``; its ValueErrors name the field."""
-    return json_field(obj, name, nested(read))
-
-
 @dataclass(frozen=True)
 class MissingPattern:
     """A d-bit missingness mask. Bit j set means coordinate j is missing.
@@ -174,11 +169,6 @@ class MissingPattern:
 
     def to_string(self) -> str:
         return mask_strings(unpack_masks(np.array([self.bits]), self.dimension))[0]
-
-    def is_missing(self, j: int) -> bool:
-        if not 0 <= j < self.dimension:
-            raise IndexError(f"coordinate {j} outside dimension {self.dimension}")
-        return bool((self.bits >> j) & 1)
 
     @property
     def missing_indices(self) -> tuple[int, ...]:
@@ -246,17 +236,6 @@ def masked_batch(values, mask, d: int) -> tuple[np.ndarray, np.ndarray]:
     if mask.dtype != np.bool_ and not ((mask == 0) | (mask == 1)).all():
         raise ValueError("mask entries must be 0/1")
     return values, mask.astype(bool, copy=False)
-
-
-class RowPredictor:
-    """A predictor of batches of masked rows. One row is a batch of one:
-    ``predict_one`` reads the batch prediction of ``one_row``."""
-
-    def predict_masked(self, values, mask) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict_one(self, x_obs, m: MissingPattern) -> float:
-        return float(self.predict_masked(*one_row(x_obs, m))[0])
 
 
 def key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -254,18 +254,6 @@ def _truncated_normal(rng: np.random.Generator, size: int, a: float, b: float) -
     return out
 
 
-def _validated_observed(observed, dimension: int) -> np.ndarray:
-    obs = np.asarray(observed, dtype=int)
-    if obs.ndim != 1:
-        raise ValueError("observed indices must be 1-d")
-    if obs.size:
-        if obs.min() < 0 or obs.max() >= dimension:
-            raise ValueError("observed indices outside the dimension")
-        if np.unique(obs).size != obs.size:
-            raise ValueError("observed indices must be distinct")
-    return np.sort(obs)
-
-
 # Patterns conditioned together in one stacked call; bounds the stacks of
 # blocks so that memory stays flat in the pattern count.
 CONDITIONING_CHUNK = 1024
@@ -295,26 +283,6 @@ def _pinv_apply(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return eigvecs @ (inverse[..., None] * (eigvecs.swapaxes(-1, -2) @ rhs))
 
 
-def conditional_mean_map(params: GaussianParams, observed) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (offset, gain) with E[X_mis | X_obs = x] = offset + gain @ x.
-
-    Singular observed blocks are inverted by pseudoinverse with the same
-    rank cutoff as the least-squares solver; missing coordinates are
-    reported in ascending order.
-    """
-    d = params.dimension
-    obs = _validated_observed(observed, d)
-    mis = np.setdiff1d(np.arange(d), obs)
-    if mis.size == 0:
-        return np.empty(0), np.empty((0, obs.size))
-    if obs.size == 0:
-        return params.mean[mis].copy(), np.empty((mis.size, 0))
-    cov = params.covariance
-    gain = _pinv_apply(cov[np.ix_(obs, obs)], cov[np.ix_(obs, mis)]).T
-    offset = params.mean[mis] - gain @ params.mean[obs]
-    return offset, gain
-
-
 def optimum_rows(params: GaussianParams, beta0: float, beta, missing) -> tuple[np.ndarray, np.ndarray]:
     """Per-pattern optimum of a linear response on Gaussian covariates.
 
@@ -335,7 +303,7 @@ def optimum_rows(params: GaussianParams, beta0: float, beta, missing) -> tuple[n
       (E[X_m | x_o] = mu_m - Q_mm^-1 Q_mo (x_o - mu_o));
     * otherwise, singular covariances among them, w = pinv(S_oo) S_om
       beta_mis, an eigendecomposition of the observed block with the
-      cutoff of ``conditional_mean_map``.
+      cutoff of ``_pinv_apply``.
     """
     d = params.dimension
     beta = np.asarray(beta, dtype=float)

@@ -26,7 +26,6 @@ from patternlab import (
     UniformPatterns,
     bayes_oracle_mc,
     bernoulli_complexity_bound,
-    binomial_inverse_bounds_check,
     bound_report,
     effective_missing_dimension,
     excess_risk,
@@ -35,11 +34,11 @@ from patternlab import (
     merge_complexity_bound,
     pattern_complexity,
     pattern_complexity_mc,
-    pattern_complexity_subset_form,
     preset,
     run_experiment,
 )
 from patternlab.harness import records_to_csv
+from references import binomial_inverse_bounds_check, pattern_complexity_subset_form
 
 
 @contextmanager

@@ -14,7 +14,6 @@ from patternlab import (
     MissingPattern,
     UniformPatterns,
     bernoulli_complexity_bound,
-    binomial_inverse_bounds_check,
     bound_report,
     effective_missing_dimension,
     entropy_bound,
@@ -22,8 +21,8 @@ from patternlab import (
     merge_complexity_bound,
     pattern_complexity,
     pattern_complexity_mc,
-    pattern_complexity_subset_form,
 )
+from references import binomial_inverse_bounds_check, pattern_complexity_subset_form
 
 
 def brute_force_complexity(dist, tau: float) -> float:

@@ -28,6 +28,7 @@ from patternlab import (
 from patternlab import estimators
 from patternlab.estimators import _impute_features
 from patternlab.patterns import AffineModel, group_rows_by_key, pack_mask_rows
+from references import predict_one
 
 
 def linear_dataset(rng, n, d, beta0, beta, noise_sd, miss_rate):
@@ -112,7 +113,7 @@ class TestFitPbp:
         fit = fit_pbp(data, EstimatorSpec("pbp", 2 / 4))
         rare = MissingPattern.from_string("01")
         assert rare not in fit.models
-        assert fit.predict_one(np.array([0.0]), rare) == 0.0
+        assert predict_one(fit, np.array([0.0]), rare) == 0.0
         # strict inequality also drops a pattern sitting exactly at tau
         tied = fit_pbp(data, EstimatorSpec("pbp", 3 / 4))
         assert MissingPattern.from_string("00") not in tied.models
@@ -173,15 +174,15 @@ class TestPredictPbp:
 
     def test_unseen_pattern_predicts_zero(self):
         fit = self._fixed()
-        assert fit.predict_one(np.array([1.0, 2.0]), MissingPattern.from_string("00")) == 0.0
+        assert predict_one(fit, np.array([1.0, 2.0]), MissingPattern.from_string("00")) == 0.0
 
     def test_affine_evaluation(self):
         fit = self._fixed()
-        assert fit.predict_one(np.array([3.0]), MissingPattern.from_string("01")) == 7.0
+        assert predict_one(fit, np.array([3.0]), MissingPattern.from_string("01")) == 7.0
 
     def test_clip_saturation(self):
         fit = self._fixed(clip_level=5.0)
-        assert fit.predict_one(np.array([3.0]), MissingPattern.from_string("01")) == 5.0
+        assert predict_one(fit, np.array([3.0]), MissingPattern.from_string("01")) == 5.0
 
     def test_prediction_magnitude_bounded_by_clip(self):
         rng = np.random.default_rng(3)
@@ -195,7 +196,7 @@ class TestPredictPbp:
     def test_dimension_mismatch(self):
         fit = self._fixed()
         with pytest.raises(ValueError):
-            fit.predict_one(np.array([1.0, 2.0]), MissingPattern.from_string("01"))
+            predict_one(fit, np.array([1.0, 2.0]), MissingPattern.from_string("01"))
 
 
 class TestPbpSerialization:
@@ -251,7 +252,7 @@ class TestPbpProperties:
         for i in range(values.shape[0]):
             m = MissingPattern(int(keys[i]), mask.shape[1])
             x_obs = values[i][~mask[i]]
-            assert batch[i] == fit.predict_one(x_obs, m)
+            assert batch[i] == predict_one(fit, x_obs, m)
             # reference: the pattern's own affine model, clipped
             model = fit.models.get(m)
             expected = 0.0 if model is None else model.predict(x_obs)
@@ -418,7 +419,7 @@ class TestImputationBaselineProperties:
         scale = 1.0 + abs(fit.regression.intercept) + np.abs(features) @ np.abs(fit.regression.coefficients)
         keys = pack_mask_rows(mask)
         for i in range(values.shape[0]):
-            single = fit.predict_one(values[i][~mask[i]], MissingPattern(int(keys[i]), mask.shape[1]))
+            single = predict_one(fit, values[i][~mask[i]], MissingPattern(int(keys[i]), mask.shape[1]))
             assert abs(batch[i] - single) <= 1e-12 * scale[i]
 
     @given(baseline_cases)
@@ -458,7 +459,7 @@ class TestConstantImpute:
         data, _ = linear_dataset(rng, 100, 3, 0.0, np.ones(3), 0.2, 0.3)
         fit = fit_constant_impute(data)
         m = MissingPattern.from_string("010")
-        single = fit.predict_one(np.array([1.5, -0.5]), m)
+        single = predict_one(fit, np.array([1.5, -0.5]), m)
         batch_values = np.array([[1.5, 0.0, -0.5]])
         batch_mask = np.array([[False, True, False]])
         assert single == pytest.approx(fit.predict_masked(batch_values, batch_mask)[0])
@@ -862,4 +863,4 @@ class TestBatchShape:
     def test_predict_one(self, predictors, kind, mask):
         m = MissingPattern.from_string(mask)
         with pytest.raises(ValueError, match=r"values and mask must both be \(n, 8\) matrices"):
-            predictors[kind].predict_one(np.zeros(m.n_observed), m)
+            predict_one(predictors[kind], np.zeros(m.n_observed), m)

@@ -30,10 +30,10 @@ from patternlab.patterns import (
     dimension,
     integer,
     json_field,
-    json_object,
     mapping,
     mask,
     matrix,
+    nested,
     noise_level,
     number,
     numbers,
@@ -162,9 +162,9 @@ class TestKinds:
 
     def test_json_object_prefixes_inner_errors(self):
         with pytest.raises(ValueError, match=re.escape("in field 'law': missing field 'd'")):
-            json_object({"law": {"kind": "uniform"}}, "law", distribution_from_json)
+            json_field({"law": {"kind": "uniform"}}, "law", nested(distribution_from_json))
         with pytest.raises(ValueError, match=re.escape("field 'law' must be an object, got 3")):
-            json_object({"law": 3}, "law", distribution_from_json)
+            json_field({"law": 3}, "law", nested(distribution_from_json))
 
 
 # ------------------------------------------------------- the mutation property

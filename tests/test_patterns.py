@@ -27,8 +27,8 @@ class TestMissingPattern:
 
     def test_leftmost_character_is_first_coordinate(self):
         m = MissingPattern.from_string("100")
-        assert m.is_missing(0)
-        assert not m.is_missing(1)
+        assert 0 in m.missing_indices
+        assert 1 not in m.missing_indices
         assert m.bits == 1
 
     def test_equality_is_bitwise(self):
@@ -55,7 +55,7 @@ class TestMissingPattern:
     @settings(max_examples=50, deadline=None)
     def test_bool_round_trip(self, flags):
         m = MissingPattern(sum(1 << j for j, flag in enumerate(flags) if flag), len(flags))
-        assert [m.is_missing(j) for j in range(len(flags))] == flags
+        assert [j in m.missing_indices for j in range(len(flags))] == flags
         assert MissingPattern.from_string(m.to_string()) == m
 
 

@@ -21,7 +21,6 @@ from patternlab import (
     Scenario,
     SelfMaskingScenario,
     bayes_oracle_mc,
-    conditional_mean_map,
     default_ball_radius,
     heterogeneous_complexity_bound,
     least_squares,
@@ -31,6 +30,7 @@ from patternlab import (
     theory_config,
 )
 from patternlab.cli import main
+from references import conditional_mean_map
 
 GAUSS2 = GaussianParams(np.zeros(2), np.eye(2))
 GAUSS3 = GaussianParams(np.zeros(3), np.eye(3))
@@ -174,11 +174,6 @@ class TestDistributions:
 
 
 class TestPatterns:
-    @pytest.mark.parametrize("j", [-1, 2])
-    def test_coordinate_out_of_range(self, j):
-        with raises(IndexError, f"coordinate {j} outside dimension 2"):
-            MissingPattern(0, 2).is_missing(j)
-
     def test_one_d_values(self):
         with raises(ValueError, "values must be a 2-d matrix"):
             MaskedDataset(np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3))

@@ -17,7 +17,6 @@ from patternlab import (
     OracleEstimate,
     SelfMaskingScenario,
     bayes_oracle_mc,
-    conditional_mean_map,
     law_preset,
     paired_block_covariance,
     preset,
@@ -26,6 +25,7 @@ from patternlab import (
 from patternlab import simulate, solver
 from patternlab.patterns import pack_mask_rows
 from patternlab.simulate import _local_linear
+from references import conditional_mean_map
 
 
 def small_mcar(noise_sd=0.3, miss=0.3, d=2, name="tiny"):
@@ -300,7 +300,7 @@ class TestStackedOptimum:
 
     @staticmethod
     def _learned(scenario, patterns):
-        mask = np.array([[m.is_missing(j) for j in range(scenario.d)] for m in patterns])
+        mask = np.array([[j in m.missing_indices for j in range(scenario.d)] for m in patterns])
         BayesPredictor(scenario).predict_masked(np.zeros(mask.shape), mask)
         return mask
 
@@ -339,7 +339,7 @@ class TestStackedOptimum:
 
     def test_unknown_mixture_pattern_in_a_batch_is_rejected(self):
         scenario = preset("gpmm_c")
-        mask = np.array([scenario.components[0][1].is_missing(j) for j in range(8)])
+        mask = np.array([j in scenario.components[0][1].missing_indices for j in range(8)])
         with pytest.raises(ValueError, match="probability zero"):
             BayesPredictor(scenario).predict_masked(np.zeros((2, 8)), np.array([mask, np.zeros(8, dtype=bool)]))
 
@@ -410,7 +410,7 @@ class TestOracle:
         scenario, m = preset(name), MissingPattern.from_string(mask)
         monkeypatch.setattr(simulate, "optimum_rows", closed_form)
         monkeypatch.setattr(solver, "optimum_rows", closed_form)
-        monkeypatch.setattr(solver, "conditional_mean_map", closed_form)
+        monkeypatch.setattr(solver, "_pinv_apply", closed_form)
         monkeypatch.setattr(GaussianParams, "precision", property(closed_form))
         monkeypatch.setattr(type(scenario), "_optima", closed_form)
         if isinstance(scenario, GpmmScenario):
@@ -535,7 +535,7 @@ class TestPatternDraw:
                 assert (gap <= AGREEMENT_SE * se).all(), (name, mask, gap, se)
             if name == "mar_b":
                 # block 1's sign pattern is block 2's mask
-                mask2 = np.array([m.is_missing(j) for j in range(4, 8)])
+                mask2 = np.array([j in m.missing_indices for j in range(4, 8)])
                 assert ((first[:, :4] > 0.0) == mask2).all()
 
     def test_patterns_outside_the_support_yield_no_rows(self):
@@ -580,7 +580,7 @@ class TestPatternDraw:
             gap = np.abs(f.mean(axis=0) - g.mean(axis=0))
             assert (gap <= AGREEMENT_SE * se).all(), (name, gap, se)
         if isinstance(scenario, MarBlockScenario):
-            mask2 = np.array([m.is_missing(k) for k in range(4, 8)])
+            mask2 = np.array([k in m.missing_indices for k in range(4, 8)])
             assert ((first[:, :4] > 0.0) == mask2).all()
 
     # block 2's coordinate 4 missing puts block 1's coordinate 0 on the

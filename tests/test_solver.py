@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from patternlab import (
     AffineModel,
     GaussianParams,
-    conditional_mean_map,
     least_squares,
     optimum_rows,
     paired_block_covariance,
 )
 from patternlab import solver
 from patternlab.solver import CONDITIONING_CHUNK, PRECISION_MAX_CONDITION, _normal_mass, _truncated_normal, lstsq_stack
+from references import conditional_mean_map
 
 
 def pseudoinverse_solution_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
