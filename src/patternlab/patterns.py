@@ -423,8 +423,10 @@ class PatternBank(Mapping):
 
     Built once from a batch, as one table in ascending key order: P packed
     ``keys``, their (P, d) ``coef`` rows, zero at the missing coordinates,
-    and P ``intercepts``. A non-finite entry or a pattern given twice is a
-    ValueError, naming the first duplicated mask in key order.
+    and P ``intercepts``. Keys that are not integers in [0, 2**d), tables
+    of another shape or of booleans or strings, a non-finite entry or a
+    pattern given twice are each a ValueError, naming the first duplicated
+    mask in key order.
 
     Read as a Mapping, the bank sends each stored MissingPattern to an
     AffineModel over its observed coordinates (ascending order). A pattern
@@ -433,10 +435,23 @@ class PatternBank(Mapping):
 
     def __init__(self, d: int, keys, coef: np.ndarray, intercepts: np.ndarray):
         self.d = dimension(d, "d")
+        keys, coef, intercepts = np.asarray(keys), np.asarray(coef), np.asarray(intercepts)
+        if keys.ndim != 1 or keys.size and keys.dtype.kind not in "iu":
+            raise ValueError(f"keys must be a 1-d array of integers, got {keys.dtype} of shape {keys.shape}")
+        outside = keys[(keys < 0) | (keys >= 1 << self.d)]
+        if outside.size:
+            raise ValueError(f"key {outside[0]} outside a {self.d}-bit pattern")
+        if coef.shape != (keys.size, self.d) or intercepts.shape != (keys.size,):
+            raise ValueError(
+                f"{keys.size} keys need a ({keys.size}, {self.d}) coef and ({keys.size},) intercepts,"
+                f" got {coef.shape} and {intercepts.shape}"
+            )
+        if coef.dtype.kind not in "iuf" or intercepts.dtype.kind not in "iuf":
+            raise ValueError(f"coef and intercepts must be numeric arrays, got {coef.dtype} and {intercepts.dtype}")
         if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
             raise ValueError("affine model entries must be finite")
         order = np.argsort(keys, kind="stable")
-        self._keys, self._coef, self._intercepts = np.asarray(keys, np.int64)[order], coef[order], intercepts[order]
+        self._keys, self._coef, self._intercepts = keys.astype(np.int64)[order], coef[order], intercepts[order]
         twins = self._keys[1:][self._keys[1:] == self._keys[:-1]]
         if twins.size:
             raise ValueError(f"duplicate mask {MissingPattern(int(twins[0]), self.d).to_string()!r}")

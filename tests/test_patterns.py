@@ -236,6 +236,30 @@ class TestPatternBank:
             with pytest.raises(ValueError, match="affine model entries must be finite"):
                 PatternBank(d, keys, coef, intercepts)
 
+    @pytest.mark.parametrize(
+        "d, keys, coef, intercepts, fragment",
+        [
+            (1, [0.5], np.zeros((1, 1)), np.zeros(1), "keys must be a 1-d array of integers, got float64"),
+            (2, [True], np.zeros((1, 2)), np.zeros(1), "keys must be a 1-d array of integers, got bool"),
+            (2, [[0]], np.zeros((1, 2)), np.zeros(1), "a 1-d array of integers, got int64 of shape (1, 1)"),
+            (2, [0, 7], np.zeros((2, 2)), np.zeros(2), "key 7 outside a 2-bit pattern"),
+            (2, [-1], np.zeros((1, 2)), np.zeros(1), "key -1 outside a 2-bit pattern"),
+            (2, [0, 1], np.zeros((2, 3)), np.zeros(2), "keys need a (2, 2) coef and (2,) intercepts, got (2, 3) and (2,)"),
+            (2, [0, 1], np.zeros((1, 2)), np.zeros(2), "keys need a (2, 2) coef and (2,) intercepts, got (1, 2) and (2,)"),
+            (2, [0], np.zeros((1, 2)), np.zeros((1, 1)), "keys need a (1, 2) coef and (1,) intercepts, got (1, 2) and (1, 1)"),
+            (2, [0], np.array([[True, False]]), np.zeros(1), "must be numeric arrays, got bool and float64"),
+            (2, [0], np.array([["1", "2"]]), np.zeros(1), "must be numeric arrays, got <U1 and float64"),
+            (2, [0], np.zeros((1, 2)), np.array([False]), "must be numeric arrays, got float64 and bool"),
+        ],
+        ids=[
+            "fractional_key", "boolean_key", "two_d_keys", "key_too_large", "negative_key", "wide_coef", "short_coef",
+            "two_d_intercepts", "boolean_coef", "string_coef", "boolean_intercepts",
+        ],
+    )
+    def test_bad_table_is_named(self, d, keys, coef, intercepts, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            PatternBank(d, keys, coef, intercepts)
+
     @pytest.mark.parametrize("d", [1, 4])
     def test_empty_bank(self, d):
         bank = PatternBank(d, [], np.zeros((0, d)), np.zeros(0))
