@@ -438,9 +438,6 @@ class PatternBank(Mapping):
         keys, coef, intercepts = np.asarray(keys), np.asarray(coef), np.asarray(intercepts)
         if keys.ndim != 1 or keys.size and keys.dtype.kind not in "iu":
             raise ValueError(f"keys must be a 1-d array of integers, got {keys.dtype} of shape {keys.shape}")
-        outside = keys[(keys < 0) | (keys >= 1 << self.d)]
-        if outside.size:
-            raise ValueError(f"key {outside[0]} outside a {self.d}-bit pattern")
         if coef.shape != (keys.size, self.d) or intercepts.shape != (keys.size,):
             raise ValueError(
                 f"{keys.size} keys need a ({keys.size}, {self.d}) coef and ({keys.size},) intercepts,"
@@ -451,7 +448,10 @@ class PatternBank(Mapping):
         if not (np.isfinite(coef).all() and np.isfinite(intercepts).all()):
             raise ValueError("affine model entries must be finite")
         order = np.argsort(keys, kind="stable")
-        self._keys, self._coef, self._intercepts = keys.astype(np.int64)[order], coef[order], intercepts[order]
+        keys = keys[order]
+        if keys.size and not 0 <= keys[0] <= keys[-1] < 1 << self.d:
+            raise ValueError(f"key {keys[0] if keys[0] < 0 else keys[-1]} outside a {self.d}-bit pattern")
+        self._keys, self._coef, self._intercepts = keys.astype(np.int64, copy=False), coef[order], intercepts[order]
         twins = self._keys[1:][self._keys[1:] == self._keys[:-1]]
         if twins.size:
             raise ValueError(f"duplicate mask {MissingPattern(int(twins[0]), self.d).to_string()!r}")
