@@ -79,16 +79,14 @@ class Scenario:
     Two draws read the same law. ``_draw`` is the joint draw that
     ``generate`` makes: covariates and mask of every row. ``_draw_pattern``
     is what the sampling oracle reads: only the rows of one pattern among n
-    joint draws, drawn pattern-first from P(M = m) and the law of X given
-    M = m where the scenario's generative law allows it. Given a box
-    (center, half) on the pattern's observed coordinates, it may also keep
-    only the rows whose observed block can land within ``half`` of
-    ``center`` in sup-norm, drawn box-first: the pattern's count is thinned
-    by the mass of one or more of the box's windows and the other
-    coordinates in the box are drawn by rejection, so the rows kept are
-    Binomial(n, P(M = m) P(box | m)) and follow the law of X given the
-    pattern and the box. The draws agree in distribution, not in their
-    random-number streams.
+    joint draws whose observed block can land in a box (center, half),
+    within ``half`` of ``center`` in sup-norm. Where the scenario's
+    generative law allows it, they are drawn pattern-first and box-first:
+    the count Binomial(n, P(M = m)) is thinned by the mass of one or more
+    of the box's windows and the other coordinates in the box are drawn by
+    rejection, so the rows kept are Binomial(n, P(M = m) P(box | m)) and
+    follow the law of X given the pattern and the box. The draws agree in
+    distribution, not in their random-number streams.
 
     A scenario writes no attribute after construction: the exact-optimum
     column of a batch depends on the batch alone.
@@ -118,21 +116,19 @@ class Scenario:
         ``values`` over, freezes it and returns it as ``full_values``."""
         raise NotImplementedError
 
-    def _draw_pattern(
-        self, n: int, rng: np.random.Generator, m: MissingPattern, box: tuple | None = None
-    ) -> np.ndarray:
-        """The full covariates, (c, d), of the draws whose pattern is m among
-        n joint draws, with c Binomial(n, P(M = m)). This base version makes
-        the joint draw and filters it; subclasses whose law is pattern-first,
-        or can be read that way, draw c and then only those c rows.
+    def _draw_pattern(self, n: int, rng: np.random.Generator, m: MissingPattern, box: tuple) -> np.ndarray:
+        """The full covariates, (c, d), of the draws among n joint draws
+        whose pattern is m and that can land in ``box``.
 
-        ``box`` is None or (center, half): ``center`` holds one number for
-        each of m's observed coordinates, in ascending order, and ``half``
-        is the box's half-width. A subclass that can draw the box first
-        keeps only rows that can land in it (up to rounding, so the caller
-        still filters), with c Binomial(n, P(M = m) P(box | m)); this base
-        version ignores the box and returns every row of the pattern, for
-        the caller's filter. The mask of a self-masking law depends on the
+        ``box`` is (center, half), required: ``center`` holds one number
+        for each of m's observed coordinates, in ascending order, and
+        ``half`` is the box's half-width; an infinite ``half`` is the whole
+        space. Subclasses whose law is pattern-first, or can be read that
+        way, draw the box first and keep only rows that can land in it (up
+        to rounding, so the caller still filters), with c Binomial(n,
+        P(M = m) P(box | m)). This base version makes the joint draw and
+        returns every row of the pattern, c Binomial(n, P(M = m)), for the
+        caller's filter: the mask of a self-masking law depends on the
         values, so it keeps this joint filter."""
         values, mask = self._draw(n, rng)
         return values[pack_mask_rows(mask) == m.bits]
@@ -203,12 +199,10 @@ class McarGaussianScenario(Scenario):
         values = self.covariates.sample(rng, n)
         return values, unpack_masks(self.missingness.sample_masks(rng, n), self.d)
 
-    def _draw_pattern(self, n, rng, m, box=None):
+    def _draw_pattern(self, n, rng, m, box):
         # the mask is independent of the values: count the pattern's draws,
-        # then draw only their covariates, box-first when there is one
+        # then draw only their covariates, box-first
         count = rng.binomial(n, self.missingness.probability(m))
-        if box is None:
-            return self.covariates.sample(rng, count)
         return self.covariates.sample_within(rng, count, m.observed_indices, *box)
 
     def _optima(self, keys):
@@ -242,7 +236,7 @@ class MarBlockScenario(Scenario):
         block2 = mask2.astype(float) + rng.standard_normal((n, k)) @ self._block2.factor.T
         return np.hstack([block1, block2]), np.hstack([np.zeros((n, k), dtype=bool), mask2])
 
-    def _draw_pattern(self, n, rng, m, box=None):
+    def _draw_pattern(self, n, rng, m, box):
         k = self.block_size
         missing = unpack_masks(np.array([m.bits]), self.d)[0]
         if missing[:k].any():
@@ -251,24 +245,18 @@ class MarBlockScenario(Scenario):
         # each of block 1's k independent signs is positive with probability
         # 1/2, and the signs fix block 2's mask; block 1 is |N(0, 1)| signed
         # by the mask. Each block-1 coordinate is drawn on the part of its
-        # sign's half-line that its window covers (the whole half-line
-        # without a box), so the count is thinned by the product of those
+        # sign's half-line that its window covers, so the count is thinned by the product of those
         # parts' masses within their half-lines, 0 for a window on the other
         # side. Block 2 is independent of block 1 given the mask: it is drawn
         # around its mask, box-first on its own observed coordinates, and
         # block 1 for the rows it keeps
         mask2 = missing[k:]
         sign = np.where(mask2, 1.0, -1.0)
-        lo, hi = np.zeros(k), np.full(k, np.inf)
-        if box is not None:
-            center, half = box
-            lo, hi = np.maximum(sign * center[:k] - half, 0.0), sign * center[:k] + half
+        center, half = box
+        lo, hi = np.maximum(sign * center[:k] - half, 0.0), sign * center[:k] + half
         mass = np.prod([2.0 * _normal_mass(a, b) if a < b else 0.0 for a, b in zip(lo, hi)])
         count = rng.binomial(n, 0.5**k * mass)
-        if box is None:
-            block2 = self._block2.sample(rng, count)
-        else:
-            block2 = self._block2.sample_within(rng, count, np.flatnonzero(~mask2), center[k:], half)
+        block2 = self._block2.sample_within(rng, count, np.flatnonzero(~mask2), center[k:], half)
         block2 += mask2
         block1 = np.column_stack([_truncated_normal(rng, block2.shape[0], a, b) for a, b in zip(lo, hi)])
         return np.hstack([block1 * sign, block2])
@@ -324,13 +312,11 @@ class GpmmScenario(Scenario):
             keys[rows] = pattern.bits
         return values, unpack_masks(keys, self.d)
 
-    def _draw_pattern(self, n, rng, m, box=None):
+    def _draw_pattern(self, n, rng, m, box):
         # each pattern belongs to one component; one outside the mixture has no rows
         for prob, pattern, params in self.components:
             if pattern == m:
                 count = rng.binomial(n, prob)
-                if box is None:
-                    return params.sample(rng, count)
                 return params.sample_within(rng, count, m.observed_indices, *box)
         return np.empty((0, self.d))
 

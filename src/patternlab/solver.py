@@ -138,7 +138,9 @@ class GaussianParams:
         in sup-norm, drawn box first: a (c, d) array with c Binomial(n,
         P(box)). ``observed`` holds the box's coordinates in ascending
         order and ``center`` one number for each; with none, this is
-        ``sample``.
+        ``sample``. An infinite ``half`` is the whole space: every window
+        has mass 1 and the first coordinate's truncated draw takes the
+        plain-normal proposal, so every draw is kept.
 
         The QR of the factor's rows, observed coordinates first and then the
         others, gives a lower-triangular factor L of the covariance in that

@@ -415,7 +415,7 @@ class TestOracle:
         monkeypatch.setattr(type(scenario), "_optima", closed_form)
         if isinstance(scenario, GpmmScenario):
             monkeypatch.setitem(vars(scenario), "_bank", Bank())
-        rows = scenario._draw_pattern(20_000, np.random.default_rng(71), m)
+        rows = scenario._draw_pattern(20_000, np.random.default_rng(71), m, (np.zeros(m.n_observed), np.inf))
         x_obs = np.median(rows[:, list(m.observed_indices)], axis=0)
         out = bayes_oracle_mc(scenario, x_obs, m, 400_000, 0.5, np.random.default_rng(72))
         assert np.isfinite(out.estimate) and out.accepted >= 50
@@ -519,7 +519,7 @@ class TestPatternDraw:
         n = 20_000
         for k, mask in enumerate(masks):
             m = MissingPattern.from_string(mask)
-            first = scenario._draw_pattern(n, np.random.default_rng([11, k]), m)
+            first = scenario._draw_pattern(n, np.random.default_rng([11, k]), m, (np.zeros(m.n_observed), np.inf))
             values, joint_mask = scenario._draw(n, np.random.default_rng([12, k]))
             joint = values[pack_mask_rows(joint_mask) == m.bits]
             assert first.shape[1] == joint.shape[1] == scenario.d
@@ -545,14 +545,14 @@ class TestPatternDraw:
             (mar, MissingPattern.from_string("10000000")),
             (gpmm, MissingPattern.from_string("00000000")),
         ):
-            values = scenario._draw_pattern(1000, np.random.default_rng(0), m)
+            values = scenario._draw_pattern(1000, np.random.default_rng(0), m, (np.zeros(m.n_observed), np.inf))
             assert values.shape == (0, 8)
 
     def test_self_masking_filters_the_joint_draw(self):
         scenario = _self_masking_d3()
         m = MissingPattern.from_string("010")
         values, mask = scenario._draw(500, np.random.default_rng(4))
-        picked = scenario._draw_pattern(500, np.random.default_rng(4), m)
+        picked = scenario._draw_pattern(500, np.random.default_rng(4), m, (np.zeros(m.n_observed), np.inf))
         assert np.array_equal(picked, values[pack_mask_rows(mask) == m.bits])
 
     @pytest.mark.parametrize("name", list(BOX_DRAW_CASES))
@@ -603,7 +603,7 @@ class FixedRows(McarGaussianScenario):
         super().__init__(0.0, [1.0, 1.0], 0.1, GaussianParams(np.zeros(2), np.eye(2)), HomogeneousBernoulli(2, 0.3))
         self.rows = np.asarray(rows, dtype=float)
 
-    def _draw_pattern(self, n, rng, m, box=None):
+    def _draw_pattern(self, n, rng, m, box):
         return self.rows
 
 
@@ -634,7 +634,7 @@ class TestOracleReference:
         m = MissingPattern.from_string("11")
         out = bayes_oracle_mc(scenario, np.empty(0), m, 50_000, 0.1, np.random.default_rng(6))
         rng = np.random.default_rng(6)
-        values = scenario._draw_pattern(50_000, rng, m)
+        values = scenario._draw_pattern(50_000, rng, m, (np.empty(0), 0.1))
         responses = scenario.beta0 + values @ scenario.beta + scenario.noise_sd * rng.standard_normal(values.shape[0])
         assert out.accepted == responses.size
         assert out.estimate == pytest.approx(responses.mean(), rel=1e-12)
@@ -762,7 +762,7 @@ class TestLeanOracle:
         make, mask, budget, bandwidth = LEAN_ORACLE_CASES[case]
         scenario, m = make(), MissingPattern.from_string(mask)
         # probe at the median of the pattern's draws, inside its support
-        rows = scenario._draw_pattern(20_000, np.random.default_rng(61), m)
+        rows = scenario._draw_pattern(20_000, np.random.default_rng(61), m, (np.zeros(m.n_observed), np.inf))
         x_obs = np.median(rows[:, list(m.observed_indices)], axis=0)
         got = _hex_outcome(lambda: bayes_oracle_mc(scenario, x_obs, m, budget, bandwidth, np.random.default_rng(62)))
         want = _hex_outcome(lambda: full_block_oracle(scenario, x_obs, m, budget, bandwidth, np.random.default_rng(62)))
