@@ -4,7 +4,8 @@ Subcommands: bench (run a benchmark config to CSV), complexity (exact
 complexity plus entropy bounds on a tau grid, CSV), gen (sample a scenario
 to JSON), fit (train an estimator on a JSON dataset), eval (excess risk of
 a stored model on a scenario). Exit codes: 0 success, 2 bad configuration
-or arguments (a size too large to allocate among them), 3 numeric failure.
+or arguments (a size too large to allocate and a file that cannot be read
+or written among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from .simulate import scenario_from_json
 
 
 def _load_json(path: str) -> dict:
-    """The JSON object a file holds; any other top level is a config error."""
+    """The JSON object a UTF-8 file holds; any other top level, a file that
+    cannot be read and nesting too deep to parse are config errors."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
     except FileNotFoundError as exc:
         raise ValueError(f"{path}: file not found") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: the top level must be a JSON object, got {type(obj).__name__}")
@@ -69,6 +73,12 @@ def parse_tau_grid(text: str) -> list:
     return values
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"--seed must be an integer >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _cmd_bench(args) -> None:
     config = experiment_config_from_json(_load_json(args.config))
     run_experiment(config, out_path=args.out)
@@ -93,7 +103,7 @@ def _cmd_complexity(args) -> None:
 
 def _cmd_gen(args) -> None:
     scenario = scenario_from_json(_load_json(args.scenario))
-    sample = scenario.generate(args.n, np.random.default_rng(args.seed))
+    sample = scenario.generate(args.n, _rng(args.seed))
     with open(args.out, "w") as handle:
         json.dump(sample.to_json(), handle)
     print(f"wrote {args.out}")
@@ -122,7 +132,7 @@ def _cmd_eval(args) -> None:
     scenario = scenario_from_json(_load_json(args.scenario))
     if model.dimension != scenario.d:
         raise ValueError(f"model dimension {model.dimension} does not match scenario dimension {scenario.d}")
-    risk = excess_risk(model, scenario, args.n_test, np.random.default_rng(args.seed))
+    risk = excess_risk(model, scenario, args.n_test, _rng(args.seed))
     print(json.dumps({"excess_risk": risk, "n_test": args.n_test, "seed": args.seed}))
 
 
@@ -174,7 +184,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

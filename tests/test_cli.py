@@ -459,6 +459,42 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    # each case: the command line, with {dir} for the test's directory, and
+    # the file or argument that the one error line must name
+    GEN = ["gen", "--n", "5", "--out"]
+    FILE_AND_INPUT_ERRORS = {
+        "gen_out_missing_dir": ([*GEN, "{dir}/no/d.json", "--scenario", "{dir}/s.json", "--seed", "1"], "{dir}/no/d.json"),
+        "complexity_out_missing_dir": (["complexity", "--preset", "bern_pA", "--out", "{dir}/no/c.csv"], "{dir}/no/c.csv"),
+        "bench_out_missing_dir": (["bench", "--config", "{dir}/bench.json", "--out", "{dir}/no/r.csv"], "{dir}/no/r.csv"),
+        "fit_out_directory": (["fit", "--data", "{dir}/data.json", "--estimator", "pbp", "--out", "{dir}"], "{dir}"),
+        "fit_data_directory": (["fit", "--data", "{dir}", "--estimator", "pbp", "--out", "{dir}/m.json"], "{dir}"),
+        "deeply_nested_json": ([*GEN, "{dir}/d.json", "--scenario", "{dir}/deep.json", "--seed", "1"], "{dir}/deep.json"),
+        "not_utf8": ([*GEN, "{dir}/d.json", "--scenario", "{dir}/latin1.json", "--seed", "1"], "{dir}/latin1.json"),
+        "gen_negative_seed": ([*GEN, "{dir}/d.json", "--scenario", "{dir}/s.json", "--seed", "-1"], "--seed"),
+        "eval_negative_seed": (["eval", "--model", "{dir}/model.json", "--scenario", "{dir}/s.json", "--seed", "-1"], "--seed"),
+    }
+
+    @pytest.mark.parametrize("case", list(FILE_AND_INPUT_ERRORS))
+    def test_file_and_input_errors_are_config_errors(self, tmp_path, tiny_scenario_file, case):
+        """A file that cannot be opened, read or parsed, and a negative
+        seed, exit 2 with one line naming the file or argument."""
+        (tmp_path / "s.json").write_text(tiny_scenario_file.read_text())
+        bench = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "cst_impute_lr"}], "n_grid": [50]}
+        (tmp_path / "bench.json").write_text(json.dumps({**bench, "repetitions": 1, "n_test": 100}))
+        data = {"d": 1, "n": 2, "values": [[0.0], [1.0]], "mask": ["0", "0"], "responses": [0.0, 1.0]}
+        (tmp_path / "data.json").write_text(json.dumps(data))
+        model = {"kind": "constant_impute", "d": 2, "intercept": 0.0, "coef": [1.0] * 4}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
+        command, named = self.FILE_AND_INPUT_ERRORS[case]
+        done = run_module(*(arg.format(dir=tmp_path) for arg in command), cwd=tmp_path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named.format(dir=tmp_path) in lines[0]
+
 
 class TestModuleEntryPoint:
     def test_help_exits_zero(self, tmp_path):
