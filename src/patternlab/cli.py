@@ -74,6 +74,7 @@ def parse_tau_grid(text: str) -> list:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The generator of ``--seed``, which numpy requires to be >= 0."""
     if seed < 0:
         raise ValueError(f"--seed must be an integer >= 0, got {seed}")
     return np.random.default_rng(seed)

@@ -245,11 +245,11 @@ class MarBlockScenario(Scenario):
         # each of block 1's k independent signs is positive with probability
         # 1/2, and the signs fix block 2's mask; block 1 is |N(0, 1)| signed
         # by the mask. Each block-1 coordinate is drawn on the part of its
-        # sign's half-line that its window covers, so the count is thinned by the product of those
-        # parts' masses within their half-lines, 0 for a window on the other
-        # side. Block 2 is independent of block 1 given the mask: it is drawn
-        # around its mask, box-first on its own observed coordinates, and
-        # block 1 for the rows it keeps
+        # sign's half-line that its window covers, so the count is thinned
+        # by the product of those parts' masses within their half-lines, 0
+        # for a window on the other side. Block 2 is independent of block 1
+        # given the mask: it is drawn around its mask, box-first on its own
+        # observed coordinates, and block 1 for the rows it keeps
         mask2 = missing[k:]
         sign = np.where(mask2, 1.0, -1.0)
         center, half = box
