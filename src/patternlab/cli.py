@@ -11,7 +11,9 @@ or written among them), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .complexity import bound_report_csv
 from .distributions import distribution_from_json, law_preset
 from .estimators import KINDS, EstimatorSpec, model_from_json
-from .harness import excess_risk, experiment_config_from_json, run_experiment
+from .harness import excess_risk, experiment_config_from_json, records_to_csv, run_experiment
 from .patterns import MaskedDataset, count, is_number, number
 from .simulate import scenario_from_json
 
@@ -80,34 +82,42 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _write(path: str, make) -> None:
+    """Write ``make()`` to ``path``, a str as it is and else as JSON, then say
+    so. A ``path`` that names a directory or lies in a missing one raises the
+    OSError of opening it before ``make`` runs; other unwritable paths
+    (permissions) fail only at the write, and nothing is opened before it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    output = make()
+    with open(path, "w", newline="") as handle:
+        if isinstance(output, str):
+            handle.write(output)
+        else:
+            json.dump(output, handle)
+    print(f"wrote {path}")
+
+
 def _cmd_bench(args) -> None:
     config = experiment_config_from_json(_load_json(args.config))
-    run_experiment(config, out_path=args.out)
-    print(f"wrote {args.out}")
+    _write(args.out, lambda: records_to_csv(run_experiment(config), config.record_timings))
 
 
 def _cmd_complexity(args) -> None:
-    named = {}
-    if args.preset:
-        for name in args.preset.split(","):
-            named[name.strip()] = law_preset(name.strip())
+    named = {name.strip(): law_preset(name.strip()) for name in args.preset.split(",")} if args.preset else {}
     if args.dist:
         named[args.dist] = distribution_from_json(_load_json(args.dist))
     if not named:
         raise ValueError("give --preset and/or --dist")
     taus = parse_tau_grid(args.tau_grid)
-    text = bound_report_csv(named, taus, alpha=args.alpha)
-    with open(args.out, "w", newline="") as handle:
-        handle.write(text)
-    print(f"wrote {args.out}")
+    _write(args.out, lambda: bound_report_csv(named, taus, alpha=args.alpha))
 
 
 def _cmd_gen(args) -> None:
     scenario = scenario_from_json(_load_json(args.scenario))
-    sample = scenario.generate(args.n, _rng(args.seed))
-    with open(args.out, "w") as handle:
-        json.dump(sample.to_json(), handle)
-    print(f"wrote {args.out}")
+    _write(args.out, lambda: scenario.generate(args.n, _rng(args.seed)).to_json())
 
 
 def _cmd_fit(args) -> None:
@@ -115,17 +125,8 @@ def _cmd_fit(args) -> None:
     tau = None if args.tau is None else _literal(args.tau)
     if isinstance(tau, str) and tau not in ("d_over_n", "one_over_n"):
         raise ValueError(f"--tau must be d_over_n, one_over_n or a number, got {tau!r}")
-    spec = EstimatorSpec(
-        kind=args.estimator,
-        tau_rule=tau,
-        rounds=args.rounds,
-        clip_level=args.clip,
-        ball_radius=args.ball_radius,
-    )
-    model = spec.fit(dataset)
-    with open(args.out, "w") as handle:
-        json.dump(model.to_json(), handle)
-    print(f"wrote {args.out}")
+    spec = EstimatorSpec(args.estimator, tau, rounds=args.rounds, clip_level=args.clip, ball_radius=args.ball_radius)
+    _write(args.out, lambda: spec.fit(dataset).to_json())
 
 
 def _cmd_eval(args) -> None:
@@ -181,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, MemoryError, OSError) as exc:

@@ -145,21 +145,17 @@ def _run_cell(config: ExperimentConfig, spec: EstimatorSpec, n: int, repetition:
     )
 
 
-def run_experiment(config: ExperimentConfig, out_path=None) -> list:
-    """All (estimator, n, repetition) records, in that nested order. A
-    scenario without the exact optimum is refused before the first cell."""
+def run_experiment(config: ExperimentConfig) -> list:
+    """All (estimator, n, repetition) records, in that nested order, written
+    to no file. A scenario without the exact optimum is refused before the
+    first cell."""
     _require_closed_form(config.scenario)
-    records = [
+    return [
         _run_cell(config, spec, n, repetition)
         for spec in config.estimators
         for n in config.n_grid
         for repetition in range(config.repetitions)
     ]
-    if out_path is not None:
-        text = records_to_csv(records, record_timings=config.record_timings)
-        with open(out_path, "w", newline="") as handle:
-            handle.write(text)
-    return records
 
 
 def records_to_csv(records, record_timings: bool = True) -> str:
@@ -167,9 +163,7 @@ def records_to_csv(records, record_timings: bool = True) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        fit_s = f"{r.fit_seconds:.6f}" if record_timings else "0.000000"
-        pred_s = f"{r.predict_seconds:.6f}" if record_timings else "0.000000"
-        writer.writerow(
-            [r.scenario, r.estimator, r.n, r.repetition, r.seed, repr(r.excess_risk), fit_s, pred_s]
-        )
+        seconds = (r.fit_seconds, r.predict_seconds) if record_timings else (0.0, 0.0)
+        row = [r.scenario, r.estimator, r.n, r.repetition, r.seed, repr(r.excess_risk)]
+        writer.writerow(row + [f"{s:.6f}" for s in seconds])
     return buffer.getvalue()

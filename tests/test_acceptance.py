@@ -399,7 +399,7 @@ def test_11_monte_carlo_calibration():
         assert hits >= 28, f"only {hits}/30 inside 4 standard errors"
 
 
-def test_12_experiment_determinism(tmp_path):
+def test_12_experiment_determinism():
     with criterion(12, "benchmark reruns are byte-identical"):
         config = ExperimentConfig(
             scenario=preset("mcar_a"),
@@ -416,9 +416,7 @@ def test_12_experiment_determinism(tmp_path):
         )
         outputs = []
         for run in range(3):
-            path = tmp_path / f"run{run}.csv"
-            run_experiment(config, out_path=path)
-            outputs.append(path.read_bytes())
+            outputs.append(records_to_csv(run_experiment(config), record_timings=config.record_timings))
         assert outputs[0] == outputs[1] == outputs[2]
 
         # wall-clock timings are real when requested; everything else is
