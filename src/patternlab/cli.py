@@ -83,10 +83,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _write(path: str, make) -> None:
-    """Write ``make()`` to ``path``, a str as it is and else as JSON, then say
-    so. A ``path`` that names a directory or lies in a missing one raises the
-    OSError of opening it before ``make`` runs; other unwritable paths
-    (permissions) fail only at the write, and nothing is opened before it."""
+    """Write ``make()`` to ``path`` (a str as it is, else by ``json.dump``) and
+    say so. A directory at ``path``, or a missing one above it, raises open's
+    OSError before ``make`` runs; a path that exists but cannot be written fails
+    only at the write. Nothing is opened until the output is complete."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):

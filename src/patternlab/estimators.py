@@ -457,6 +457,7 @@ def _replay(completed: np.ndarray, plan: list, column_models, rounds: int) -> No
             completed[rows, j] = column_models[j].predict(completed.take(others))
 
 
+@np.errstate(over="raise")
 def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-3) -> IterativeImputeRegression:
     """Chained-equations fit: cycle columns ascending, up to ``rounds`` sweeps.
 
@@ -471,8 +472,8 @@ def fit_iterative_impute(data: MaskedDataset, rounds: int = 10, tol: float = 1e-
     prediction replays the executed number of sweeps. The final regression
     of the response on the completed matrix is solved without damping.
     ``rounds`` is an integer >= 1 and ``tol`` finite and >= 0; the column
-    models' ridge floor is the constant ``RIDGE_FLOOR``.
-    """
+    models' ridge floor is the constant ``RIDGE_FLOOR``. An overflow in the
+    fit raises numpy's ``FloatingPointError``, not a warning."""
     rounds = count(rounds, "rounds")
     if not number(tol, "tol") >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")

@@ -148,22 +148,30 @@ class Scenario:
         n = count(n, "sample size")
         values, mask = self._draw(n, rng)
         noise = rng.standard_normal(n)
-        responses = self.beta0 + values @ self.beta + self.noise_sd * noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            responses = self.beta0 + values @ self.beta + self.noise_sd * noise
+        if not np.isfinite(responses).all():
+            raise ValueError("responses must be finite (no NaN or infinity): beta0 + x @ beta + noise overflows")
         dataset = MaskedDataset(values, mask, responses)
         bayes = self._bayes_for(values, mask) if with_bayes and self.has_closed_form else None
         values.setflags(write=False)
         return LabeledSample(dataset=dataset, full_values=values, bayes_values=bayes)
 
+    def _require_pattern(self, m: MissingPattern) -> None:
+        """A ValueError naming both dimensions unless m has the scenario's."""
+        if m.dimension != self.d:
+            raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
+
     def pattern_model(self, m: MissingPattern) -> AffineModel:
         """The optimum predictor for pattern m as an affine model over the
         observed coordinates (ascending order), bit for bit the map the
         Bayes column applies to m's rows."""
-        if m.dimension != self.d:
-            raise ValueError(f"pattern dimension {m.dimension} does not match scenario dimension {self.d}")
+        self._require_pattern(m)
         return self._optima(np.array([m.bits]))[m]
 
     def bayes_predict(self, x_obs, m: MissingPattern) -> float:
-        """Exact E[Y | observed values, pattern m]."""
+        """Exact E[Y | observed values, pattern m]; ``one_row`` reads x_obs."""
+        self._require_pattern(m)
         return float(self._bayes_for(*one_row(x_obs, m))[0])
 
     def _bayes_for(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -426,29 +434,26 @@ def bayes_oracle_mc(
     coordinate's window (for ``mar_block``, of every block-1 window and of
     block 2's first), the coordinates so thinned are drawn truncated to
     their windows, and each later observed coordinate is drawn for the rows
-    still kept and kept by rejection. A
-    Binomial thinned by a Binomial is Binomial(n, P(M = m) P(box)), so
-    ``samples`` still counts joint draws and ``accepted`` keeps its law;
-    other laws return every row of the pattern. Each chunk is filtered on
-    its whole observed block, because rounding can put a drawn row just
-    outside the box. A non-finite observed value of a draw of pattern m, or
-    a non-finite kept response, raises ``ValueError`` as a ``MaskedDataset``
-    would. ``x_obs`` is read through the ``numbers`` field kind, ``samples``
-    and ``min_accepted`` must be integers >= 1, and ``bandwidth`` finite and
+    still kept and kept by rejection. A Binomial thinned by a Binomial is
+    Binomial(n, P(M = m) P(box)), so ``samples`` still counts joint draws
+    and ``accepted`` keeps its law; other laws return every row of the
+    pattern. Each chunk is filtered on its whole observed block, because
+    rounding can put a drawn row just outside the box. A non-finite
+    observed value of a draw of pattern m, or a non-finite kept response,
+    raises ``ValueError`` as a ``MaskedDataset`` would. m and ``x_obs`` are
+    checked as ``Scenario.bayes_predict`` checks them, ``samples`` and
+    ``min_accepted`` must be integers >= 1, and ``bandwidth`` finite and
     > 0. Too few kept rows, or no more than the local fit's rank, raise
     ``InsufficientSamplesError``.
     """
     if rng is None:
         raise ValueError("pass an explicit generator so oracle runs are reproducible")
-    if m.dimension != scenario.d:
-        raise ValueError("pattern dimension does not match the scenario")
-    x_obs = numbers(x_obs, "x_obs")
-    if x_obs.shape != (m.n_observed,):
-        raise ValueError("x_obs does not match the pattern's observed coordinates")
+    scenario._require_pattern(m)
+    obs = np.array(m.observed_indices, dtype=int)
+    x_obs = one_row(x_obs, m)[0][0, obs]
     bandwidth = positive(bandwidth, "bandwidth")
     remaining = count(samples, "samples")
     min_accepted = count(min_accepted, "min_accepted")
-    obs = np.array(m.observed_indices, dtype=int)
     offsets, responses = [], []
     while remaining > 0:
         chunk = min(250_000, remaining)

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from patternlab import complexity, harness
 from patternlab.cli import main, parse_tau_grid
-from patternlab.estimators import model_from_json
+from patternlab.estimators import EstimatorSpec, model_from_json
+from patternlab.simulate import Scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -441,6 +443,33 @@ class TestExitCodes:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure:")
 
+    def test_overflowing_imputation_fit_prints_one_line(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 3))
+        mask = rng.random((50, 3)) < 0.3
+        data = {
+            "d": 3,
+            "n": 50,
+            "values": (np.where(mask, 0.0, x) * 1e200).tolist(),
+            "mask": ["".join("1" if b else "0" for b in row) for row in mask],
+            "responses": (x.sum(axis=1) * 1e200).tolist(),
+        }
+        (tmp_path / "big.json").write_text(json.dumps(data))
+        for estimator, code in [("pbp", 0), ("cst_impute_lr", 0), ("iterative_impute_lr", 3)]:
+            done = run_module("fit", "--data", "big.json", "--estimator", estimator, "--out", "m.json", cwd=tmp_path)
+            assert done.returncode == code
+            if code:
+                assert done.stderr.splitlines() == ["numeric failure: overflow encountered in matmul"]
+
+    def test_overflowing_responses_print_one_line(self, tmp_path, tiny_scenario_file):
+        scenario = {**json.loads(tiny_scenario_file.read_text()), "beta": [1e308, 1e308]}
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        done = run_module("gen", "--scenario", "s.json", "--n", "50", "--seed", "1", "--out", "d.json", cwd=tmp_path)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: responses must be finite") and "overflows" in lines[0]
+        assert not (tmp_path / "d.json").exists()
+
     # 10^15 rows fail to allocate on any machine, before anything is allocated
     @pytest.mark.parametrize(
         "command",
@@ -494,6 +523,67 @@ class TestExitCodes:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named.format(dir=tmp_path) in lines[0]
+
+
+class TestOutputPath:
+    """``--out`` is checked before the work: a path that names a directory,
+    or whose directory does not exist, exits 2 with one line naming it,
+    creates no file, and runs no cell, draw, fit or bound."""
+
+    # each command, with {dir} for the test's directory, and the function
+    # that does its work
+    COMMANDS = {
+        "bench": (["bench", "--config", "{dir}/bench.json"], (harness, "_run_cell")),
+        "complexity": (["complexity", "--preset", "bern_pA"], (complexity, "bound_report")),
+        "gen": (["gen", "--scenario", "{dir}/s.json", "--n", "50", "--seed", "1"], (Scenario, "generate")),
+        "fit": (["fit", "--data", "{dir}/data.json", "--estimator", "pbp"], (EstimatorSpec, "fit")),
+    }
+
+    @pytest.mark.parametrize("out", ["no/out", "folder"], ids=["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_out_fails_before_the_work(self, tmp_path, tiny_scenario_file, monkeypatch, capsys, command, out):
+        (tmp_path / "s.json").write_text(tiny_scenario_file.read_text())
+        bench = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "cst_impute_lr"}], "n_grid": [50]}
+        (tmp_path / "bench.json").write_text(json.dumps({**bench, "repetitions": 1, "n_test": 100}))
+        data = {"d": 1, "n": 2, "values": [[0.0], [1.0]], "mask": ["0", "0"], "responses": [0.0, 1.0]}
+        (tmp_path / "data.json").write_text(json.dumps(data))
+        (tmp_path / "folder").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv, (owner, name) = self.COMMANDS[command]
+        work = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        path = str(tmp_path / out)
+        capsys.readouterr()
+        assert main([arg.format(dir=tmp_path) for arg in argv] + ["--out", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and path in lines[0]
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failing_command_keeps_an_existing_file(self, tmp_path, capsys):
+        config = {
+            "scenario": {
+                "kind": "self_masking", "d": 2, "beta0": 0.0, "beta": [1.0, 1.0], "sigma": 0.1, "mu": [0.0, 0.0],
+                "cov": [[1.0, 0.0], [0.0, 1.0]], "mask_center": [0.0, 0.0], "mask_scale": [1.0, 1.0],
+            },
+            "estimators": [{"kind": "cst_impute_lr"}],
+            "n_grid": [50],
+            "repetitions": 1,
+            "n_test": 100,
+        }
+        (tmp_path / "bench.json").write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"earlier,run\n1,2\n")
+        # self-masking has no exact optimum, so bench fails after the check
+        assert main(["bench", "--config", str(tmp_path / "bench.json"), "--out", str(out)]) == 3
+        assert out.read_bytes() == b"earlier,run\n1,2\n"
+        assert capsys.readouterr().out == ""
 
 
 class TestModuleEntryPoint:

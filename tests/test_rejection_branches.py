@@ -119,14 +119,27 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "x_obs, m, fragment",
         [
-            ([], MissingPattern(3, 2), "pattern dimension does not match the scenario"),
-            ([1.0], MissingPattern(0, 8), "x_obs does not match the pattern's observed coordinates"),
+            ([], MissingPattern(3, 2), "pattern dimension 2 does not match scenario dimension 8"),
+            ([1.0], MissingPattern(0, 8), "x_obs shape (1,) does not match 8 observed coordinates"),
         ],
         ids=["pattern_dimension", "x_obs_length"],
     )
     def test_oracle_probe_shape(self, x_obs, m, fragment):
         with raises(ValueError, fragment):
             bayes_oracle_mc(preset("mcar_a"), x_obs, m, 1000, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "x_obs, m, fragment",
+        [
+            (np.zeros(2), MissingPattern(0, 2), "pattern dimension 2 does not match scenario dimension 8"),
+            (np.zeros(3), MissingPattern(0, 8), "x_obs shape (3,) does not match 8 observed coordinates"),
+        ],
+        ids=["pattern_dimension", "x_obs_length"],
+    )
+    def test_bayes_predict_probe_shape(self, x_obs, m, fragment):
+        """The closed form checks a probe with the oracle's rules and texts."""
+        with raises(ValueError, fragment):
+            preset("mcar_a").bayes_predict(x_obs, m)
 
     def test_odd_paired_block_covariance(self):
         with raises(ValueError, "dimension 3 is not a multiple of the block size 2"):
