@@ -459,7 +459,8 @@ class TestExitCodes:
             done = run_module("fit", "--data", "big.json", "--estimator", estimator, "--out", "m.json", cwd=tmp_path)
             assert done.returncode == code
             if code:
-                assert done.stderr.splitlines() == ["numeric failure: overflow encountered in matmul"]
+                lines = done.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("numeric failure: overflow encountered")
 
     def test_overflowing_responses_print_one_line(self, tmp_path, tiny_scenario_file):
         scenario = {**json.loads(tiny_scenario_file.read_text()), "beta": [1e308, 1e308]}
