@@ -14,6 +14,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -84,13 +85,18 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _write(path: str, make) -> None:
     """Write ``make()`` to ``path`` (a str as it is, else by ``json.dump``) and
-    say so. A directory at ``path``, or a missing one above it, raises open's
-    OSError before ``make`` runs; a path that exists but cannot be written fails
-    only at the write. Nothing is opened until the output is complete."""
+    say so. A directory at ``path``, a missing one above it, or a regular file
+    where a directory above it should be raises open's OSError before ``make``
+    runs; a path that exists but cannot be written fails only at the write.
+    Nothing is opened until the output is complete."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    try:
+        mode = os.stat(os.path.dirname(path) or ".").st_mode
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if not stat.S_ISDIR(mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     output = make()
     with open(path, "w", newline="") as handle:
         if isinstance(output, str):

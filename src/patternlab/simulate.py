@@ -82,9 +82,10 @@ class Scenario:
     joint draws whose observed block can land in a box (center, half),
     within ``half`` of ``center`` in sup-norm. Where the scenario's
     generative law allows it, they are drawn pattern-first and box-first:
-    the count Binomial(n, P(M = m)) is thinned by the mass of one or more
-    of the box's windows and the other coordinates in the box are drawn by
-    rejection, so the rows kept are Binomial(n, P(M = m) P(box | m)) and
+    the count Binomial(n, P(M = m)) is thinned by the product of the masses
+    of one or more of the box's windows, one for each independent block of
+    the box's coordinates, and the other coordinates in the box are drawn
+    by rejection, so the rows kept are Binomial(n, P(M = m) P(box | m)) and
     follow the law of X given the pattern and the box. The draws agree in
     distribution, not in their random-number streams.
 
@@ -430,11 +431,15 @@ def bayes_oracle_mc(
     coordinates, and response noise is drawn for those rows only. Where the
     law given the pattern is Gaussian, or is ``mar_block``'s signed
     half-normal block beside a Gaussian one, the draw is box-first: the
-    pattern's Binomial count is thinned by the mass of the first observed
-    coordinate's window (for ``mar_block``, of every block-1 window and of
-    block 2's first), the coordinates so thinned are drawn truncated to
-    their windows, and each later observed coordinate is drawn for the rows
-    still kept and kept by rejection. A Binomial thinned by a Binomial is
+    observed coordinates of a Gaussian split into independent blocks (the
+    connected components of their covariance's nonzero entries), the
+    pattern's Binomial count is thinned by the product of the window masses
+    of each block's first coordinate (for ``mar_block``, of every block-1
+    window too), the coordinates so thinned are drawn truncated to their
+    windows, and each other observed coordinate is drawn for the rows still
+    kept and kept by rejection. ``GaussianParams.sample_within`` plans the
+    blocks and their factor once per observed set, so the chunks after a
+    probe's first reuse them. A Binomial thinned by a Binomial is
     Binomial(n, P(M = m) P(box)), so ``samples`` still counts joint draws
     and ``accepted`` keeps its law; other laws return every row of the
     pattern. Each chunk is filtered on its whole observed block, because

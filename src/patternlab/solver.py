@@ -114,6 +114,7 @@ class GaussianParams:
         object.__setattr__(self, "factor", factor)
         condition = float(eigvals[-1] / eigvals[0]) if eigvals[0] > 0.0 else float("inf")
         object.__setattr__(self, "condition_number", condition)
+        object.__setattr__(self, "_box_plans", {})
 
     @property
     def dimension(self) -> int:
@@ -139,55 +140,98 @@ class GaussianParams:
         P(box)). ``observed`` holds the box's coordinates in ascending
         order and ``center`` one number for each; with none, this is
         ``sample``. An infinite ``half`` is the whole space: every window
-        has mass 1 and the first coordinate's truncated draw takes the
-        plain-normal proposal, so every draw is kept.
+        has mass 1 and each truncated draw takes the plain-normal proposal,
+        so every draw is kept.
 
-        The QR of the factor's rows, observed coordinates first and then the
-        others, gives a lower-triangular factor L of the covariance in that
-        order, so observed coordinate i is mu_i + (L z)_i with z standard
-        normal and (L z)_i reading z_0..z_i only. The count n is thinned by
-        the first coordinate's window mass and z_0 is drawn truncated to the
-        window. Each later observed coordinate then draws its z_i for the
-        rows still kept and keeps those that land in its window: plain
-        rejection, which needs no normal CDF. The other coordinates' normals
-        are drawn last, for the rows kept. The bounds take the offset
+        The box's coordinates split into blocks, the connected components
+        of the nonzero entries of their covariance: coordinates of different
+        blocks are uncorrelated Gaussians, hence independent, and P(box) is
+        the product of the blocks' probabilities. The draw order puts each
+        block's first coordinate of positive variance (its head) first,
+        then every other observed coordinate, then the rest. The QR of the
+        factor's rows in that order gives a lower-triangular factor L of
+        the covariance in that order, so the coordinate in place i is mu_i
+        + (L z)_i with z standard normal and (L z)_i reading z_0..z_i only.
+        The heads are independent, so L is diagonal among them (the QR's
+        rounding residue there is set to 0) and head i reads z_i alone. The
+        count n is thinned by the product of the heads' window masses and
+        each head's z_i is drawn truncated to its window. Each other
+        observed coordinate then draws its z_i for the rows still kept and
+        keeps those that land in its window: plain rejection, which needs no
+        normal CDF. The other coordinates' normals are drawn last, for the
+        rows kept. A box of one block has one head, so its count is thinned
+        by the first coordinate's window alone. The bounds take the offset
         center - mu first, so a window at mu = 1e308 keeps its width.
         Rounding of mu + L z can put a row just outside the box, so callers
-        filter the rows as before. When L_00 is 0, the first coordinate is
-        constant: the count is kept whole or emptied by whether the constant
-        lies in its window, and z_0 is drawn plainly.
+        filter the rows as before. A constant coordinate (zero variance) is
+        a block with no head: it keeps the rows or empties them by whether
+        the constant lies in its window.
+
+        The blocks, the order and L depend on the Gaussian and the observed
+        set alone, so they are computed once per observed set and kept.
         """
         obs = np.asarray(observed, dtype=int)
         k, d = obs.size, self.dimension
         if k == 0:
             return self.sample(rng, n)
-        others = np.ones(d, dtype=bool)
-        others[obs] = False
-        order = np.concatenate([obs, np.flatnonzero(others)])
-        r = np.linalg.qr(self.factor[order].T, mode="r")
-        # F[order] F[order].T = R.T R; rows of R signed so that L's diagonal is >= 0
-        lower = (r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]).T
-        offset = np.asarray(center, dtype=float) - self.mean[obs]
+        heads, place, lower, scatter = self._box_plan(obs)
+        offset = (np.asarray(center, dtype=float) - self.mean[obs])[place]
         lo, hi = offset - half, offset + half
-        sigma = lower[0, 0]
-        if sigma > 0.0:
-            a, b = lo[0] / sigma, hi[0] / sigma
-            size = rng.binomial(n, _normal_mass(a, b))
-            first = _truncated_normal(rng, size, a, b)
-        else:
-            size = n if lo[0] <= 0.0 <= hi[0] else 0
-            first = rng.standard_normal(size)
+        sigma = np.diagonal(lower)[:heads]
+        windows = list(zip(lo[:heads] / sigma, hi[:heads] / sigma))
+        size = rng.binomial(n, math.prod(_normal_mass(a, b) for a, b in windows)) if heads else n
         z = np.empty((size, k))
-        z[:, 0] = first
-        for i in range(1, k):
+        for i, (a, b) in enumerate(windows):
+            z[:, i] = _truncated_normal(rng, size, a, b)
+        for i in range(heads, k):
             z[:, i] = rng.standard_normal(z.shape[0])
             t = z[:, : i + 1] @ lower[i, : i + 1]
             # compress, not a boolean index: several times faster on rows
             z = np.compress((lo[i] <= t) & (t <= hi[i]), z, axis=0)
         z = np.hstack([z, rng.standard_normal((z.shape[0], d - k))])
-        out = z @ lower[np.argsort(order)].T
+        out = z @ scatter
         out += self.mean
         return out
+
+    def _box_plan(self, obs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """``sample_within``'s plan for the observed coordinates ``obs``,
+        made on the first call for the set and kept: the number of heads,
+        the place in ``obs`` of each observed coordinate in draw order, the
+        signed lower-triangular factor L in draw order, and the map of the
+        normals back to coordinates (L's rows in coordinate order,
+        transposed). It reads the covariance's zeros and the factor only,
+        so two threads that plan one set at once make the same plan."""
+        key = tuple(obs.tolist())
+        plan = self._box_plans.get(key)
+        if plan is not None:
+            return plan
+        nonzero = self.covariance[np.ix_(obs, obs)] != 0.0
+        linked = nonzero | nonzero.T
+        # each coordinate's block is labelled by its lowest member: labels
+        # spread along links until they settle
+        label = np.arange(obs.size)
+        while True:
+            spread = np.minimum(np.where(linked, label, obs.size).min(axis=1), label)
+            if (spread == label).all():
+                break
+            label = spread
+        # a block's head is its first coordinate of positive variance
+        positive = np.flatnonzero(np.diagonal(self.covariance)[obs] > 0.0)
+        heads = np.sort(positive[np.unique(label[positive], return_index=True)[1]])
+        place = np.concatenate([heads, np.setdiff1d(np.arange(obs.size), heads)])
+        others = np.ones(self.dimension, dtype=bool)
+        others[obs] = False
+        order = np.concatenate([obs[place], np.flatnonzero(others)])
+        r = np.linalg.qr(self.factor[order].T, mode="r")
+        # F[order] F[order].T = R.T R; rows of R signed so that L's diagonal is >= 0
+        lower = (r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]).T
+        # the heads are uncorrelated, so L is 0 between them but for rounding
+        lower[np.tril_indices(heads.size, -1)] = 0.0
+        scatter = lower[np.argsort(order)].T
+        for array in (place, lower, scatter):
+            array.setflags(write=False)
+        plan = self._box_plans[key] = (heads.size, place, lower, scatter)
+        return plan
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -7,7 +7,11 @@ library against. None of them is called by the library itself.
   stacked eigendecomposition kernel) is checked;
 * ``pattern_complexity_subset_form``: C_p(tau) through its best subset;
 * ``binomial_inverse_bounds_check``: the binomial inverse-moment lemma,
-  verified in exact rational arithmetic.
+  verified in exact rational arithmetic;
+* ``one_window_sample_within``: ``GaussianParams.sample_within`` as it
+  was before boxes were split into independent blocks, with the count
+  thinned by the first observed coordinate's window only, against which
+  the draws of one-block boxes are checked bit for bit.
 """
 
 import math
@@ -16,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from patternlab.patterns import MissingPattern, count, one_row, rate, threshold
+from patternlab.solver import _normal_mass, _truncated_normal
 
 
 def predict_one(model, x_obs, m: MissingPattern) -> float:
@@ -87,3 +92,41 @@ def binomial_inverse_bounds_check(n: int, p: float) -> bool:
     lower = 1 / (1 + n * pf)
     upper = 1 / (pf * (n + 1))
     return lower <= inv_one_plus <= upper and inv_positive <= 2 * upper
+
+
+def one_window_sample_within(params, rng, n: int, observed, center, half: float) -> np.ndarray:
+    """The box-first draw with one window: the QR of the factor's rows,
+    observed coordinates first, gives a lower-triangular factor; the count
+    is thinned by the first observed coordinate's window mass and that
+    coordinate's normal drawn truncated to it (kept whole or emptied when
+    it is constant), each later observed coordinate is kept by rejection,
+    and the other coordinates are drawn last."""
+    obs = np.asarray(observed, dtype=int)
+    k, d = obs.size, params.dimension
+    if k == 0:
+        return params.sample(rng, n)
+    others = np.ones(d, dtype=bool)
+    others[obs] = False
+    order = np.concatenate([obs, np.flatnonzero(others)])
+    r = np.linalg.qr(params.factor[order].T, mode="r")
+    lower = (r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]).T
+    offset = np.asarray(center, dtype=float) - params.mean[obs]
+    lo, hi = offset - half, offset + half
+    sigma = lower[0, 0]
+    if sigma > 0.0:
+        a, b = lo[0] / sigma, hi[0] / sigma
+        size = rng.binomial(n, _normal_mass(a, b))
+        first = _truncated_normal(rng, size, a, b)
+    else:
+        size = n if lo[0] <= 0.0 <= hi[0] else 0
+        first = rng.standard_normal(size)
+    z = np.empty((size, k))
+    z[:, 0] = first
+    for i in range(1, k):
+        z[:, i] = rng.standard_normal(z.shape[0])
+        t = z[:, : i + 1] @ lower[i, : i + 1]
+        z = np.compress((lo[i] <= t) & (t <= hi[i]), z, axis=0)
+    z = np.hstack([z, rng.standard_normal((z.shape[0], d - k))])
+    out = z @ lower[np.argsort(order)].T
+    out += params.mean
+    return out

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -540,16 +541,22 @@ class TestOutputPath:
         "fit": (["fit", "--data", "{dir}/data.json", "--estimator", "pbp"], (EstimatorSpec, "fit")),
     }
 
-    @pytest.mark.parametrize("out", ["no/out", "folder"], ids=["missing_dir", "directory"])
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_bad_out_fails_before_the_work(self, tmp_path, tiny_scenario_file, monkeypatch, capsys, command, out):
+    def inputs(self, tmp_path, tiny_scenario_file):
+        """Each command's input files, a directory ``folder`` and a regular
+        file ``file.txt`` in the test's directory; returns what it holds."""
         (tmp_path / "s.json").write_text(tiny_scenario_file.read_text())
         bench = {"scenario": {"preset": "mcar_a"}, "estimators": [{"kind": "cst_impute_lr"}], "n_grid": [50]}
         (tmp_path / "bench.json").write_text(json.dumps({**bench, "repetitions": 1, "n_test": 100}))
         data = {"d": 1, "n": 2, "values": [[0.0], [1.0]], "mask": ["0", "0"], "responses": [0.0, 1.0]}
         (tmp_path / "data.json").write_text(json.dumps(data))
         (tmp_path / "folder").mkdir()
-        before = sorted(tmp_path.rglob("*"))
+        (tmp_path / "file.txt").write_text("")
+        return sorted(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("out", ["no/out", "folder"], ids=["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_out_fails_before_the_work(self, tmp_path, tiny_scenario_file, monkeypatch, capsys, command, out):
+        before = self.inputs(tmp_path, tiny_scenario_file)
         argv, (owner, name) = self.COMMANDS[command]
         work = getattr(owner, name)
         calls = []
@@ -564,6 +571,24 @@ class TestOutputPath:
         assert main([arg.format(dir=tmp_path) for arg in argv] + ["--out", path]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and path in lines[0]
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["file.txt/out", "file.txt/sub/out"], ids=["below_file", "two_below_file"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_out_below_a_file_fails_before_the_work(self, tmp_path, tiny_scenario_file, monkeypatch, capsys, command, out):
+        # open names a path through a regular file "Not a directory" (ENOTDIR), not missing
+        before = self.inputs(tmp_path, tiny_scenario_file)
+        argv, (owner, name) = self.COMMANDS[command]
+        calls = []
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name))
+        path = str(tmp_path / out)
+        with pytest.raises(NotADirectoryError):
+            open(path, "w")
+        capsys.readouterr()
+        assert main([arg.format(dir=tmp_path) for arg in argv] + ["--out", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {path!r}"]
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == before
 

@@ -14,7 +14,7 @@ from patternlab import (
 )
 from patternlab import solver
 from patternlab.solver import CONDITIONING_CHUNK, PRECISION_MAX_CONDITION, _normal_mass, _truncated_normal, lstsq_stack
-from references import conditional_mean_map
+from references import conditional_mean_map, one_window_sample_within
 
 
 def pseudoinverse_solution_oracle(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -543,6 +543,112 @@ class TestSampleWithin:
         params = GaussianParams(np.array([1.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
         got = params.sample_within(np.random.default_rng(8), 500, [], [], 0.1)
         assert np.array_equal(got, params.sample(np.random.default_rng(8), 500))
+
+
+    # boxes of several independent blocks, each checked against the joint
+    # draw filtered to the box: (mean, covariance, observed, center, half)
+    BLOCKED = {
+        # x1 = 2 x0 ahead of a dense block whose last coordinate is missing:
+        # x1's pivot is 0, and placed before x2 it would couple x2 to x0
+        "dependent_before_dense": (
+            np.zeros(5),
+            np.block(
+                [
+                    [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 3))],
+                    [np.zeros((3, 2)), np.array([[2.0, -0.6, 0.3], [-0.6, 1.0, 0.2], [0.3, 0.2, 1.5]])],
+                ]
+            ),
+            [0, 1, 2, 3],
+            np.array([0.3, 0.6, 0.2, -0.1]),
+            0.3,
+        ),
+        # the missing coordinate reads both independent observed ones
+        "missing_reads_two_blocks": (
+            np.array([1.0, -1.0, 0.0]),
+            np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]]),
+            [0, 1],
+            np.array([1.4, -0.8]),
+            0.2,
+        ),
+        # coordinate 2 is constant at 2 between two correlated pairs
+        "constant_between_blocks": (
+            np.arange(5.0),
+            np.block(
+                [
+                    [np.array([[1.0, 0.6], [0.6, 1.0]]), np.zeros((2, 3))],
+                    [np.zeros((1, 5))],
+                    [np.zeros((2, 3)), np.array([[2.0, -0.5], [-0.5, 1.0]])],
+                ]
+            ),
+            [0, 1, 2, 3],
+            np.array([0.2, 1.3, 2.1, 3.5]),
+            0.4,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BLOCKED))
+    def test_blocked_box_matches_the_filtered_joint_draw(self, case):
+        mean, cov, obs, center, half = self.BLOCKED[case]
+        params = GaussianParams(mean, cov)
+        n = 2_000_000
+        got = params.sample_within(np.random.default_rng(11), n, obs, center, half)
+        rng = np.random.default_rng(12)
+        parts = []
+        for start in range(0, n, 250_000):
+            rows = params.sample(rng, 250_000)
+            parts.append(rows[(np.abs(rows[:, obs] - center) <= half).all(axis=1)])
+        want = np.concatenate(parts)
+        # two independent counts of one Binomial law: their difference has
+        # variance 2 n p (1 - p) <= c + w
+        c, w = got.shape[0], want.shape[0]
+        assert min(c, w) >= 2000, (c, w)
+        assert abs(c - w) <= self.SE * math.sqrt(c + w), (case, c, w)
+        for power in (1, 2):
+            a, b = got**power, want**power
+            gap = np.abs(a.mean(axis=0) - b.mean(axis=0))
+            se = np.sqrt(a.var(axis=0) / c + b.var(axis=0) / w)
+            assert (gap <= self.SE * se).all(), (case, power, gap, se)
+
+    def test_independent_windows_thin_the_count_by_their_product(self):
+        # four independent coordinates, each window thinning the count
+        params = GaussianParams(np.zeros(4), np.eye(4))
+        center, half, n = np.array([0.0, 0.5, -1.0, 1.5]), 0.6, 1_000_000
+        rows = params.sample_within(np.random.default_rng(13), n, [0, 1, 2, 3], center, half)
+        p = math.prod(_normal_cdf(c + half) - _normal_cdf(c - half) for c in center)
+        assert abs(rows.shape[0] - n * p) <= self.SE * math.sqrt(n * p * (1.0 - p))
+        assert (np.abs(rows - center) <= half).all()
+
+    def test_plan_is_made_once_per_observed_set(self, monkeypatch):
+        mean, cov, obs, center, half = self.BLOCKED["dependent_before_dense"]
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        params = GaussianParams(mean, cov)
+        cold = params.sample_within(np.random.default_rng(14), 500_000, obs, center, half)
+        cached = params.sample_within(np.random.default_rng(14), 500_000, obs, center, half)
+        assert cold.shape[0] > 0 and np.array_equal(cold, cached)
+        assert len(qr_calls) == 1
+        params.sample_within(np.random.default_rng(14), 1000, obs[:2], center[:2], half)
+        assert len(qr_calls) == 2
+
+    @pytest.mark.parametrize("obs", [[0, 1, 2], [0, 2], [1], [1, 2]])
+    def test_one_block_box_draws_the_one_window_bits(self, obs):
+        # dense3 is one block, so its count is thinned by the first
+        # observed coordinate's window alone, bit for bit as the one-window
+        # draw in references.py
+        mean = np.array([0.5, -1.0, 3.0])
+        cov = np.array([[2.0, -0.6, 0.3], [-0.6, 1.0, 0.2], [0.3, 0.2, 1.5]])
+        params = GaussianParams(mean, cov)
+        center = mean[obs] + 0.3
+        for seed in range(3):
+            got = params.sample_within(np.random.default_rng(seed), 1_000_000, obs, center, 0.4)
+            want = one_window_sample_within(params, np.random.default_rng(seed), 1_000_000, obs, center, 0.4)
+            assert got.shape[0] > 0 and np.array_equal(got, want)
 
 
 class TestAffineModel:
