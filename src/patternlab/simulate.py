@@ -434,10 +434,10 @@ def bayes_oracle_mc(
     observed coordinates of a Gaussian split into independent blocks (the
     connected components of their covariance's nonzero entries), the
     pattern's Binomial count is thinned by the product of the window masses
-    of each block's first coordinate (for ``mar_block``, of every block-1
-    window too), the coordinates so thinned are drawn truncated to their
-    windows, and each other observed coordinate is drawn for the rows still
-    kept and kept by rejection. ``GaussianParams.sample_within`` plans the
+    of each block's first coordinate of positive variance (for
+    ``mar_block``, of every block-1 window too), the coordinates so thinned
+    are drawn truncated to their windows, and each other observed
+    coordinate is drawn for the rows still kept and kept by rejection. ``GaussianParams.sample_within`` plans the
     blocks and their factor once per observed set, so the chunks after a
     probe's first reuse them. A Binomial thinned by a Binomial is
     Binomial(n, P(M = m) P(box)), so ``samples`` still counts joint draws

@@ -646,8 +646,8 @@ class TestSampleWithin:
         params = GaussianParams(mean, cov)
         center = mean[obs] + 0.3
         for seed in range(3):
-            got = params.sample_within(np.random.default_rng(seed), 1_000_000, obs, center, 0.4)
-            want = one_window_sample_within(params, np.random.default_rng(seed), 1_000_000, obs, center, 0.4)
+            got = params.sample_within(np.random.default_rng(seed), 200_000, obs, center, 0.4)
+            want = one_window_sample_within(params, np.random.default_rng(seed), 200_000, obs, center, 0.4)
             assert got.shape[0] > 0 and np.array_equal(got, want)
 
 
