@@ -594,7 +594,7 @@ class TestSampleWithin:
         got = params.sample_within(np.random.default_rng(11), n, obs, center, half)
         rng = np.random.default_rng(12)
         parts = []
-        for start in range(0, n, 250_000):
+        for _ in range(n // 250_000):
             rows = params.sample(rng, 250_000)
             parts.append(rows[(np.abs(rows[:, obs] - center) <= half).all(axis=1)])
         want = np.concatenate(parts)
